@@ -10,12 +10,11 @@ __version__ = "0.1.0"
 
 from .clarity import (
     ClarityReport, VagueLexicon, VagueTerm,
-    density_pct, load_vague_lexicon, scan_vague_terms, top_terms,
+    density_pct, load_vague_lexicon, scan_vague_terms,
 )
 from .corpus import (
-    ChangeSummary, CorpusManifest, SnapshotEntry,
-    diff_snapshots, fetch_snapshot, load_manifest, save_manifest,
-    store_snapshot,
+    CorpusManifest, SnapshotEntry,
+    fetch_snapshot, load_manifest, save_manifest, store_snapshot,
 )
 from .errors import (
     AssessmentError, CorpusError, DegenerateDocumentError, ExtractionError,
@@ -23,8 +22,7 @@ from .errors import (
 )
 from .interface_assess import (
     EvidenceRecord, InterfaceAssessment,
-    aggregate_interface, load_cue_lexicon, suggest_evidence,
-    validate_assessment,
+    load_cue_lexicon, suggest_evidence, validate_assessment,
 )
 from .pipeline import PlatformResult, run_pipeline
 from .readability import (
@@ -34,7 +32,7 @@ from .readability import (
 )
 from .specificity import (
     SentenceFinding, SpecificityCounts, SpecificityLexicons,
-    SpecificityScores, aggregate_counts, analyze_document, apply_review,
+    SpecificityScores, aggregate_counts, analyze_document,
     classify_retention, classify_sharing, detect_data_types, detect_entities,
     export_review, load_specificity_lexicons, map_scores,
 )

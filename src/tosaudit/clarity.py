@@ -134,11 +134,3 @@ def scan_vague_terms(doc, lex, matcher=None):
         per_term_counts=per_term,
         matches=matches,
     )
-
-
-def top_terms(report, k):
-    """Top k canonical terms by count; ties break alphabetically."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranked = sorted(report.per_term_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]

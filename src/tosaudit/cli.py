@@ -33,14 +33,7 @@ def main():
 def fetch(config_path, platform, corpus_dir):
     """Fetch configured ToS pages into the snapshot corpus."""
     try:
-        if config_path is None:
-            from importlib import resources
-            import json
-            config = json.loads(resources.files("tosaudit.data")
-                                .joinpath("corpus_default.json")
-                                .read_text(encoding="utf-8"))
-        else:
-            config = corpus_mod.load_corpus_config(config_path)
+        config = corpus_mod.load_corpus_config(config_path)
         outcomes = corpus_mod.fetch_all(config, corpus_dir, platform=platform)
     except TosAuditError as exc:
         _fatal(str(exc))
@@ -60,14 +53,13 @@ def fetch(config_path, platform, corpus_dir):
               help="Directory of lexicon files; defaults to shipped data.")
 @click.option("--out", "out_path", required=True,
               help="Path for the results JSON.")
-@click.option("--workers", default=1, show_default=True, type=int)
 @click.option("--classic-lensear", is_flag=True, default=False,
               help="Apply the traditional Lensear halving adjustment.")
-def analyze(corpus_dir, lexicons_dir, out_path, workers, classic_lensear):
+def analyze(corpus_dir, lexicons_dir, out_path, classic_lensear):
     """Run the full analysis pipeline over a corpus."""
     try:
         results, failures = pipeline.run_pipeline(
-            corpus_dir, lexicons_dir=lexicons_dir, workers=workers,
+            corpus_dir, lexicons_dir=lexicons_dir,
             classic_lensear=classic_lensear)
     except TosAuditError as exc:
         _fatal(str(exc))

@@ -13,6 +13,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from importlib import resources
 from urllib.parse import urlparse
 
 import requests
@@ -50,16 +51,6 @@ class CorpusManifest:
             if entry.platform == platform:
                 return entry
         return None
-
-
-@dataclass(frozen=True)
-class ChangeSummary:
-    platform: str
-    changed: bool
-    old_digest: str
-    new_digest: str
-    old_retrieved_at: str
-    new_retrieved_at: str
 
 
 def digest_bytes(payload):
@@ -154,20 +145,6 @@ def store_snapshot(manifest, entry, payload, corpus_dir):
     return manifest, True
 
 
-def diff_snapshots(old, new):
-    """Compare two snapshots of the same platform."""
-    if old.platform != new.platform:
-        raise CorpusError("platform mismatch")
-    return ChangeSummary(
-        platform=old.platform,
-        changed=old.content_digest != new.content_digest,
-        old_digest=old.content_digest,
-        new_digest=new.content_digest,
-        old_retrieved_at=old.retrieved_at,
-        new_retrieved_at=new.retrieved_at,
-    )
-
-
 def manifest_to_dict(manifest):
     d = dict(manifest.extra)
     d["schema_version"] = manifest.schema_version
@@ -260,16 +237,26 @@ def verify_corpus(manifest, corpus_dir):
     return problems
 
 
-def load_corpus_config(path):
+def load_corpus_config(path=None):
+    """Load and check a fetch config; defaults to the shipped one."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+        if path is None:
+            config = json.loads(resources.files("tosaudit.data").joinpath(
+                "corpus_default.json").read_text(encoding="utf-8"))
+        else:
+            with open(path, encoding="utf-8") as fh:
+                config = json.load(fh)
     except FileNotFoundError:
         raise CorpusError(f"corpus config not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CorpusError(f"malformed corpus config {path}: {exc}") from None
-    if "platforms" not in config or not config["platforms"]:
+    if not isinstance(config, dict) or not config.get("platforms"):
         raise CorpusError("corpus config has no platforms")
+    for i, target in enumerate(config["platforms"]):
+        if not (isinstance(target, dict) and all(
+                isinstance(target.get(k), str) for k in ("platform", "url"))):
+            raise CorpusError(f"corpus config platforms[{i}]: "
+                              "needs string 'platform' and 'url'")
     return config
 
 

@@ -1,15 +1,14 @@
-"""Schema, validation, and aggregation for manual interface scores.
+"""Schema and validation for manual interface scores.
 
 The five interface-design metrics are always human-assigned. This
-module enforces score ranges and evidence discipline, suggests
-candidate evidentiary sentences from cue phrases, and aggregates
-assessments into a cross-platform table. It never scores anything
-itself.
+module enforces score ranges and evidence discipline and suggests
+candidate evidentiary sentences from cue phrases. It never scores
+anything itself.
 """
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .errors import AssessmentError, LexiconError
@@ -87,17 +86,7 @@ def validate_assessment(assessment, doc=None):
 
 
 def assessment_to_dict(assessment):
-    d = {"platform": assessment.platform}
-    for metric in METRICS:
-        d[metric] = assessment.score(metric)
-    d["evidence"] = [
-        {"metric": ev.metric, "excerpt": ev.excerpt,
-         "sentence_index": ev.sentence_index}
-        for ev in assessment.evidence
-    ]
-    d["assessor"] = assessment.assessor
-    d["assessed_at"] = assessment.assessed_at
-    return d
+    return asdict(assessment)
 
 
 def assessment_from_dict(data):
@@ -191,16 +180,3 @@ def suggest_evidence(doc, cues):
     for metric in suggestions:
         suggestions[metric].sort(key=lambda t: (-t[2], t[0]))
     return suggestions
-
-
-def aggregate_interface(assessments):
-    """Rows of (platform, five scores) sorted by platform name."""
-    seen = set()
-    for a in assessments:
-        if a.platform in seen:
-            raise AssessmentError(f"duplicate platform: {a.platform}")
-        seen.add(a.platform)
-    rows = []
-    for a in sorted(assessments, key=lambda a: a.platform):
-        rows.append((a.platform,) + tuple(a.score(m) for m in METRICS))
-    return rows

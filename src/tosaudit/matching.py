@@ -56,8 +56,3 @@ class PhraseMatcher:
             out.append((start, end, self._table[key], text[start:end]))
             i += hit
         return out
-
-    def contains_any(self, text):
-        for _ in self.find(text):
-            return True
-        return False

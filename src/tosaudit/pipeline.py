@@ -8,8 +8,7 @@ frozen corpus are byte-identical.
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import clarity as clarity_mod
 from . import corpus as corpus_mod
@@ -47,53 +46,32 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _doc_stats_dict(stats):
+def _specificity_block(findings, scored):
+    """Results-file specificity block from findings and their scores.
+
+    scored is a specificity.FindingScores or a PlatformResult (same fields).
+    """
     return {
-        "word_count": stats.word_count,
-        "sentence_count": stats.sentence_count,
-        "syllable_count": stats.syllable_count,
-        "letter_count": stats.letter_count,
-        "character_count": stats.character_count,
-        "complex_word_count": stats.complex_word_count,
-        "polysyllable_count": stats.polysyllable_count,
-        "easy_word_count": stats.easy_word_count,
-        "hard_word_count": stats.hard_word_count,
-        "letters_per_100_words": stats.letters_per_100_words,
-        "sentences_per_100_words": stats.sentences_per_100_words,
-        "degenerate": stats.degenerate,
-    }
-
-
-def _counts_dict(counts):
-    return {
-        "dt": counts.dt,
-        "en": counts.en,
-        "re_explicit": counts.re_explicit,
-        "re_vague": counts.re_vague,
-        "sg": counts.sg,
-        "ss": counts.ss,
-    }
-
-
-def _scores_dict(scores):
-    return {
-        "dt_s": scores.dt_s,
-        "en_s": scores.en_s,
-        "r_s": scores.r_s,
-        "s_s": scores.s_s,
-        "composite": scores.composite,
-        "stage": scores.stage,
+        "findings": [specificity_mod.finding_to_dict(f) for f in findings],
+        "auto": {
+            "counts": asdict(scored.auto_counts),
+            "scores": asdict(scored.auto_scores),
+        },
+        "post_review": {
+            "counts": asdict(scored.post_counts),
+            "scores": asdict(scored.post_scores),
+        },
+        "coverage": dict(scored.coverage),
     }
 
 
 def result_to_dict(result):
-    d = {
+    return {
         "platform": result.platform,
         "source_digest": result.source_digest,
-        "doc_stats": _doc_stats_dict(result.document.stats),
+        "doc_stats": asdict(result.document.stats),
         "readability": {
-            "scores": {m: getattr(result.profile, m)
-                       for m in readability_mod.METRICS},
+            "scores": asdict(result.profile),
             "bands": dict(result.bands),
         },
         "fluency": result.fluency,
@@ -108,23 +86,10 @@ def result_to_dict(result):
                 for idx, span, canonical in result.clarity.matches
             ],
         },
-        "specificity": {
-            "findings": [specificity_mod.finding_to_dict(f)
-                         for f in result.findings],
-            "auto": {
-                "counts": _counts_dict(result.auto_counts),
-                "scores": _scores_dict(result.auto_scores),
-            },
-            "post_review": {
-                "counts": _counts_dict(result.post_counts),
-                "scores": _scores_dict(result.post_scores),
-            },
-            "coverage": dict(result.coverage),
-        },
+        "specificity": _specificity_block(result.findings, result),
         "interface": (interface_assess.assessment_to_dict(result.interface)
                       if result.interface is not None else None),
     }
-    return d
 
 
 class PipelineContext:
@@ -180,20 +145,12 @@ def analyze_entry(entry, payload, ctx):
     for group in ctx.reader_groups:
         estimate = readability_mod.estimate_reading_time(
             doc.stats.word_count, group)
-        fluency[group.name] = {
-            "wpm_low": group.wpm_low,
-            "wpm_high": group.wpm_high,
-            "minutes_low": estimate.minutes_low,
-            "minutes_high": estimate.minutes_high,
-        }
+        fluency[group.name] = {"wpm_low": group.wpm_low,
+                               "wpm_high": group.wpm_high, **asdict(estimate)}
     clarity_report = clarity_mod.scan_vague_terms(
         doc, ctx.vague_lexicon, matcher=ctx.vague_matcher)
     findings = specificity_mod.analyze_document(doc, ctx.spec_lexicons)
-    auto_counts = specificity_mod.aggregate_counts(findings, use_review=False)
-    auto_scores = specificity_mod.map_scores(auto_counts, "auto")
-    post_counts = specificity_mod.aggregate_counts(findings, use_review=True)
-    post_scores = specificity_mod.map_scores(post_counts, "post_review")
-    coverage = specificity_mod.sentence_coverage(
+    scored = specificity_mod.score_findings(
         findings, doc.stats.sentence_count)
     return PlatformResult(
         platform=entry.platform,
@@ -204,11 +161,7 @@ def analyze_entry(entry, payload, ctx):
         fluency=fluency,
         clarity=clarity_report,
         findings=findings,
-        auto_counts=auto_counts,
-        auto_scores=auto_scores,
-        post_counts=post_counts,
-        post_scores=post_scores,
-        coverage=coverage,
+        **vars(scored),
     )
 
 
@@ -227,8 +180,7 @@ def _attach_interface(result, corpus_dir):
     return None
 
 
-def run_pipeline(corpus_dir, lexicons_dir=None, workers=1,
-                 classic_lensear=False):
+def run_pipeline(corpus_dir, lexicons_dir=None, classic_lensear=False):
     """Analyze every platform in the corpus.
 
     Returns (results, failures): PlatformResults sorted by platform,
@@ -239,25 +191,12 @@ def run_pipeline(corpus_dir, lexicons_dir=None, workers=1,
         os.path.join(corpus_dir, corpus_mod.MANIFEST_NAME))
     ctx = PipelineContext(lexicons_dir=lexicons_dir, corpus_dir=corpus_dir,
                           classic_lensear=classic_lensear)
-    entries = sorted(manifest.entries, key=lambda e: e.platform)
-
-    def work(entry):
-        payload = corpus_mod.read_payload(corpus_dir, entry)
-        return analyze_entry(entry, payload, ctx)
-
     results = []
     failures = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(e, pool.submit(work, e)) for e in entries]
-            outcomes = [(e, f) for e, f in futures]
-    else:
-        outcomes = []
-        for entry in entries:
-            outcomes.append((entry, None))
-    for entry, future in outcomes:
+    for entry in sorted(manifest.entries, key=lambda e: e.platform):
         try:
-            result = future.result() if future is not None else work(entry)
+            payload = corpus_mod.read_payload(corpus_dir, entry)
+            result = analyze_entry(entry, payload, ctx)
         except TosAuditError as exc:
             failures.append((entry.platform, str(exc)))
             continue
@@ -265,7 +204,6 @@ def run_pipeline(corpus_dir, lexicons_dir=None, workers=1,
         if problem:
             failures.append((entry.platform, f"invalid assessment: {problem}"))
         results.append(result)
-    results.sort(key=lambda r: r.platform)
     failures.sort()
     return results, failures
 
@@ -313,8 +251,7 @@ def apply_review_to_results(payload, review_path):
     records = specificity_mod.parse_review_file(review_path)
     by_platform = {}
     for rec in records:
-        platform = rec.get("platform")
-        by_platform.setdefault(platform, []).append(rec)
+        by_platform.setdefault(rec.get("platform"), []).append(rec)
     known = {r["platform"] for r in payload.get("results", [])}
     for platform in by_platform:
         if platform not in known:
@@ -322,25 +259,9 @@ def apply_review_to_results(payload, review_path):
     for result in payload.get("results", []):
         findings = [specificity_mod.finding_from_dict(d)
                     for d in result["specificity"]["findings"]]
-        platform_records = by_platform.get(result["platform"], [])
-        specificity_mod.apply_review_records(findings, platform_records)
-        auto_counts = specificity_mod.aggregate_counts(
-            findings, use_review=False)
-        post_counts = specificity_mod.aggregate_counts(
-            findings, use_review=True)
-        result["specificity"]["findings"] = [
-            specificity_mod.finding_to_dict(f) for f in findings]
-        result["specificity"]["auto"] = {
-            "counts": _counts_dict(auto_counts),
-            "scores": _scores_dict(
-                specificity_mod.map_scores(auto_counts, "auto")),
-        }
-        result["specificity"]["post_review"] = {
-            "counts": _counts_dict(post_counts),
-            "scores": _scores_dict(
-                specificity_mod.map_scores(post_counts, "post_review")),
-        }
-        sentence_count = result["doc_stats"]["sentence_count"]
-        result["specificity"]["coverage"] = specificity_mod.sentence_coverage(
-            findings, sentence_count)
+        specificity_mod.apply_review_records(
+            findings, by_platform.get(result["platform"], []))
+        scored = specificity_mod.score_findings(
+            findings, result["doc_stats"]["sentence_count"])
+        result["specificity"].update(_specificity_block(findings, scored))
     return payload

@@ -85,6 +85,15 @@ class SpecificityScores:
     stage: str
 
 
+@dataclass(frozen=True)
+class FindingScores:
+    auto_counts: SpecificityCounts
+    auto_scores: SpecificityScores
+    post_counts: SpecificityCounts
+    post_scores: SpecificityScores
+    coverage: dict
+
+
 def _load_json(dir_path, name):
     if dir_path is None:
         raw = resources.files("tosaudit.data").joinpath(name).read_text(
@@ -485,6 +494,19 @@ def map_scores(counts, stage="auto"):
     )
 
 
+def score_findings(findings, sentence_count):
+    """Auto and post-review counts and scores, plus sentence coverage."""
+    auto_counts = aggregate_counts(findings, use_review=False)
+    post_counts = aggregate_counts(findings, use_review=True)
+    return FindingScores(
+        auto_counts=auto_counts,
+        auto_scores=map_scores(auto_counts, "auto"),
+        post_counts=post_counts,
+        post_scores=map_scores(post_counts, "post_review"),
+        coverage=sentence_coverage(findings, sentence_count),
+    )
+
+
 def finding_to_dict(f):
     return {
         "platform": f.platform,
@@ -603,15 +625,3 @@ def apply_review_records(findings, records):
         if note:
             finding.reviewer_note = note
     return findings
-
-
-def apply_review(findings, path):
-    """Apply a review file to one document's findings.
-
-    Returns (findings, auto_scores, post_review_scores).
-    """
-    records = parse_review_file(path)
-    apply_review_records(findings, records)
-    auto = map_scores(aggregate_counts(findings, use_review=False), "auto")
-    post = map_scores(aggregate_counts(findings, use_review=True), "post_review")
-    return findings, auto, post

@@ -98,8 +98,15 @@ def extract_text(payload, media_kind, extraction_config=None, platform=None):
 
 
 def load_extraction_config(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise LexiconError(
+            f"malformed extraction config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise LexiconError(f"extraction config {path} is not a JSON object")
+    return config
 
 
 def tokenize_words(sentence_text):

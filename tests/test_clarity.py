@@ -140,22 +140,3 @@ class TestDensity:
 
     def test_zero_words(self):
         assert clarity.density_pct(0, 0) == 0.0
-
-
-class TestTopTerms:
-    def test_ranking_and_ties(self):
-        report = clarity.ClarityReport(
-            platform="demo", word_count=100, vague_count=7,
-            density_pct=7.0, unique_terms=3,
-            per_term_counts={"some": 2, "may": 4, "certain": 2},
-        )
-        assert clarity.top_terms(report, 2) == [("may", 4), ("certain", 2)]
-        assert clarity.top_terms(report, 10) == [
-            ("may", 4), ("certain", 2), ("some", 2)]
-
-    def test_k_must_be_positive(self):
-        report = clarity.ClarityReport(
-            platform="demo", word_count=1, vague_count=0,
-            density_pct=0.0, unique_terms=0)
-        with pytest.raises(ValueError):
-            clarity.top_terms(report, 0)

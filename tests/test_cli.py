@@ -1,11 +1,13 @@
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -31,6 +33,15 @@ sys.exit(entry_point.load()())
 @pytest.fixture(scope="module")
 def runner():
     return CliRunner()
+
+
+def assert_fatal(outcome, message):
+    """Exit 2 with `error: ...` on stderr, not an uncaught exception."""
+    assert outcome.exit_code == 2, outcome.output
+    assert isinstance(outcome.exception, SystemExit)
+    assert "Traceback" not in outcome.stderr
+    assert outcome.stderr.startswith("error: ")
+    assert message in outcome.stderr
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +96,18 @@ class TestAnalyze:
         assert saved["failures"] == [
             {"platform": "blank", "error": "degenerate document"}]
 
-    def test_workers_flag(self, analyzed, runner, tmp_path):
-        corpus_dir, results_path = analyzed
-        out = tmp_path / "threaded.json"
+    @pytest.mark.parametrize("content, message", [
+        ("{broken", "malformed extraction config"),
+        ('["main"]', "extraction_config.json is not a JSON object"),
+    ], ids=["malformed", "not_an_object"])
+    def test_bad_extraction_config_is_fatal(self, runner, tmp_path,
+                                            content, message):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        (corpus_dir / "extraction_config.json").write_text(content)
         outcome = runner.invoke(main, [
-            "analyze", "--corpus", str(corpus_dir), "--out", str(out),
-            "--workers", "4"])
-        assert outcome.exit_code == 0
-        assert out.read_bytes() == results_path.read_bytes()
+            "analyze", "--corpus", str(corpus_dir),
+            "--out", str(tmp_path / "r.json")])
+        assert_fatal(outcome, message)
 
 
 class TestFetch:
@@ -134,6 +149,19 @@ class TestFetch:
             "--corpus", str(tmp_path / "corpus")])
         assert outcome.exit_code == 2
         assert "error: corpus config not found" in outcome.output
+
+    def test_platform_entry_without_platform_is_fatal(self, runner,
+                                                      http_base, tmp_path):
+        # The shape an earlier README showed: "name" instead of "platform".
+        config = {"request_delay_s": 0, "platforms": [
+            {"name": "example", "url": f"{http_base}/tos/reddit"}]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        outcome = runner.invoke(main, [
+            "fetch", "--config", str(config_path),
+            "--corpus", str(tmp_path / "corpus")])
+        assert_fatal(outcome, "corpus config platforms[0]")
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestReview:
@@ -185,6 +213,19 @@ class TestReview:
             "--out", str(tmp_path / "revised.json")])
         assert outcome.exit_code == 2
         assert "unmatched review record" in outcome.output
+
+    def test_empty_review_is_noop(self, analyzed, runner, tmp_path):
+        _, results_path = analyzed
+        review_path = tmp_path / "review.jsonl"
+        review_path.write_text(json.dumps(
+            {"record_type": "header", "format": "tosaudit-review",
+             "version": 1, "finding_count": 0}) + "\n")
+        out_path = tmp_path / "revised.json"
+        outcome = runner.invoke(main, [
+            "review", "apply", "--results", str(results_path),
+            "--review", str(review_path), "--out", str(out_path)])
+        assert outcome.exit_code == 0, outcome.output
+        assert out_path.read_bytes() == results_path.read_bytes()
 
     def test_export_missing_results_is_fatal(self, runner, tmp_path):
         outcome = runner.invoke(main, [
@@ -309,3 +350,28 @@ class TestEntryPoint:
         installed = {ep.name: ep.value for ep in dist.entry_points
                      if ep.group == "console_scripts"}
         assert installed.get("tosaudit") == declared
+
+
+def readme_command_lines():
+    """Each `tosaudit ...` line of the README's sh blocks, split into words."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return [line.split("#")[0].split()
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines() if line.startswith("tosaudit ")]
+
+
+class TestReadme:
+    def test_commands_match_cli(self):
+        lines = readme_command_lines()
+        used = set()
+        for words in lines:
+            command, args = main, words[1:]
+            while isinstance(command, click.Group):
+                assert args and args[0] in command.commands, words
+                name = args.pop(0)
+                used.add(name)
+                command = command.commands[name]
+            options = {o for p in command.params for o in p.opts} | {"--help"}
+            unknown = [a for a in args if a.startswith("-") and a not in options]
+            assert not unknown, f"{' '.join(words)}: unknown {unknown}"
+        assert set(main.commands) <= used

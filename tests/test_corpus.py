@@ -6,7 +6,7 @@ import pytest
 import fixture_docs
 from tosaudit import corpus
 from tosaudit.corpus import (
-    CorpusManifest, SnapshotEntry, diff_snapshots, digest_bytes, fetch_all,
+    CorpusManifest, SnapshotEntry, digest_bytes, fetch_all,
     fetch_snapshot, load_corpus_config, load_manifest, manifest_from_dict,
     manifest_to_dict, new_manifest, read_payload, save_manifest,
     store_snapshot, verify_corpus,
@@ -146,24 +146,6 @@ class TestStoreSnapshot:
         with pytest.raises(CorpusError,
                            match="retrieved_at regresses for platform 'demo'"):
             store_snapshot(manifest, stale, b"changed", str(tmp_path))
-
-
-class TestDiff:
-    def test_changed(self):
-        old = make_entry()
-        new = make_entry(payload=b"changed",
-                         retrieved_at="2025-06-01T00:00:00Z")
-        summary = diff_snapshots(old, new)
-        assert summary.changed
-        assert summary.old_digest == HELLO_SHA256
-        assert summary.new_retrieved_at == "2025-06-01T00:00:00Z"
-
-    def test_unchanged(self):
-        assert not diff_snapshots(make_entry(), make_entry()).changed
-
-    def test_platform_mismatch_raises(self):
-        with pytest.raises(CorpusError, match="platform mismatch"):
-            diff_snapshots(make_entry("a"), make_entry("b"))
 
 
 class TestReadAndVerify:
@@ -321,6 +303,14 @@ class TestCorpusConfig:
         config = load_corpus_config(str(path))
         assert config["platforms"][0]["platform"] == "demo"
 
+    def test_platform_entry_needs_platform_and_url(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"platforms": [
+            {"platform": "demo", "url": "https://x.org"},
+            {"name": "example", "url": "https://example.org/terms"}]}))
+        with pytest.raises(CorpusError, match=r"platforms\[1\]"):
+            load_corpus_config(str(path))
+
     def test_shipped_default_config(self):
         from importlib import resources
         raw = resources.files("tosaudit.data").joinpath(
@@ -331,3 +321,4 @@ class TestCorpusConfig:
         assert names == sorted(names)
         assert all(p["url"].startswith("https://")
                    for p in config["platforms"])
+        assert load_corpus_config() == config

@@ -6,7 +6,7 @@ from tosaudit import textprep
 from tosaudit.errors import AssessmentError, LexiconError
 from tosaudit.interface_assess import (
     METRIC_RANGES, METRICS, EvidenceRecord, InterfaceAssessment,
-    aggregate_interface, assessment_from_dict, assessment_to_dict,
+    assessment_from_dict, assessment_to_dict,
     load_assessment, load_cue_lexicon, store_assessment, suggest_evidence,
     validate_assessment,
 )
@@ -223,21 +223,3 @@ class TestSuggestEvidence:
         assert idx == 0
         assert "delete your account" in text
         assert hits == 1
-
-
-class TestAggregate:
-    def test_rows_sorted_by_platform(self):
-        a = InterfaceAssessment(platform="zeta", unticked_checkbox=0)
-        b = make_valid()
-        rows = aggregate_interface([a, b])
-        assert rows == [
-            ("demo", 0, 0, 0, 1, 1),
-            ("zeta", 0, 0, 0, 0, 0),
-        ]
-
-    def test_duplicate_platform_raises(self):
-        with pytest.raises(AssessmentError, match="duplicate platform: demo"):
-            aggregate_interface([make_valid(), make_valid()])
-
-    def test_empty_input(self):
-        assert aggregate_interface([]) == []

@@ -6,11 +6,11 @@ from tosaudit import specificity, textprep
 from tosaudit.errors import LexiconError, ReviewError, TosAuditError
 from tosaudit.specificity import (
     SentenceFinding, SpecificityCounts, aggregate_counts, analyze_document,
-    apply_review, apply_review_records, classify_retention, classify_sharing,
+    apply_review_records, classify_retention, classify_sharing,
     detect_data_types, detect_entities, ensure_compiled, export_review,
     finding_from_dict, finding_to_dict, inflect_verb,
     load_specificity_lexicons, map_scores, parse_review_file,
-    sentence_coverage,
+    score_findings, sentence_coverage,
 )
 
 
@@ -425,9 +425,10 @@ class TestReviewRoundTrip:
         sharing[0]["human_label"] = "rejected"
         path.write_text("\n".join(
             [lines[0]] + [json.dumps(r) for r in records]) + "\n")
-        findings, auto, post = apply_review(findings, str(path))
-        assert auto.stage == "auto"
-        assert post.stage == "post_review"
+        apply_review_records(findings, parse_review_file(str(path)))
+        scored = score_findings(findings, 3)
+        assert scored.auto_scores.stage == "auto"
+        assert scored.post_scores.stage == "post_review"
         assert aggregate_counts(findings, use_review=False).ss == 2
         assert aggregate_counts(findings, use_review=True).ss == 1
 
@@ -440,7 +441,7 @@ class TestReviewRoundTrip:
         record["sentence_index"] = 99
         path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ReviewError, match="unmatched review record"):
-            apply_review(findings, str(path))
+            apply_review_records(findings, parse_review_file(str(path)))
 
     def test_illegal_label_raises(self, tmp_path):
         findings = self.build_findings()
@@ -451,7 +452,7 @@ class TestReviewRoundTrip:
         record["human_label"] = "fantastic"
         path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ReviewError, match="illegal label value"):
-            apply_review(findings, str(path))
+            apply_review_records(findings, parse_review_file(str(path)))
 
     def test_missing_header_raises(self, tmp_path):
         path = tmp_path / "review.jsonl"
@@ -482,9 +483,13 @@ class TestReviewRoundTrip:
                 r["human_label"] = "rejected"
         path.write_text("\n".join(
             [lines[0]] + [json.dumps(r) for r in records]) + "\n")
-        _, _, post1 = apply_review(findings, str(path))
-        _, _, post2 = apply_review(findings, str(path))
+        records = parse_review_file(str(path))
+        apply_review_records(findings, records)
+        post1 = score_findings(findings, 3).post_scores
+        apply_review_records(findings, records)
+        post2 = score_findings(findings, 3).post_scores
         assert post1 == post2
+        assert aggregate_counts(findings, use_review=True).ss == 0
 
     def test_reviewer_note_preserved(self):
         finding = make_finding("sharing", "specific")
