@@ -72,14 +72,23 @@ def load_vague_lexicon(path=None):
     terms = []
     seen = set()
     for item in raw_terms:
-        canonical = (item.get("canonical") or "").strip()
-        if not canonical:
+        if not isinstance(item, dict):
+            raise LexiconError(f"term entry is not an object: {item!r}")
+        canonical = item.get("canonical") or ""
+        if not isinstance(canonical, str) or not canonical.strip():
             raise LexiconError("empty term")
+        canonical = canonical.strip()
         category = item.get("category", "other")
         if category not in CATEGORIES:
             raise LexiconError(
                 f"unknown category {category!r} for term {canonical!r}")
-        variants = tuple(v.strip() for v in item.get("variants", []))
+        variants = item.get("variants", [])
+        if not (isinstance(variants, list) and all(
+                isinstance(v, str) and v.strip() for v in variants)):
+            raise LexiconError(
+                f"variants of term {canonical!r} must be a list of "
+                "non-empty strings")
+        variants = tuple(v.strip() for v in variants)
         for surface in (canonical,) + variants:
             folded = surface.lower()
             if folded in seen:

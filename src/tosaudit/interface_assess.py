@@ -13,6 +13,7 @@ from importlib import resources
 
 from .errors import AssessmentError, LexiconError
 from .matching import PhraseMatcher
+from .textprep import TokenView
 
 # Metric name -> inclusive score range, in table column order.
 METRIC_RANGES = {
@@ -172,8 +173,9 @@ def suggest_evidence(doc, cues):
         matchers[metric] = matcher
     suggestions = {metric: [] for metric in cues}
     for sentence in doc.sentences:
+        view = TokenView(sentence.text)
         for metric, matcher in matchers.items():
-            hits = matcher.find(sentence.text)
+            hits = matcher.find(view)
             if hits:
                 suggestions[metric].append(
                     (sentence.index, sentence.text, len(hits)))

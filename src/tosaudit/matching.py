@@ -5,9 +5,16 @@ punctuation between tokens is transparent ("time to time," still
 matches) while hyphenated forms stay distinct tokens ("third-party"
 never equals "third party"). Matching is non-overlapping, scans left
 to right, and the longest known phrase at a position always wins.
+
+Each matcher keeps a first-token index, in the spirit of Aho-Corasick
+multi-pattern matching: it maps the first token of every phrase to the
+lengths of the phrases that start with it, longest first. A scan probes
+the index once per token and builds a phrase key only where a phrase
+can start. Text arrives as a textprep.TokenView, so a sentence is
+tokenized once for every matcher that scans it.
 """
 
-from .textprep import WORD_RE
+from .textprep import WORD_RE, TokenView
 
 
 class PhraseMatcher:
@@ -16,43 +23,46 @@ class PhraseMatcher:
     def __init__(self, fold_case=True):
         self._fold_case = fold_case
         self._table = {}
-        self._max_len = 0
-
-    def _fold(self, token):
-        return token.lower() if self._fold_case else token
+        self._first = {}
 
     def add(self, phrase, payload):
-        key = tuple(self._fold(m.group(0)) for m in WORD_RE.finditer(phrase))
+        key = tuple(m.group(0) for m in WORD_RE.finditer(phrase))
+        if self._fold_case:
+            key = tuple(token.lower() for token in key)
         if not key:
             raise ValueError(f"phrase has no word tokens: {phrase!r}")
         if key in self._table:
             raise ValueError(f"duplicate phrase: {phrase!r}")
         self._table[key] = payload
-        self._max_len = max(self._max_len, len(key))
+        lengths = set(self._first.get(key[0], ())) | {len(key)}
+        self._first[key[0]] = tuple(sorted(lengths, reverse=True))
 
     def __len__(self):
         return len(self._table)
 
-    def find(self, text):
-        """All matches in text as (char_start, char_end, payload, surface)."""
-        spans = [(m.start(), m.end(), self._fold(m.group(0)))
-                 for m in WORD_RE.finditer(text)]
-        tokens = [s[2] for s in spans]
+    def find(self, view):
+        """All matches as (char_start, char_end, payload, surface).
+
+        view is a TokenView, or a string to tokenize first.
+        """
+        if isinstance(view, str):
+            view = TokenView(view)
+        tokens = view.folded if self._fold_case else view.tokens
+        first = self._first
+        table = self._table
         n = len(tokens)
         out = []
         i = 0
         while i < n:
-            hit = None
-            for length in range(min(self._max_len, n - i), 0, -1):
-                key = tuple(tokens[i:i + length])
-                if key in self._table:
-                    hit = length
-                    break
-            if hit is None:
-                i += 1
-                continue
-            start = spans[i][0]
-            end = spans[i + hit - 1][1]
-            out.append((start, end, self._table[key], text[start:end]))
-            i += hit
+            step = 1
+            for length in first.get(tokens[i], ()):
+                if i + length <= n:
+                    key = tuple(tokens[i:i + length])
+                    if key in table:
+                        start, end = view.span(i, i + length - 1)
+                        out.append(
+                            (start, end, table[key], view.text[start:end]))
+                        step = length
+                        break
+            i += step
         return out

@@ -150,17 +150,34 @@ def default_reader_groups_path():
     return resources.files("tosaudit.data").joinpath("reader_groups.json")
 
 
+def _is_positive_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value > 0)
+
+
 def load_reader_groups(path=None):
     """Load reader groups from JSON; defaults to the shipped table."""
     if path is None:
         raw = default_reader_groups_path().read_text(encoding="utf-8")
         data = json.loads(raw)
     else:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    groups = data["groups"] if isinstance(data, dict) else data
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise LexiconError(
+                f"malformed reader groups file {path}: {exc}") from None
+    groups = data.get("groups") if isinstance(data, dict) else data
+    if not isinstance(groups, list):
+        raise LexiconError("reader groups must be a list")
     out = []
     for item in groups:
+        if not (isinstance(item, dict) and isinstance(item.get("name"), str)
+                and all(_is_positive_number(item.get(k))
+                        for k in ("wpm_low", "wpm_high"))):
+            raise LexiconError(
+                "reader group needs a string name and positive numeric "
+                f"wpm_low and wpm_high: {item!r}")
         group = ReaderGroup(
             name=item["name"],
             wpm_low=float(item["wpm_low"]),

@@ -14,7 +14,7 @@ from importlib import resources
 
 from .errors import LexiconError, ReviewError, TosAuditError
 from .matching import PhraseMatcher
-from .textprep import WORD_RE
+from .textprep import TokenView
 
 DETECTORS = ("data_type", "entity", "retention", "sharing")
 RETENTION_LABELS = ("explicit", "vague")
@@ -226,10 +226,6 @@ def ensure_compiled(lex):
     return CompiledLexicons(lex)
 
 
-def _token_spans(text):
-    return [(m.start(), m.end(), m.group(0)) for m in WORD_RE.finditer(text)]
-
-
 def _is_number_token(token):
     if token.isdigit():
         return True
@@ -256,12 +252,17 @@ def _duration_ranges(folded_tokens, units):
     return ranges
 
 
-def detect_data_types(sentence, lex, platform=""):
-    """One finding per distinct data-type phrase named in the sentence."""
+def detect_data_types(sentence, lex, platform="", view=None):
+    """One finding per distinct data-type phrase named in the sentence.
+
+    view is the sentence's TokenView; it is built here when omitted.
+    """
     lex = ensure_compiled(lex)
+    if view is None:
+        view = TokenView(sentence.text)
     findings = []
     seen = set()
-    for start, end, phrase, _surface in lex.dt_matcher.find(sentence.text):
+    for start, end, phrase, _surface in lex.dt_matcher.find(view):
         if phrase.lower() in seen:
             continue
         seen.add(phrase.lower())
@@ -276,7 +277,7 @@ def detect_data_types(sentence, lex, platform=""):
     return findings
 
 
-def detect_entities(sentence, lex, platform=""):
+def detect_entities(sentence, lex, platform="", view=None):
     """Findings for curated names and suffix-pattern corporate names.
 
     Curated hits nested inside a suffix-pattern span are suppressed so
@@ -285,13 +286,15 @@ def detect_entities(sentence, lex, platform=""):
     """
     lex = ensure_compiled(lex)
     text = sentence.text
+    if view is None:
+        view = TokenView(text)
     candidates = []
     taken = []
     for m in lex.suffix_re.finditer(text):
         surface = m.group(0)
         taken.append((m.start(), m.end()))
         candidates.append((m.start(), m.end(), surface))
-    for start, end, _name, surface in lex.entity_matcher.find(text):
+    for start, end, _name, surface in lex.entity_matcher.find(view):
         if any(s <= start and end <= e for s, e in taken):
             continue
         candidates.append((start, end, surface))
@@ -314,7 +317,7 @@ def detect_entities(sentence, lex, platform=""):
     return findings
 
 
-def classify_retention(sentence, lex, platform=""):
+def classify_retention(sentence, lex, platform="", view=None):
     """Label a sentence explicit, vague, or none for retention detail.
 
     Explicit needs a retention verb within RETENTION_PROXIMITY_TOKENS
@@ -322,8 +325,9 @@ def classify_retention(sentence, lex, platform=""):
     and no numeric duration anywhere in the sentence.
     """
     lex = ensure_compiled(lex)
-    spans = _token_spans(sentence.text)
-    folded = [s[2].lower() for s in spans]
+    if view is None:
+        view = TokenView(sentence.text)
+    folded = view.folded
     verb_positions = [i for i, tok in enumerate(folded)
                       if tok in lex.retention_verb_forms]
     durations = _duration_ranges(folded, lex.duration_units)
@@ -338,13 +342,13 @@ def classify_retention(sentence, lex, platform=""):
                     sentence_index=sentence.index,
                     detector="retention",
                     auto_label="explicit",
-                    evidence_span=(spans[lo][0], spans[hi][1]),
+                    evidence_span=view.span(lo, hi),
                     sentence_text=sentence.text,
                 )
                 return "explicit", finding
 
     if not durations:
-        vague_hits = lex.vague_retention_matcher.find(sentence.text)
+        vague_hits = lex.vague_retention_matcher.find(view)
         if vague_hits:
             start, end, _, _ = vague_hits[0]
             finding = SentenceFinding(
@@ -359,7 +363,7 @@ def classify_retention(sentence, lex, platform=""):
     return "none", None
 
 
-def classify_sharing(sentence, lex, platform=""):
+def classify_sharing(sentence, lex, platform="", view=None):
     """Label a sharing-verb sentence specific, generic, or negated.
 
     Sentences without a sharing verb are none. Negation wins, then a
@@ -367,8 +371,9 @@ def classify_sharing(sentence, lex, platform=""):
     one sharing finding, under its most specific label.
     """
     lex = ensure_compiled(lex)
-    folded = {tok.lower() for tok in sentence.tokens}
-    if not folded & lex.sharing_verb_forms:
+    if view is None:
+        view = TokenView(sentence.text)
+    if lex.sharing_verb_forms.isdisjoint(view.folded):
         return "none", None
 
     def finding_for(label, hit):
@@ -382,13 +387,13 @@ def classify_sharing(sentence, lex, platform=""):
             sentence_text=sentence.text,
         )
 
-    negated = lex.negation_matcher.find(sentence.text)
+    negated = lex.negation_matcher.find(view)
     if negated:
         return "negated", finding_for("negated", negated[0])
-    specific = lex.specific_matcher.find(sentence.text)
+    specific = lex.specific_matcher.find(view)
     if specific:
         return "specific", finding_for("specific", specific[0])
-    generic = lex.generic_matcher.find(sentence.text)
+    generic = lex.generic_matcher.find(view)
     if generic:
         return "generic", finding_for("generic", generic[0])
     return "none", None
@@ -398,13 +403,15 @@ def analyze_document(doc, lex):
     """Run all four detectors over every sentence of a document."""
     lex = ensure_compiled(lex)
     findings = []
+    platform = doc.platform
     for sentence in doc.sentences:
-        findings.extend(detect_data_types(sentence, lex, platform=doc.platform))
-        findings.extend(detect_entities(sentence, lex, platform=doc.platform))
-        _, finding = classify_retention(sentence, lex, platform=doc.platform)
+        view = TokenView(sentence.text)
+        findings.extend(detect_data_types(sentence, lex, platform, view))
+        findings.extend(detect_entities(sentence, lex, platform, view))
+        _, finding = classify_retention(sentence, lex, platform, view)
         if finding is not None:
             findings.append(finding)
-        _, finding = classify_sharing(sentence, lex, platform=doc.platform)
+        _, finding = classify_sharing(sentence, lex, platform, view)
         if finding is not None:
             findings.append(finding)
     return findings

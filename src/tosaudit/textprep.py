@@ -8,10 +8,11 @@ always yields identical counts.
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ExtractionError, LexiconError
-from .htmltext import html_to_text
+from .htmltext import html_to_text, parse_selector
 
 # Maximal runs of letters/digits; internal apostrophes and hyphens are
 # kept, so "third-party" and "don't" are single tokens. Underscore is
@@ -25,6 +26,7 @@ ABBREVIATIONS = frozenset({
 })
 
 _SENT_END_RE = re.compile(r"[.!?]+")
+_SPACE_RE = re.compile(r"\s+")
 _OPENING_QUOTES = "\"'“‘"
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -98,6 +100,11 @@ def extract_text(payload, media_kind, extraction_config=None, platform=None):
 
 
 def load_extraction_config(path):
+    """Read and check a platform -> selector-rule extraction config.
+
+    A rule is a list of include selectors or an object with optional
+    "include" and "exclude" lists; every selector must parse.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -106,7 +113,44 @@ def load_extraction_config(path):
             f"malformed extraction config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise LexiconError(f"extraction config {path} is not a JSON object")
+    for platform, rules in config.items():
+        lists = ((rules.get("include", []), rules.get("exclude", []))
+                 if isinstance(rules, dict) else (rules,))
+        if not all(isinstance(selectors, list)
+                   and all(isinstance(s, str) for s in selectors)
+                   for selectors in lists):
+            raise LexiconError(
+                f"extraction config {path}: rule for {platform!r} must be "
+                "a list of selectors or an object with include/exclude lists")
+        for selector in (s for selectors in lists for s in selectors):
+            try:
+                parse_selector(selector)
+            except ValueError as exc:
+                raise LexiconError(
+                    f"extraction config {path}: {exc} for {platform!r}"
+                ) from None
     return config
+
+
+class TokenView:
+    """Word tokens of one text from a single WORD_RE pass.
+
+    tokens keep their case and folded holds their lowercased forms.
+    Views are built per sentence and dropped after use; they are not
+    stored on a Sentence, whose documents live until serialization.
+    """
+
+    __slots__ = ("text", "_matches", "tokens", "folded")
+
+    def __init__(self, text):
+        self.text = text
+        self._matches = list(WORD_RE.finditer(text))
+        self.tokens = list(map(re.Match.group, self._matches))
+        self.folded = list(map(str.lower, self.tokens))
+
+    def span(self, first, last):
+        """Character span from token first through token last."""
+        return self._matches[first].start(), self._matches[last].end()
 
 
 def tokenize_words(sentence_text):
@@ -126,17 +170,21 @@ def _split_points(para):
     points = []
     for m in _SENT_END_RE.finditer(para):
         end = m.end()
-        ws = re.match(r"\s+", para[end:])
+        ws = _SPACE_RE.match(para, end)
         if not ws:
             continue
-        nxt = end + ws.end()
+        nxt = ws.end()
         if nxt >= len(para):
             continue
         ch = para[nxt]
         if not (ch.isupper() or ch.isdigit() or ch in _OPENING_QUOTES):
             continue
-        tail = re.search(r"\S+$", para[:end])
-        chunk = tail.group(0).lstrip("([" + _OPENING_QUOTES) if tail else ""
+        # Walk back over the word that ends here: a regex search of the
+        # whole prefix would make long paragraphs quadratic.
+        start = end
+        while start and not para[start - 1].isspace():
+            start -= 1
+        chunk = para[start:end].lstrip("([" + _OPENING_QUOTES)
         if chunk in ABBREVIATIONS:
             continue
         points.append((end, nxt))
@@ -220,24 +268,27 @@ def load_syllable_overrides(path):
 
 
 def compute_doc_stats(sentences, syllable_overrides=None):
-    """Aggregate counts over sentences; zero words flags degenerate."""
+    """Aggregate counts over sentences; zero words flags degenerate.
+
+    Each distinct token is counted once and weighted by its frequency.
+    """
+    frequency = Counter()
+    for sentence in sentences:
+        frequency.update(sentence.tokens)
     word_count = 0
     syllable_count = 0
     letter_count = 0
     character_count = 0
     hard = 0
-    easy = 0
-    for sentence in sentences:
-        for token in sentence.tokens:
-            word_count += 1
-            syllables = count_syllables(token, syllable_overrides)
-            syllable_count += syllables
-            letter_count += sum(1 for ch in token if ch.isalpha())
-            character_count += sum(1 for ch in token if ch.isalnum())
-            if syllables >= 3:
-                hard += 1
-            else:
-                easy += 1
+    for token, n in frequency.items():
+        word_count += n
+        syllables = count_syllables(token, syllable_overrides)
+        syllable_count += n * syllables
+        letter_count += n * sum(1 for ch in token if ch.isalpha())
+        character_count += n * sum(1 for ch in token if ch.isalnum())
+        if syllables >= 3:
+            hard += n
+    easy = word_count - hard
     sentence_count = len(sentences)
     if word_count == 0:
         return DocStats(degenerate=True)

@@ -70,6 +70,16 @@ class TestLexiconLoading:
         with pytest.raises(LexiconError, match="empty term"):
             clarity.load_vague_lexicon(str(path))
 
+    @pytest.mark.parametrize("variants", ["abc", [""], [" "], [3], None])
+    def test_variants_must_be_list_of_strings(self, tmp_path, variants):
+        path = tmp_path / "lex.json"
+        path.write_text(json.dumps([
+            {"canonical": "maybe", "variants": variants,
+             "category": "uncertainty"},
+        ]))
+        with pytest.raises(LexiconError, match="variants of term 'maybe'"):
+            clarity.load_vague_lexicon(str(path))
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "lex.json"
         path.write_text("{nope")

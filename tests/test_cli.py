@@ -99,7 +99,11 @@ class TestAnalyze:
     @pytest.mark.parametrize("content, message", [
         ("{broken", "malformed extraction config"),
         ('["main"]', "extraction_config.json is not a JSON object"),
-    ], ids=["malformed", "not_an_object"])
+        ('{"youtube": "main"}', "rule for 'youtube' must be a list"),
+        ('{"youtube": {"include": ["div > p"]}}',
+         "unsupported selector: 'div > p' for 'youtube'"),
+    ], ids=["malformed", "not_an_object", "rule_not_list_or_object",
+            "unsupported_selector"])
     def test_bad_extraction_config_is_fatal(self, runner, tmp_path,
                                             content, message):
         corpus_dir = build_fixture_corpus(tmp_path / "corpus")

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tosaudit.matching import PhraseMatcher
+from tosaudit.textprep import WORD_RE, TokenView
 
 
 def build(phrases, fold_case=True):
@@ -85,3 +87,70 @@ class TestPhraseMatcher:
 
     def test_len(self):
         assert len(build(["a", "b", "c d"])) == 3
+
+
+def reference_find(table, text, fold_case):
+    """The longest-match scan that tries every length at every token.
+
+    This is the matcher's loop before the first-token index; the
+    indexed find must return exactly what it returns.
+    """
+    fold = str.lower if fold_case else str
+    spans = [(m.start(), m.end(), fold(m.group(0)))
+             for m in WORD_RE.finditer(text)]
+    tokens = [s[2] for s in spans]
+    max_len = max(map(len, table), default=0)
+    n = len(tokens)
+    out = []
+    i = 0
+    while i < n:
+        hit = None
+        for length in range(min(max_len, n - i), 0, -1):
+            key = tuple(tokens[i:i + length])
+            if key in table:
+                hit = length
+                break
+        if hit is None:
+            i += 1
+            continue
+        start = spans[i][0]
+        end = spans[i + hit - 1][1]
+        out.append((start, end, table[key], text[start:end]))
+        i += hit
+    return out
+
+
+# Few distinct words, so random phrases overlap and share first tokens.
+_WORDS = st.sampled_from(["a", "b", "ab", "A", "B", "é", "3", "b-a", "a'b"])
+_SEPARATORS = st.sampled_from([" ", "  ", ", ", "-", ". ", "\n", "_", "’"])
+
+
+@st.composite
+def texts(draw, max_words):
+    words = draw(st.lists(_WORDS, max_size=max_words))
+    return "".join(word + draw(_SEPARATORS) for word in words)
+
+
+class TestIndexedFindMatchesReference:
+    @settings(deadline=None)
+    @given(phrases=st.lists(texts(max_words=4), max_size=12),
+           text=texts(max_words=25), fold_case=st.booleans())
+    def test_same_hits_as_reference(self, phrases, text, fold_case):
+        matcher = PhraseMatcher(fold_case=fold_case)
+        table = {}
+        for phrase in phrases:
+            key = tuple((t.lower() if fold_case else t)
+                        for t in WORD_RE.findall(phrase))
+            if not key or key in table:
+                with pytest.raises(ValueError):
+                    matcher.add(phrase, phrase)
+                continue
+            matcher.add(phrase, phrase)
+            table[key] = phrase
+        hits = matcher.find(text)
+        assert hits == reference_find(table, text, fold_case)
+        assert matcher.find(TokenView(text)) == hits
+        for start, end, _payload, surface in hits:
+            assert 0 <= start < end <= len(text)
+            assert text[start:end] == surface
+        assert all(a[1] <= b[0] for a, b in zip(hits, hits[1:]))

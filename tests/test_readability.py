@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -169,6 +170,28 @@ class TestReaderGroups:
         path.write_text(
             '{"groups": [{"name": "bad", "wpm_low": 400, "wpm_high": 300}]}')
         with pytest.raises(LexiconError):
+            readability.load_reader_groups(str(path))
+
+
+    @pytest.mark.parametrize("group", [
+        {"name": "x", "wpm_low": 100},
+        {"wpm_low": 100, "wpm_high": 200},
+        {"name": 7, "wpm_low": 100, "wpm_high": 200},
+        {"name": "x", "wpm_low": "fast", "wpm_high": 200},
+        {"name": "x", "wpm_low": 0, "wpm_high": 200},
+        {"name": "x", "wpm_low": True, "wpm_high": 200},
+        "x",
+    ])
+    def test_malformed_group_rejected(self, tmp_path, group):
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps({"groups": [group]}))
+        with pytest.raises(LexiconError, match="reader group needs"):
+            readability.load_reader_groups(str(path))
+
+    def test_malformed_json_rejected(self, tmp_path):
+        path = tmp_path / "groups.json"
+        path.write_text("{nope")
+        with pytest.raises(LexiconError, match="malformed reader groups"):
             readability.load_reader_groups(str(path))
 
 

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tosaudit import textprep
 from tosaudit.errors import ExtractionError, LexiconError
@@ -241,3 +244,81 @@ class TestBuildDocument:
         doc = textprep.build_document("demo", "Two words.")
         assert doc.stats.word_count == 2
         assert doc.stats.sentence_count == 1
+
+
+# Words and gaps dense in what segmentation and counting react to:
+# terminators, abbreviations, decimals, quotes, blank lines, hyphens,
+# apostrophes, underscores, digits and non-ASCII letters.
+_WORDS = st.sampled_from([
+    "word", "Word", "university", "queue", "the", "3.5", "42", "Inc.",
+    "e.g.", "Dr.", "U.S.", "(Inc.", "end.", "Why?!", "\"Quote", "don't",
+    "third-party", "x_y", "Éclair", "straße", "…",
+])
+_GAPS = st.sampled_from(
+    ["", " ", "  ", "\u00a0", "\t", "\n", "\n\n", " \n \n "])
+_TEXTS = st.lists(st.tuples(_WORDS, _GAPS), max_size=30).map(
+    lambda pairs: "".join(word + gap for word, gap in pairs))
+
+
+def reference_split_points(para):
+    """_split_points as it was before its backward word scan."""
+    points = []
+    for m in re.finditer(r"[.!?]+", para):
+        end = m.end()
+        ws = re.match(r"\s+", para[end:])
+        if not ws:
+            continue
+        nxt = end + ws.end()
+        if nxt >= len(para):
+            continue
+        ch = para[nxt]
+        if not (ch.isupper() or ch.isdigit() or ch in "\"'“‘"):
+            continue
+        tail = re.search(r"\S+$", para[:end])
+        chunk = tail.group(0).lstrip("([\"'“‘") if tail else ""
+        if chunk in textprep.ABBREVIATIONS:
+            continue
+        points.append((end, nxt))
+    return points
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(text=_TEXTS, repeats=st.integers(1, 3),
+           overrides=st.sampled_from([None, {"queue": 4}]))
+    def test_doc_stats_equal_per_token_sums(self, text, repeats, overrides):
+        text = "\n\n".join([text] * repeats)
+        sentences = textprep.segment_sentences(textprep.normalize_text(text))
+        tokens = [t for s in sentences for t in s.tokens]
+        syllables = [textprep.count_syllables(t, overrides) for t in tokens]
+        stats = textprep.compute_doc_stats(sentences, overrides)
+        if not tokens:
+            assert stats == textprep.DocStats(degenerate=True)
+            return
+        hard = sum(1 for n in syllables if n >= 3)
+        assert (stats.word_count, stats.sentence_count,
+                stats.syllable_count, stats.letter_count,
+                stats.character_count, stats.hard_word_count,
+                stats.easy_word_count) == (
+            len(tokens), len(sentences), sum(syllables),
+            sum(ch.isalpha() for t in tokens for ch in t),
+            sum(ch.isalnum() for t in tokens for ch in t),
+            hard, len(tokens) - hard)
+
+    @settings(deadline=None)
+    @given(text=_TEXTS)
+    def test_sentence_spans_index_into_text(self, text):
+        doc = textprep.build_document("p", text)
+        previous_end = 0
+        for i, s in enumerate(doc.sentences):
+            start, end = s.char_span
+            assert previous_end <= start < end <= len(doc.text)
+            assert doc.text[start:end] == s.text
+            assert s.index == i
+            assert s.tokens == tuple(textprep.tokenize_words(s.text))
+            previous_end = end
+
+    @settings(deadline=None)
+    @given(para=_TEXTS)
+    def test_split_points_match_reference(self, para):
+        assert textprep._split_points(para) == reference_split_points(para)
