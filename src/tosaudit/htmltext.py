@@ -1,13 +1,16 @@
 """HTML to plain text conversion built on the stdlib parser.
 
-Parses markup into a small node tree, drops script/style/navigation
-boilerplate, turns block elements into paragraph breaks, and supports a
+Text is emitted while the markup is parsed: no tree is built and
+nothing recurses, so nesting depth is unbounded. Script/style/navigation
+boilerplate is dropped, block elements become paragraph breaks, and a
 deliberately small selector subset (tag, .class, #id, tag.class, tag#id)
-for per-platform include/exclude rules.
+serves per-platform include/exclude rules.
 """
 
 import re
 from html.parser import HTMLParser
+
+from .errors import ExtractionError
 
 VOID_TAGS = frozenset({
     "area", "base", "br", "col", "embed", "hr", "img", "input", "link",
@@ -32,54 +35,11 @@ _SELECTOR_RE = re.compile(
     r"([a-zA-Z][a-zA-Z0-9-]*)?(?:\.([\w-]+)|#([\w-]+))?"
 )
 
-
-class Node:
-    """One element; children are Nodes or text strings."""
-
-    __slots__ = ("tag", "attrs", "children")
-
-    def __init__(self, tag, attrs=None):
-        self.tag = tag
-        self.attrs = attrs or {}
-        self.children = []
-
-    def classes(self):
-        return (self.attrs.get("class") or "").split()
-
-
-class _TreeBuilder(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.root = Node("#root")
-        self._stack = [self.root]
-
-    def handle_starttag(self, tag, attrs):
-        node = Node(tag, dict(attrs))
-        self._stack[-1].children.append(node)
-        if tag not in VOID_TAGS:
-            self._stack.append(node)
-
-    def handle_startendtag(self, tag, attrs):
-        self._stack[-1].children.append(Node(tag, dict(attrs)))
-
-    def handle_endtag(self, tag):
-        for i in range(len(self._stack) - 1, 0, -1):
-            if self._stack[i].tag == tag:
-                del self._stack[i:]
-                return
-        # stray close tag: ignore
-
-    def handle_data(self, data):
-        if data:
-            self._stack[-1].children.append(data)
-
-
-def parse_html(markup):
-    """Parse an HTML string into a node tree rooted at '#root'."""
-    builder = _TreeBuilder()
-    builder.feed(markup)
-    builder.close()
-    return builder.root
+# What an open element does with the text inside it.
+_MUTED = 0    # excluded, or a DROP_TAGS element that would emit: no text,
+              # and nothing inside is matched against a selector
+_OUTSIDE = 1  # include rules given, and not inside an included element
+_EMIT = 2     # text goes to the output
 
 
 def parse_selector(selector):
@@ -93,118 +53,107 @@ def parse_selector(selector):
     return (tag.lower() if tag else None, cls, node_id)
 
 
-def _node_matches(node, parsed):
-    tag, cls, node_id = parsed
-    if tag is not None and node.tag != tag:
-        return False
-    if cls is not None and cls not in node.classes():
-        return False
-    if node_id is not None and node.attrs.get("id") != node_id:
-        return False
-    return True
+def _matches_any(tag, attrs, selectors):
+    for sel_tag, cls, node_id in selectors:
+        if ((sel_tag is None or sel_tag == tag)
+                and (cls is None
+                     or cls in (attrs.get("class") or "").split())
+                and (node_id is None or attrs.get("id") == node_id)):
+            return True
+    return False
 
 
-def select(root, selector):
-    """All nodes under root matching the selector, in document order."""
-    parsed = parse_selector(selector)
-    found = []
+class _TextExtractor(HTMLParser):
+    """Emits text into self.out as the markup is fed.
 
-    def walk(node):
-        for child in node.children:
-            if isinstance(child, Node):
-                if _node_matches(child, parsed):
-                    found.append(child)
-                walk(child)
+    Each open element is a (tag, state, closing) frame; closing is the
+    text emitted when the element closes. A close tag closes every
+    element up to the nearest open one with its name, and a close tag
+    with no open match is ignored.
+    """
 
-    walk(root)
-    return found
+    def __init__(self, include, exclude):
+        super().__init__(convert_charrefs=True)
+        self._include = include
+        self._exclude = exclude
+        self._stack = [("#root", _OUTSIDE if include else _EMIT, "")]
+        self._parts = 0
+        self.out = []
 
+    def _open(self, tag, attrs):
+        state = self._stack[-1][1]
+        if state == _MUTED:
+            return (tag, _MUTED, "")
+        if self._exclude or state == _OUTSIDE:
+            attrs = dict(attrs)
+            if self._exclude and _matches_any(tag, attrs, self._exclude):
+                return (tag, _MUTED, "")
+            if state == _OUTSIDE:
+                if not _matches_any(tag, attrs, self._include):
+                    return (tag, _OUTSIDE, "")
+                # An included element starts a part; parts are joined
+                # by a blank line and nested matches stay in their part.
+                if self._parts:
+                    self.out.append("\n\n")
+                self._parts += 1
+        if tag in DROP_TAGS:
+            return (tag, _MUTED, "")
+        if tag == "br":
+            self.out.append("\n")
+        elif tag in BLOCK_TAGS:
+            self.out.append("\n\n")
+            return (tag, _EMIT, "\n\n")
+        return (tag, _EMIT, "")
 
-def remove_matching(root, selectors):
-    """Detach every subtree matching any selector."""
-    parsed = [parse_selector(s) for s in selectors]
+    def _close_from(self, i):
+        stack = self._stack
+        self.out.extend(frame[2] for frame in reversed(stack[i:]))
+        del stack[i:]
 
-    def walk(node):
-        kept = []
-        for child in node.children:
-            if isinstance(child, Node):
-                if any(_node_matches(child, p) for p in parsed):
-                    continue
-                walk(child)
-            kept.append(child)
-        node.children = kept
+    def handle_starttag(self, tag, attrs):
+        frame = self._open(tag, attrs)
+        if tag in VOID_TAGS:
+            self.out.append(frame[2])
+        else:
+            self._stack.append(frame)
 
-    walk(root)
+    def handle_startendtag(self, tag, attrs):
+        self.out.append(self._open(tag, attrs)[2])
 
+    def handle_endtag(self, tag):
+        stack = self._stack
+        for i in range(len(stack) - 1, 0, -1):
+            if stack[i][0] == tag:
+                self._close_from(i)
+                return
 
-def render_text(node):
-    """Raw text with '\n\n' around block elements and '\n' for <br>."""
-    out = []
+    def handle_data(self, data):
+        if self._stack[-1][1] == _EMIT:
+            self.out.append(data)
 
-    def walk(n):
-        if isinstance(n, str):
-            out.append(n)
-            return
-        if n.tag in DROP_TAGS:
-            return
-        if n.tag == "br":
-            out.append("\n")
-            return
-        block = n.tag in BLOCK_TAGS
-        if block:
-            out.append("\n\n")
-        for child in n.children:
-            walk(child)
-        if block:
-            out.append("\n\n")
-
-    walk(node)
-    return "".join(out)
+    def close(self):
+        super().close()
+        self._close_from(1)
 
 
 def html_to_text(markup, include=None, exclude=None):
     """Extract main text from HTML markup.
 
+    Raw text keeps '\n\n' around block elements and '\n' for <br>.
     include: optional selectors; when given, only matching subtrees
     contribute text (subtrees nested in an already included one are
     skipped so text is never duplicated).
-    exclude: optional selectors removed before extraction.
+    exclude: optional selectors whose subtrees never contribute text
+    and are never included.
+    Markup the stdlib parser cannot read raises ExtractionError.
     """
-    root = parse_html(markup)
-    if exclude:
-        remove_matching(root, exclude)
-    if include:
-        targets = []
-        for sel in include:
-            targets.extend(select(root, sel))
-        seen = []
-        parts = []
-        for node in _document_order(root, set(map(id, targets))):
-            if any(_contains(prev, node) for prev in seen):
-                continue
-            seen.append(node)
-            parts.append(render_text(node))
-        return "\n\n".join(parts)
-    return render_text(root)
-
-
-def _document_order(root, wanted_ids):
-    ordered = []
-
-    def walk(node):
-        for child in node.children:
-            if isinstance(child, Node):
-                if id(child) in wanted_ids:
-                    ordered.append(child)
-                walk(child)
-
-    walk(root)
-    return ordered
-
-
-def _contains(ancestor, node):
-    for child in ancestor.children:
-        if isinstance(child, Node):
-            if child is node or _contains(child, node):
-                return True
-    return False
+    exclude = [parse_selector(s) for s in exclude or ()]
+    include = [parse_selector(s) for s in include or ()]
+    extractor = _TextExtractor(include, exclude)
+    try:
+        extractor.feed(markup)
+        extractor.close()
+    except AssertionError as exc:
+        # html.parser raises this on some broken declarations ("<![x").
+        raise ExtractionError(f"unparseable HTML: {exc}") from None
+    return "".join(extractor.out)

@@ -105,8 +105,12 @@ def assessment_from_dict(data):
             assessor=data.get("assessor", ""),
             assessed_at=data.get("assessed_at", ""),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise AssessmentError(f"malformed assessment: {exc}") from None
+    if not all(isinstance(ev.metric, str) and isinstance(ev.excerpt, str)
+               for ev in assessment.evidence):
+        raise AssessmentError(
+            "malformed assessment: evidence metric and excerpt must be strings")
     for metric in METRICS:
         if metric in data:
             setattr(assessment, metric, data[metric])
@@ -117,7 +121,9 @@ def load_assessment(path):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise AssessmentError(f"cannot read assessment file {path}: {exc}") from None
+    except ValueError as exc:  # JSON syntax or UTF-8 decoding
         raise AssessmentError(f"malformed assessment file {path}: {exc}") from None
     return assessment_from_dict(data)
 

@@ -14,6 +14,7 @@ can start. Text arrives as a textprep.TokenView, so a sentence is
 tokenized once for every matcher that scans it.
 """
 
+from .errors import LexiconError
 from .textprep import WORD_RE, TokenView
 
 
@@ -30,9 +31,10 @@ class PhraseMatcher:
         if self._fold_case:
             key = tuple(token.lower() for token in key)
         if not key:
-            raise ValueError(f"phrase has no word tokens: {phrase!r}")
+            raise LexiconError(f"lexicon phrase has no word tokens: {phrase!r}")
         if key in self._table:
-            raise ValueError(f"duplicate phrase: {phrase!r}")
+            raise LexiconError(
+                f"duplicate lexicon phrase: {phrase!r} tokenizes like another")
         self._table[key] = payload
         lengths = set(self._first.get(key[0], ())) | {len(key)}
         self._first[key[0]] = tuple(sorted(lengths, reverse=True))

@@ -16,7 +16,7 @@ from . import interface_assess
 from . import readability as readability_mod
 from . import specificity as specificity_mod
 from . import textprep
-from .errors import ReviewError, TosAuditError
+from .errors import AssessmentError, ReviewError, TosAuditError
 
 RESULTS_SCHEMA_VERSION = 1
 
@@ -109,15 +109,8 @@ class PipelineContext:
         vague_path = optional("vague_terms.json")
         self.vague_lexicon = clarity_mod.load_vague_lexicon(vague_path)
         self.vague_matcher = clarity_mod.build_matcher(self.vague_lexicon)
-        spec_dir = lexicons_dir
-        if lexicons_dir is not None:
-            required = ("data_types.json", "entities.json",
-                        "retention.json", "sharing.json")
-            if not all(os.path.exists(os.path.join(lexicons_dir, n))
-                       for n in required):
-                spec_dir = None
         self.spec_lexicons = specificity_mod.ensure_compiled(
-            specificity_mod.load_specificity_lexicons(spec_dir))
+            specificity_mod.load_specificity_lexicons(lexicons_dir))
         self.reader_groups = readability_mod.load_reader_groups(
             optional("reader_groups.json"))
         syl_path = optional("syllable_exceptions.txt")
@@ -171,7 +164,10 @@ def _attach_interface(result, corpus_dir):
                         f"{result.platform}.json")
     if not os.path.exists(path):
         return None
-    assessment = interface_assess.load_assessment(path)
+    try:
+        assessment = interface_assess.load_assessment(path)
+    except AssessmentError as exc:
+        return str(exc)
     errors = interface_assess.validate_assessment(
         assessment, doc=result.document)
     if errors:

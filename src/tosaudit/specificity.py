@@ -8,6 +8,7 @@ or reject findings, yielding auto and post-review score pairs.
 """
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -95,16 +96,14 @@ class FindingScores:
 
 
 def _load_json(dir_path, name):
-    if dir_path is None:
+    path = None if dir_path is None else os.path.join(dir_path, name)
+    if path is None or not os.path.exists(path):
         raw = resources.files("tosaudit.data").joinpath(name).read_text(
             encoding="utf-8")
         return json.loads(raw)
-    path = f"{dir_path}/{name}"
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise LexiconError(f"lexicon not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise LexiconError(f"malformed lexicon file {path}: {exc}") from None
 
@@ -127,7 +126,13 @@ def _unique_nonempty(name, values):
 
 
 def load_specificity_lexicons(dir_path=None):
-    """Load the four pattern-family files; defaults to shipped data."""
+    """Load the four pattern-family files from dir_path.
+
+    Each file missing from dir_path, or all four when dir_path is None,
+    comes from the shipped data.
+    """
+    if dir_path is not None and not os.path.isdir(dir_path):
+        raise LexiconError(f"lexicon not found: {dir_path}")
     dt_data = _load_json(dir_path, "data_types.json")
     ent_data = _load_json(dir_path, "entities.json")
     ret_data = _load_json(dir_path, "retention.json")

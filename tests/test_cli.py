@@ -113,6 +113,26 @@ class TestAnalyze:
             "--out", str(tmp_path / "r.json")])
         assert_fatal(outcome, message)
 
+    @pytest.mark.parametrize("terms, message", [
+        ([{"canonical": "maybe", "category": "uncertainty",
+           "variants": ["!!!"]}],
+         "lexicon phrase has no word tokens: '!!!'"),
+        ([{"canonical": "third party", "category": "actor_ambiguity",
+           "variants": ["third  party"]}],
+         "duplicate lexicon phrase: 'third  party'"),
+    ], ids=["no_word_tokens", "tokenizes_like_another"])
+    def test_bad_lexicon_phrase_is_fatal(self, runner, tmp_path, terms,
+                                         message):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        lexdir = tmp_path / "lex"
+        lexdir.mkdir()
+        (lexdir / "vague_terms.json").write_text(
+            json.dumps({"version": 1, "terms": terms}))
+        outcome = runner.invoke(main, [
+            "analyze", "--corpus", str(corpus_dir), "--lexicons", str(lexdir),
+            "--out", str(tmp_path / "r.json")])
+        assert_fatal(outcome, message)
+
 
 class TestFetch:
     def test_fetch_with_config(self, runner, http_base, tmp_path):
@@ -265,6 +285,11 @@ class TestAssess:
             "assess", "validate", "--file", str(path)])
         assert outcome.exit_code == 2
         assert "error: malformed assessment file" in outcome.output
+
+    def test_validate_missing_file_is_fatal(self, runner, tmp_path):
+        outcome = runner.invoke(main, [
+            "assess", "validate", "--file", str(tmp_path / "absent.json")])
+        assert_fatal(outcome, "cannot read assessment file")
 
 
 class TestReport:

@@ -1,9 +1,14 @@
 """html_to_text emits raw block markers; assertions compare the
 normalized form that extract_text feeds into segmentation."""
 
-import pytest
+from html.parser import HTMLParser
 
-from tosaudit.htmltext import html_to_text, parse_selector
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tosaudit.htmltext import (
+    BLOCK_TAGS, DROP_TAGS, VOID_TAGS, html_to_text, parse_selector,
+)
 from tosaudit.textprep import normalize_text
 
 
@@ -123,3 +128,145 @@ class TestParseSelector:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             parse_selector("")
+
+
+class _Node:
+    __slots__ = ("tag", "attrs", "children")
+
+    def __init__(self, tag, attrs):
+        self.tag = tag
+        self.attrs = dict(attrs)
+        self.children = []
+
+
+class _TreeBuilder(HTMLParser):
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.root = _Node("#root", ())
+        self._stack = [self.root]
+
+    def handle_starttag(self, tag, attrs):
+        node = _Node(tag, attrs)
+        self._stack[-1].children.append(node)
+        if tag not in VOID_TAGS:
+            self._stack.append(node)
+
+    def handle_startendtag(self, tag, attrs):
+        self._stack[-1].children.append(_Node(tag, attrs))
+
+    def handle_endtag(self, tag):
+        for i in range(len(self._stack) - 1, 0, -1):
+            if self._stack[i].tag == tag:
+                del self._stack[i:]
+                return
+
+    def handle_data(self, data):
+        if data:
+            self._stack[-1].children.append(data)
+
+
+def _node_matches(node, parsed):
+    tag, cls, node_id = parsed
+    return ((tag is None or node.tag == tag)
+            and (cls is None
+                 or cls in (node.attrs.get("class") or "").split())
+            and (node_id is None or node.attrs.get("id") == node_id))
+
+
+def reference_html_to_text(markup, include=None, exclude=None):
+    """The node-tree extractor that the streaming one replaced.
+
+    It builds the whole tree, detaches excluded subtrees, collects the
+    outermost included nodes in document order and renders each with a
+    recursive walk. (The old code collected every included node and then
+    skipped those inside an earlier one, which keeps the same nodes.)
+    html_to_text must return exactly what this returns.
+    """
+    builder = _TreeBuilder()
+    builder.feed(markup)
+    builder.close()
+    root = builder.root
+
+    def remove(node, parsed):
+        node.children = [
+            child for child in node.children
+            if isinstance(child, str)
+            or not any(_node_matches(child, p) for p in parsed)]
+        for child in node.children:
+            if isinstance(child, _Node):
+                remove(child, parsed)
+
+    def outermost(node, parsed, found):
+        for child in node.children:
+            if isinstance(child, _Node):
+                if any(_node_matches(child, p) for p in parsed):
+                    found.append(child)
+                else:
+                    outermost(child, parsed, found)
+        return found
+
+    def render(node, out):
+        if isinstance(node, str):
+            out.append(node)
+        elif node.tag == "br":
+            out.append("\n")
+        elif node.tag not in DROP_TAGS:
+            block = node.tag in BLOCK_TAGS
+            if block:
+                out.append("\n\n")
+            for child in node.children:
+                render(child, out)
+            if block:
+                out.append("\n\n")
+        return out
+
+    if exclude:
+        remove(root, [parse_selector(s) for s in exclude])
+    if include:
+        targets = outermost(root, [parse_selector(s) for s in include], [])
+        return "\n\n".join("".join(render(t, [])) for t in targets)
+    return "".join(render(root, []))
+
+
+_CLASSES = ["", ' class="a"', ' class="b a"', " class", ' id="x"',
+            ' class="b" id="x"', ' class="a" class="b"']
+_TAGS = ["div", "p", "span", "section", "b", "li", "nav", "script",
+         "br", "img", "hr", "main"]
+_PIECES = st.one_of(
+    st.builds("<{}{}>".format, st.sampled_from(_TAGS),
+              st.sampled_from(_CLASSES)),
+    st.builds("<{}{}/>".format, st.sampled_from(_TAGS),
+              st.sampled_from(_CLASSES)),
+    st.builds("</{}>".format, st.sampled_from(_TAGS)),
+    st.sampled_from(["t", "u v", " ", "\n", "a&amp;b", "&lt;p&gt;",
+                     "<!--c-->", "<!DOCTYPE html>", "<", "</", "&"]),
+)
+_SELECTORS = st.lists(
+    st.sampled_from(["div", ".a", ".b", "#x", "p.a", "span#x", "section",
+                     "nav", "br", "hr.b", "script", "li"]),
+    max_size=3)
+
+
+class TestStreamingMatchesReference:
+    @settings(deadline=None, max_examples=300)
+    @given(pieces=st.lists(_PIECES, max_size=30),
+           include=st.one_of(st.none(), _SELECTORS),
+           exclude=st.one_of(st.none(), _SELECTORS))
+    @example(pieces=['<div class="a">', "t", '<div class="a">', "u v",
+                     "</div>", "</div>"], include=[".a"], exclude=None)
+    @example(pieces=["<main>", "t", '<p class="b">', "u v", "</p>", "<p>",
+                     "t"], include=["main"], exclude=[".b"])
+    @example(pieces=["<nav>", '<div class="a"/>', '<span class>', "t",
+                     '<p class="a">', "u v", "<br>", "</b>", "t"],
+             include=[".a", "nav"], exclude=None)
+    def test_same_text_as_reference(self, pieces, include, exclude):
+        markup = "".join(pieces)
+        assert html_to_text(markup, include=include, exclude=exclude) == \
+            reference_html_to_text(markup, include=include, exclude=exclude)
+
+
+@pytest.mark.parametrize("include", [None, [".a"]])
+def test_deep_nesting_does_not_recurse(include):
+    depth = 5000
+    markup = '<div class="a">' * depth + "<p>deep</p>" + "</div>" * depth
+    assert normalize_text(html_to_text(markup, include=include)) == "deep"

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tosaudit.errors import LexiconError
 from tosaudit.matching import PhraseMatcher
 from tosaudit.textprep import WORD_RE, TokenView
 
@@ -77,12 +78,12 @@ class TestPhraseMatcher:
 
     def test_duplicate_phrase_raises(self):
         matcher = build(["may"])
-        with pytest.raises(ValueError):
+        with pytest.raises(LexiconError):
             matcher.add("May", "other")
 
     def test_tokenless_phrase_raises(self):
         matcher = PhraseMatcher()
-        with pytest.raises(ValueError):
+        with pytest.raises(LexiconError):
             matcher.add("!!!", "x")
 
     def test_len(self):
@@ -142,7 +143,7 @@ class TestIndexedFindMatchesReference:
             key = tuple((t.lower() if fold_case else t)
                         for t in WORD_RE.findall(phrase))
             if not key or key in table:
-                with pytest.raises(ValueError):
+                with pytest.raises(LexiconError):
                     matcher.add(phrase, phrase)
                 continue
             matcher.add(phrase, phrase)

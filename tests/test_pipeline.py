@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import fixture_docs
 from conftest import build_fixture_corpus
-from tosaudit import corpus, interface_assess, pipeline
+from tosaudit import corpus, interface_assess, pipeline, specificity
 from tosaudit.errors import ReviewError, TosAuditError
 from tosaudit.pipeline import (
     apply_review_to_results, canonical_json, export_review_from_results,
@@ -113,6 +114,26 @@ class TestFailureModes:
         assert message.startswith("invalid assessment:")
         assert "verbatim substring" in message
 
+    @pytest.mark.parametrize("content", [
+        b"{broken", b"[1, 2]", b"\xff{}",
+        b'{"platform": "demo", "evidence": [{"metric": "explicit_denial",'
+        b' "excerpt": 5}]}',
+    ], ids=["unparseable", "not_an_object", "not_utf8", "excerpt_not_text"])
+    def test_bad_assessment_file_is_platform_failure(self, tmp_path,
+                                                     content):
+        store_text(tmp_path, "demo", "A short document. Nothing special.")
+        store_text(tmp_path, "fine", "This document is fine. It has words.")
+        adir = tmp_path / pipeline.ASSESSMENTS_DIR
+        adir.mkdir()
+        (adir / "demo.json").write_bytes(content)
+        results, failures = run_pipeline(str(tmp_path))
+        assert [r.platform for r in results] == ["demo", "fine"]
+        assert results[0].interface is None
+        assert len(failures) == 1
+        platform, message = failures[0]
+        assert platform == "demo"
+        assert message.startswith("invalid assessment: malformed assessment")
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(TosAuditError, match="manifest not found"):
             run_pipeline(str(tmp_path))
@@ -140,6 +161,28 @@ class TestFailureModes:
         assert clarity.unique_terms == 1
         # the four specificity files fall back to the shipped lexicons
         assert results[0].auto_counts == results[0].post_counts
+
+    def test_lexicons_dir_with_only_sharing_json(self, tmp_path):
+        store_text(tmp_path, "demo",
+                   "We transmit data to provide our services. "
+                   "We share data to provide our services.")
+        lexdir = tmp_path / "lex"
+        lexdir.mkdir()
+        shipped = json.loads(
+            (Path(specificity.__file__).parent / "data" / "sharing.json")
+            .read_text(encoding="utf-8"))
+        shipped["sharing_verbs"] = ["transmit"]
+        (lexdir / "sharing.json").write_text(json.dumps(shipped))
+
+        def sharing_sentences(lexicons_dir):
+            results, failures = run_pipeline(str(tmp_path),
+                                              lexicons_dir=lexicons_dir)
+            assert failures == []
+            return [f.sentence_index for f in results[0].findings
+                    if f.detector == "sharing"]
+
+        assert sharing_sentences(None) == [1]
+        assert sharing_sentences(str(lexdir)) == [0]
 
 
 class TestDeterminismAndOptions:

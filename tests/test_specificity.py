@@ -505,7 +505,7 @@ class TestReviewRoundTrip:
 class TestLexiconLoading:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(LexiconError, match="lexicon not found"):
-            load_specificity_lexicons(str(tmp_path))
+            load_specificity_lexicons(str(tmp_path / "absent"))
 
     def test_custom_dir(self, tmp_path):
         (tmp_path / "data_types.json").write_text(json.dumps(

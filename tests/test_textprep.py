@@ -1,10 +1,10 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tosaudit import textprep
-from tosaudit.errors import ExtractionError, LexiconError
+from tosaudit.errors import ExtractionError, LexiconError, TosAuditError
 
 
 class TestNormalizeText:
@@ -282,6 +282,16 @@ def reference_split_points(para):
     return points
 
 
+_MARKUP = st.lists(st.one_of(
+    st.sampled_from(["<main>", "</main>", '<p class="a">', "<nav>", "</p>",
+                     "<br/>", "<script>", "&amp;", "&#0;", "<!--", "<![",
+                     "</", "<", "Terms apply.", " ", "\n\n"]),
+    st.text(max_size=8)), max_size=20).map("".join)
+_PAYLOADS = st.one_of(
+    st.binary(max_size=200),
+    _MARKUP.map(lambda markup: markup.encode("utf-8", "surrogatepass")))
+
+
 class TestProperties:
     @settings(deadline=None)
     @given(text=_TEXTS, repeats=st.integers(1, 3),
@@ -317,6 +327,22 @@ class TestProperties:
             assert s.index == i
             assert s.tokens == tuple(textprep.tokenize_words(s.text))
             previous_end = end
+
+    @settings(deadline=None)
+    @given(payload=_PAYLOADS, media_kind=st.sampled_from(["html", "plain_text"]),
+           rules=st.sampled_from([None, ["main"],
+                                  {"include": [".a"], "exclude": ["nav"]}]))
+    @example(payload=b"<![<main>", media_kind="html", rules=None)
+    def test_any_payload_builds_document_or_raises_tosaudit_error(
+            self, payload, media_kind, rules):
+        config = None if rules is None else {"p": rules}
+        try:
+            text = textprep.extract_text(payload, media_kind,
+                                         extraction_config=config, platform="p")
+            doc = textprep.build_document("p", text)
+        except TosAuditError:
+            return
+        assert isinstance(doc, textprep.Document)
 
     @settings(deadline=None)
     @given(para=_TEXTS)
