@@ -5,10 +5,9 @@ case-insensitive, word-bounded, longest-match-wins, and never crosses
 a sentence boundary. A multi-word match counts as one occurrence.
 """
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 
+from . import inputs
 from .errors import LexiconError
 from .matching import PhraseMatcher
 
@@ -42,24 +41,14 @@ class ClarityReport:
     matches: list = field(default_factory=list)
 
 
-def default_lexicon_path():
-    return resources.files("tosaudit.data").joinpath("vague_terms.json")
-
-
 def load_vague_lexicon(path=None):
     """Load and validate a vague-term lexicon.
 
     Accepts either {"version": ..., "terms": [...]} or a bare JSON list
     of {canonical, variants, category} objects.
     """
-    if path is None:
-        data = json.loads(default_lexicon_path().read_text(encoding="utf-8"))
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LexiconError(f"malformed lexicon file: {exc}") from None
+    data = inputs.read_json(path or inputs.shipped("vague_terms.json"),
+                            LexiconError, "lexicon", top=object)
     if isinstance(data, dict):
         version = str(data.get("version", ""))
         raw_terms = data.get("terms")
@@ -83,8 +72,7 @@ def load_vague_lexicon(path=None):
             raise LexiconError(
                 f"unknown category {category!r} for term {canonical!r}")
         variants = item.get("variants", [])
-        if not (isinstance(variants, list) and all(
-                isinstance(v, str) and v.strip() for v in variants)):
+        if not inputs.is_phrase_list(variants):
             raise LexiconError(
                 f"variants of term {canonical!r} must be a list of "
                 "non-empty strings")

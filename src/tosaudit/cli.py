@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 per-document failures or validation
-findings, 2 fatal configuration or lexicon errors.
+findings, 2 usage errors and every TosAuditError (a bad input file).
 """
 
+import os
 import sys
 
 import click
@@ -13,12 +14,28 @@ from . import interface_assess, pipeline, report
 from .errors import TosAuditError
 
 
-def _fatal(message):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+class _Main(click.Group):
+    """The command group; any TosAuditError is fatal, with exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except TosAuditError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
-@click.group()
+def _use_results(results_path, use):
+    """Call use(payload) on a results file; a wrong shape inside is fatal."""
+    payload = pipeline.load_results(results_path)
+    try:
+        return use(payload)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise TosAuditError(
+            f"malformed results file {results_path}: {exc!r}") from None
+
+
+@click.group(cls=_Main)
 def main():
     """Audit Terms-of-Service documents for consent accessibility."""
 
@@ -32,11 +49,8 @@ def main():
               help="Corpus directory to store snapshots in.")
 def fetch(config_path, platform, corpus_dir):
     """Fetch configured ToS pages into the snapshot corpus."""
-    try:
-        config = corpus_mod.load_corpus_config(config_path)
-        outcomes = corpus_mod.fetch_all(config, corpus_dir, platform=platform)
-    except TosAuditError as exc:
-        _fatal(str(exc))
+    config = corpus_mod.load_corpus_config(config_path)
+    outcomes = corpus_mod.fetch_all(config, corpus_dir, platform=platform)
     errors = 0
     for name, status, detail in outcomes:
         click.echo(f"{name}: {status} {detail}")
@@ -57,14 +71,15 @@ def fetch(config_path, platform, corpus_dir):
               help="Apply the traditional Lensear halving adjustment.")
 def analyze(corpus_dir, lexicons_dir, out_path, classic_lensear):
     """Run the full analysis pipeline over a corpus."""
-    try:
-        results, failures = pipeline.run_pipeline(
-            corpus_dir, lexicons_dir=lexicons_dir,
-            classic_lensear=classic_lensear)
-    except TosAuditError as exc:
-        _fatal(str(exc))
-    payload = pipeline.results_payload(results, failures)
-    pipeline.save_results(payload, out_path)
+    # Fail before the run, without creating or truncating --out.
+    out_dir = os.path.dirname(out_path) or "."
+    if not os.path.isdir(out_dir):
+        raise TosAuditError(f"cannot write {out_path}: no directory {out_dir}")
+    results, failures = pipeline.run_pipeline(
+        corpus_dir, lexicons_dir=lexicons_dir,
+        classic_lensear=classic_lensear)
+    pipeline.save_results(
+        pipeline.results_payload(results, failures), out_path)
     click.echo(f"analyzed {len(results)} platform(s), "
                f"{len(failures)} failure(s) -> {out_path}")
     for platform, message in failures:
@@ -85,12 +100,9 @@ def review():
               help="Also export data-type and entity findings.")
 def review_export(results_path, out_path, include_dt_en):
     """Write reviewable findings to a JSONL file."""
-    try:
-        payload = pipeline.load_results(results_path)
-        count = pipeline.export_review_from_results(
-            payload, out_path, include_dt_en=include_dt_en)
-    except TosAuditError as exc:
-        _fatal(str(exc))
+    count = _use_results(results_path, lambda payload: (
+        pipeline.export_review_from_results(
+            payload, out_path, include_dt_en=include_dt_en)))
     click.echo(f"exported {count} finding(s) -> {out_path}")
 
 
@@ -100,11 +112,8 @@ def review_export(results_path, out_path, include_dt_en):
 @click.option("--out", "out_path", required=True)
 def review_apply(results_path, review_path, out_path):
     """Apply reviewed labels and recompute post-review scores."""
-    try:
-        payload = pipeline.load_results(results_path)
-        revised = pipeline.apply_review_to_results(payload, review_path)
-    except TosAuditError as exc:
-        _fatal(str(exc))
+    revised = _use_results(results_path, lambda payload: (
+        pipeline.apply_review_to_results(payload, review_path)))
     pipeline.save_results(revised, out_path)
     click.echo(f"applied review -> {out_path}")
 
@@ -118,10 +127,7 @@ def assess():
 @click.option("--file", "file_path", required=True)
 def assess_validate(file_path):
     """Check an assessment file against the schema."""
-    try:
-        assessment = interface_assess.load_assessment(file_path)
-    except TosAuditError as exc:
-        _fatal(str(exc))
+    assessment = interface_assess.load_assessment(file_path)
     errors = interface_assess.validate_assessment(assessment)
     if errors:
         for message in errors:
@@ -144,11 +150,8 @@ def report_group():
 @click.option("--out", "out_path", required=True)
 def report_table(results_path, kind, fmt, out_path):
     """Write one cross-platform table."""
-    try:
-        payload = pipeline.load_results(results_path)
-        report.write_table(payload["results"], kind, fmt, out_path)
-    except TosAuditError as exc:
-        _fatal(str(exc))
+    _use_results(results_path, lambda payload: report.write_table(
+        payload["results"], kind, fmt, out_path))
     click.echo(f"wrote {kind} table -> {out_path}")
 
 
@@ -161,12 +164,8 @@ def report_table(results_path, kind, fmt, out_path):
               help="Also render the figure as an SVG file.")
 def report_figure(results_path, kind, out_path, svg_path):
     """Write one figure's data file (and optionally an SVG)."""
-    try:
-        payload = pipeline.load_results(results_path)
-        report.write_figure(payload["results"], kind, out_path,
-                            svg_path=svg_path)
-    except TosAuditError as exc:
-        _fatal(str(exc))
+    _use_results(results_path, lambda payload: report.write_figure(
+        payload["results"], kind, out_path, svg_path=svg_path))
     click.echo(f"wrote {kind} figure data -> {out_path}")
 
 

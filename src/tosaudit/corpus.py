@@ -8,16 +8,15 @@ payload stays on disk for longitudinal diffs.
 """
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from importlib import resources
 from urllib.parse import urlparse
 
 import requests
 
+from . import inputs
 from .errors import CorpusError, FetchError
 
 SCHEMA_VERSION = 1
@@ -161,21 +160,21 @@ def manifest_to_dict(manifest):
 def manifest_from_dict(data):
     extra = {k: v for k, v in data.items()
              if k not in ("schema_version", "created_at", "entries")}
+    raw_entries = data.get("entries", [])
+    schema_version = data.get("schema_version", SCHEMA_VERSION)
+    if not (isinstance(schema_version, int) and isinstance(raw_entries, list)
+            and all(isinstance(ed, dict) for ed in raw_entries)):
+        raise CorpusError("manifest needs an integer schema_version and "
+                          "entries that are a list of objects")
     entries = []
-    for ed in data.get("entries", []):
+    for ed in raw_entries:
         entry_extra = {k: v for k, v in ed.items() if k not in _ENTRY_FIELDS}
-        try:
-            entries.append(SnapshotEntry(
-                platform=ed["platform"],
-                source_url=ed["source_url"],
-                retrieved_at=ed["retrieved_at"],
-                content_digest=ed["content_digest"],
-                payload_path=ed["payload_path"],
-                media_kind=ed["media_kind"],
-                extra=entry_extra,
-            ))
-        except KeyError as exc:
-            raise CorpusError(f"manifest entry missing field {exc}") from None
+        for name in _ENTRY_FIELDS:
+            if not isinstance(ed.get(name), str):
+                raise CorpusError(
+                    f"manifest entry missing field {name!r} as a string")
+        entries.append(SnapshotEntry(
+            **{name: ed[name] for name in _ENTRY_FIELDS}, extra=entry_extra))
     seen = set()
     for entry in entries:
         if entry.platform in seen:
@@ -184,26 +183,18 @@ def manifest_from_dict(data):
     return CorpusManifest(
         entries=entries,
         created_at=data.get("created_at", ""),
-        schema_version=int(data.get("schema_version", SCHEMA_VERSION)),
+        schema_version=schema_version,
         extra=extra,
     )
 
 
 def save_manifest(manifest, path):
-    payload = json.dumps(manifest_to_dict(manifest), sort_keys=True,
-                         indent=2, ensure_ascii=False) + "\n"
-    _atomic_write(path, payload.encode("utf-8"))
+    _atomic_write(path, inputs.canonical_json(
+        manifest_to_dict(manifest)).encode("utf-8"))
 
 
 def load_manifest(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise CorpusError(f"manifest not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed manifest {path}: {exc}") from None
-    return manifest_from_dict(data)
+    return manifest_from_dict(inputs.read_json(path, CorpusError, "manifest"))
 
 
 def load_or_create_manifest(corpus_dir):
@@ -220,6 +211,9 @@ def read_payload(corpus_dir, entry):
             payload = fh.read()
     except FileNotFoundError:
         raise CorpusError(f"payload missing: {path}") from None
+    except OSError as exc:
+        raise CorpusError(
+            f"cannot read payload {path}: {exc.strerror}") from None
     if digest_bytes(payload) != entry.content_digest:
         raise CorpusError(
             f"payload digest mismatch for platform {entry.platform!r}")
@@ -239,18 +233,9 @@ def verify_corpus(manifest, corpus_dir):
 
 def load_corpus_config(path=None):
     """Load and check a fetch config; defaults to the shipped one."""
-    try:
-        if path is None:
-            config = json.loads(resources.files("tosaudit.data").joinpath(
-                "corpus_default.json").read_text(encoding="utf-8"))
-        else:
-            with open(path, encoding="utf-8") as fh:
-                config = json.load(fh)
-    except FileNotFoundError:
-        raise CorpusError(f"corpus config not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed corpus config {path}: {exc}") from None
-    if not isinstance(config, dict) or not config.get("platforms"):
+    config = inputs.read_json(path or inputs.shipped("corpus_default.json"),
+                              CorpusError, "corpus config")
+    if not (isinstance(config.get("platforms"), list) and config["platforms"]):
         raise CorpusError("corpus config has no platforms")
     for i, target in enumerate(config["platforms"]):
         if not (isinstance(target, dict) and all(

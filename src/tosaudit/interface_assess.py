@@ -6,11 +6,10 @@ candidate evidentiary sentences from cue phrases. It never scores
 anything itself.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 
+from . import inputs
 from .errors import AssessmentError, LexiconError
 from .matching import PhraseMatcher
 from .textprep import TokenView
@@ -118,14 +117,8 @@ def assessment_from_dict(data):
 
 
 def load_assessment(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise AssessmentError(f"cannot read assessment file {path}: {exc}") from None
-    except ValueError as exc:  # JSON syntax or UTF-8 decoding
-        raise AssessmentError(f"malformed assessment file {path}: {exc}") from None
-    return assessment_from_dict(data)
+    return assessment_from_dict(
+        inputs.read_json(path, AssessmentError, "assessment"))
 
 
 def store_assessment(dir_path, assessment, overwrite=False):
@@ -136,31 +129,24 @@ def store_assessment(dir_path, assessment, overwrite=False):
         raise AssessmentError(
             f"assessment for {assessment.platform!r} already exists "
             "(pass overwrite to replace)")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(assessment_to_dict(assessment), fh, sort_keys=True,
-                  indent=2, ensure_ascii=False)
-        fh.write("\n")
+    inputs.write_text(path, inputs.canonical_json(
+        assessment_to_dict(assessment)))
     return path
-
-
-def default_cue_lexicon_path():
-    return resources.files("tosaudit.data").joinpath("interface_cues.json")
 
 
 def load_cue_lexicon(path=None):
     """Per-metric cue phrases; defaults to the shipped file."""
-    if path is None:
-        data = json.loads(
-            default_cue_lexicon_path().read_text(encoding="utf-8"))
-    else:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = inputs.read_json(path or inputs.shipped("interface_cues.json"),
+                            LexiconError, "cue lexicon")
     metrics = data.get("metrics", data)
+    if not isinstance(metrics, dict):
+        raise LexiconError("cue lexicon: metrics is not an object")
     cues = {}
     for metric in METRICS:
         phrases = metrics.get(metric, [])
-        if not phrases:
-            raise LexiconError(f"cue lexicon: no phrases for {metric}")
+        if not (phrases and inputs.is_phrase_list(phrases)):
+            raise LexiconError(f"cue lexicon: no phrases for {metric} "
+                               "(a list of non-empty strings)")
         cues[metric] = tuple(phrases)
     return cues
 

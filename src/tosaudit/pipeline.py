@@ -6,17 +6,17 @@ alphabetical order, and serialization is canonical, so re-runs over a
 frozen corpus are byte-identical.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
 from . import clarity as clarity_mod
 from . import corpus as corpus_mod
-from . import interface_assess
+from . import inputs, interface_assess
 from . import readability as readability_mod
 from . import specificity as specificity_mod
 from . import textprep
 from .errors import AssessmentError, ReviewError, TosAuditError
+from .inputs import canonical_json
 
 RESULTS_SCHEMA_VERSION = 1
 
@@ -40,10 +40,6 @@ class PlatformResult:
     post_scores: object
     coverage: dict
     interface: object = None
-
-
-def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _specificity_block(findings, scored):
@@ -97,25 +93,15 @@ class PipelineContext:
 
     def __init__(self, lexicons_dir=None, corpus_dir=None,
                  classic_lensear=False):
-        if lexicons_dir is not None and not os.path.isdir(lexicons_dir):
-            raise TosAuditError(f"lexicon not found: {lexicons_dir}")
-
-        def optional(name):
-            if lexicons_dir is None:
-                return None
-            path = os.path.join(lexicons_dir, name)
-            return path if os.path.exists(path) else None
-
-        vague_path = optional("vague_terms.json")
-        self.vague_lexicon = clarity_mod.load_vague_lexicon(vague_path)
+        self.vague_lexicon = clarity_mod.load_vague_lexicon(
+            inputs.lexicon_file(lexicons_dir, "vague_terms.json"))
         self.vague_matcher = clarity_mod.build_matcher(self.vague_lexicon)
         self.spec_lexicons = specificity_mod.ensure_compiled(
             specificity_mod.load_specificity_lexicons(lexicons_dir))
         self.reader_groups = readability_mod.load_reader_groups(
-            optional("reader_groups.json"))
-        syl_path = optional("syllable_exceptions.txt")
-        self.syllable_overrides = (
-            textprep.load_syllable_overrides(syl_path) if syl_path else None)
+            inputs.lexicon_file(lexicons_dir, "reader_groups.json"))
+        self.syllable_overrides = textprep.load_syllable_overrides(
+            inputs.lexicon_file(lexicons_dir, "syllable_exceptions.txt"))
         self.classic_lensear = classic_lensear
         self.extraction_config = None
         if corpus_dir is not None:
@@ -213,26 +199,30 @@ def results_payload(results, failures):
 
 
 def save_results(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
+    inputs.write_text(path, canonical_json(payload))
 
 
 def load_results(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise TosAuditError(f"results not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise TosAuditError(f"malformed results file {path}: {exc}") from None
+    """Read a results file and check the shape results_payload writes."""
+    payload = inputs.read_json(path, TosAuditError, "results")
+    results = payload.get("results")
+    blocks = ("doc_stats", "readability", "fluency", "clarity", "specificity")
+    if payload.get("schema_version") != RESULTS_SCHEMA_VERSION or not (
+            isinstance(results, list) and all(
+                isinstance(r, dict) and isinstance(r.get("platform"), str)
+                and all(isinstance(r.get(b), dict) for b in blocks)
+                for r in results)):
+        raise TosAuditError(
+            f"malformed results file {path}: not schema version "
+            f"{RESULTS_SCHEMA_VERSION} with a list of platform results")
+    return payload
 
 
 def export_review_from_results(payload, out_path, include_dt_en=False):
     """Export all reviewable findings in a results file to JSONL."""
-    findings = []
-    for result in payload.get("results", []):
-        for d in result["specificity"]["findings"]:
-            findings.append(specificity_mod.finding_from_dict(d))
+    findings = [specificity_mod.finding_from_dict(d)
+                for result in payload["results"]
+                for d in result["specificity"]["findings"]]
     return specificity_mod.export_review(
         findings, out_path, include_dt_en=include_dt_en)
 
@@ -247,12 +237,14 @@ def apply_review_to_results(payload, review_path):
     records = specificity_mod.parse_review_file(review_path)
     by_platform = {}
     for rec in records:
-        by_platform.setdefault(rec.get("platform"), []).append(rec)
-    known = {r["platform"] for r in payload.get("results", [])}
+        if not isinstance(rec.get("platform"), str):
+            raise ReviewError(f"malformed review record: {rec!r}")
+        by_platform.setdefault(rec["platform"], []).append(rec)
+    known = {r["platform"] for r in payload["results"]}
     for platform in by_platform:
         if platform not in known:
             raise ReviewError(f"unmatched review record: platform {platform!r}")
-    for result in payload.get("results", []):
+    for result in payload["results"]:
         findings = [specificity_mod.finding_from_dict(d)
                     for d in result["specificity"]["findings"]]
         specificity_mod.apply_review_records(

@@ -5,11 +5,11 @@ band per formula, and words-per-minute fluency estimates for three
 reader groups.
 """
 
-import json
 import math
+import sys
 from dataclasses import dataclass
-from importlib import resources
 
+from . import inputs
 from .errors import DegenerateDocumentError, LexiconError
 
 METRICS = (
@@ -146,27 +146,15 @@ def estimate_reading_time(word_count, group):
     )
 
 
-def default_reader_groups_path():
-    return resources.files("tosaudit.data").joinpath("reader_groups.json")
-
-
 def _is_positive_number(value):
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value > 0)
+            and 0 < value <= sys.float_info.max)
 
 
 def load_reader_groups(path=None):
     """Load reader groups from JSON; defaults to the shipped table."""
-    if path is None:
-        raw = default_reader_groups_path().read_text(encoding="utf-8")
-        data = json.loads(raw)
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LexiconError(
-                f"malformed reader groups file {path}: {exc}") from None
+    data = inputs.read_json(path or inputs.shipped("reader_groups.json"),
+                            LexiconError, "reader groups", top=object)
     groups = data.get("groups") if isinstance(data, dict) else data
     if not isinstance(groups, list):
         raise LexiconError("reader groups must be a list")

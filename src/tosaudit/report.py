@@ -9,9 +9,9 @@ always one per platform, alphabetical.
 import csv
 import io
 
+from . import inputs
 from . import svg as svg_mod
 from .errors import TosAuditError
-from .pipeline import canonical_json
 from .readability import METRICS as READABILITY_METRICS
 
 TABLE_KINDS = ("readability", "clarity", "specificity", "interface")
@@ -134,7 +134,7 @@ def _to_markdown(header, rows):
 
 def _to_json(header, rows):
     records = [dict(zip(header, row)) for row in rows]
-    return canonical_json(records)
+    return inputs.canonical_json(records)
 
 
 def render_table(results, table_kind, fmt):
@@ -220,15 +220,11 @@ def render_figure_svg(records, figure_kind):
 
 
 def write_table(results, table_kind, fmt, out_path):
-    content = render_table(results, table_kind, fmt)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    inputs.write_text(out_path, render_table(results, table_kind, fmt))
 
 
 def write_figure(results, figure_kind, out_path, svg_path=None):
     records = emit_figure_data(results, figure_kind)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(records))
+    inputs.write_text(out_path, inputs.canonical_json(records))
     if svg_path:
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(render_figure_svg(records, figure_kind))
+        inputs.write_text(svg_path, render_figure_svg(records, figure_kind))

@@ -7,12 +7,12 @@ composite. A JSONL review round-trip lets a human confirm, relabel,
 or reject findings, yielding auto and post-review score pairs.
 """
 
+import itertools
 import json
-import os
 import re
 from dataclasses import dataclass
-from importlib import resources
 
+from . import inputs
 from .errors import LexiconError, ReviewError, TosAuditError
 from .matching import PhraseMatcher
 from .textprep import TokenView
@@ -95,26 +95,17 @@ class FindingScores:
     coverage: dict
 
 
-def _load_json(dir_path, name):
-    path = None if dir_path is None else os.path.join(dir_path, name)
-    if path is None or not os.path.exists(path):
-        raw = resources.files("tosaudit.data").joinpath(name).read_text(
-            encoding="utf-8")
-        return json.loads(raw)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"malformed lexicon file {path}: {exc}") from None
+def _phrase_list(name, values):
+    if not inputs.is_phrase_list(values):
+        raise LexiconError(f"{name}: must be a list of non-empty strings")
+    return tuple(values)
 
 
 def _unique_nonempty(name, values):
     out = []
     seen = set()
-    for value in values:
+    for value in _phrase_list(name, values):
         value = value.strip()
-        if not value:
-            raise LexiconError(f"{name}: empty entry")
         folded = value.lower()
         if folded in seen:
             raise LexiconError(f"{name}: duplicate entry {value!r}")
@@ -131,20 +122,20 @@ def load_specificity_lexicons(dir_path=None):
     Each file missing from dir_path, or all four when dir_path is None,
     comes from the shipped data.
     """
-    if dir_path is not None and not os.path.isdir(dir_path):
-        raise LexiconError(f"lexicon not found: {dir_path}")
-    dt_data = _load_json(dir_path, "data_types.json")
-    ent_data = _load_json(dir_path, "entities.json")
-    ret_data = _load_json(dir_path, "retention.json")
-    shr_data = _load_json(dir_path, "sharing.json")
+    dt_data, ent_data, ret_data, shr_data = (
+        inputs.read_json(inputs.lexicon_file(dir_path, name),
+                         LexiconError, "lexicon")
+        for name in ("data_types.json", "entities.json", "retention.json",
+                     "sharing.json"))
 
     categories = dt_data.get("categories", {})
-    if not categories:
-        raise LexiconError("data_types.json: no categories")
+    if not (isinstance(categories, dict) and categories):
+        raise LexiconError("data_types.json: no categories object")
     data_types = {}
     all_phrases = []
     for category, phrases in categories.items():
-        data_types[category] = tuple(phrases)
+        data_types[category] = _phrase_list(
+            f"data_types.categories.{category}", phrases)
         all_phrases.extend(phrases)
     _unique_nonempty("data_types", all_phrases)
 
@@ -168,7 +159,9 @@ def load_specificity_lexicons(dir_path=None):
             "sharing.generic_cues", shr_data.get("generic_cues", [])),
         negation_cues=_unique_nonempty(
             "sharing.negation_cues", shr_data.get("negation_cues", [])),
-        generic_descriptors=tuple(ent_data.get("generic_descriptors", [])),
+        generic_descriptors=_phrase_list(
+            "entities.generic_descriptors",
+            ent_data.get("generic_descriptors", [])),
     )
 
 
@@ -561,40 +554,41 @@ def export_review(findings, path, include_dt_en=False):
         wanted = DETECTORS
     records = sorted(
         (f for f in findings if f.detector in wanted), key=_review_sort_key)
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "record_type": "header",
-            "format": REVIEW_FORMAT,
-            "version": REVIEW_VERSION,
-            "finding_count": len(records),
-        }
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
-        for f in records:
-            fh.write(json.dumps(
-                finding_to_dict(f), sort_keys=True, ensure_ascii=False) + "\n")
+    header = {
+        "record_type": "header",
+        "format": REVIEW_FORMAT,
+        "version": REVIEW_VERSION,
+        "finding_count": len(records),
+    }
+    dicts = itertools.chain([header], map(finding_to_dict, records))
+    inputs.write_text(path, "".join(
+        json.dumps(d, sort_keys=True, ensure_ascii=False) + "\n"
+        for d in dicts))
     return len(records)
 
 
 def parse_review_file(path):
     """Read a review JSONL file; returns the finding records."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in (l.strip() for l in fh) if line]
-    if not lines:
+    records = []
+    lines = inputs.read_lines(path, ReviewError, "review")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ReviewError(f"line {lineno}: malformed record: {exc}") from None
+        if not isinstance(record, dict):
+            raise ReviewError(f"line {lineno}: record is not a JSON object")
+        records.append(record)
+    if not records:
         raise ReviewError("empty review file (missing header record)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ReviewError(f"malformed header record: {exc}") from None
+    header = records.pop(0)
     if header.get("record_type") != "header":
         raise ReviewError("first record is not a header record")
     if header.get("format") != REVIEW_FORMAT:
         raise ReviewError(f"unknown review format: {header.get('format')!r}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ReviewError(f"line {lineno}: malformed record: {exc}") from None
     return records
 
 
@@ -618,14 +612,16 @@ def apply_review_records(findings, records):
             span = rec["evidence_span"]
             key = (rec["platform"], int(rec["sentence_index"]),
                    rec["detector"], int(span["start"]), int(span["end"]))
-        except (KeyError, TypeError, ValueError):
+            finding = index.get(key)
+            label = (rec.get("human_label") or "").strip()
+            note = (rec.get("reviewer_note") or "").strip()
+        except (LookupError, TypeError, ValueError, ArithmeticError,
+                AttributeError):
             raise ReviewError(f"malformed review record: {rec!r}") from None
-        finding = index.get(key)
         if finding is None:
             raise ReviewError(
                 "unmatched review record: "
                 f"{rec['platform']}/{rec['sentence_index']}/{rec['detector']}")
-        label = (rec.get("human_label") or "").strip()
         if label:
             allowed = _allowed_labels(finding.detector)
             if allowed is not None and label not in allowed:
@@ -633,7 +629,6 @@ def apply_review_records(findings, records):
                     f"illegal label value {label!r} for "
                     f"{finding.detector} finding")
             finding.human_label = label
-        note = (rec.get("reviewer_note") or "").strip()
         if note:
             finding.reviewer_note = note
     return findings

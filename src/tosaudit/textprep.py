@@ -6,11 +6,11 @@ formula consumes. All rules here are deterministic so identical input
 always yields identical counts.
 """
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import inputs
 from .errors import ExtractionError, LexiconError
 from .htmltext import html_to_text, parse_selector
 
@@ -105,20 +105,11 @@ def load_extraction_config(path):
     A rule is a list of include selectors or an object with optional
     "include" and "exclude" lists; every selector must parse.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise LexiconError(
-            f"malformed extraction config {path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise LexiconError(f"extraction config {path} is not a JSON object")
+    config = inputs.read_json(path, LexiconError, "extraction config")
     for platform, rules in config.items():
         lists = ((rules.get("include", []), rules.get("exclude", []))
                  if isinstance(rules, dict) else (rules,))
-        if not all(isinstance(selectors, list)
-                   and all(isinstance(s, str) for s in selectors)
-                   for selectors in lists):
+        if not all(map(inputs.is_phrase_list, lists)):
             raise LexiconError(
                 f"extraction config {path}: rule for {platform!r} must be "
                 "a list of selectors or an object with include/exclude lists")
@@ -246,24 +237,25 @@ def count_syllables(word, overrides=None):
     return max(groups, 1)
 
 
-def load_syllable_overrides(path):
-    """Read a word<TAB>count override file; '#' starts a comment line."""
+def load_syllable_overrides(path=None):
+    """Read word<TAB>count lines ('#' comments) from path or shipped data."""
+    path = path or inputs.shipped("syllable_exceptions.txt")
+    lines = inputs.read_lines(path, LexiconError, "syllable overrides")
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(
-                    f"{path}:{lineno}: expected word<TAB>count")
-            word, count = parts
-            try:
-                overrides[word.strip().lower()] = int(count)
-            except ValueError:
-                raise LexiconError(
-                    f"{path}:{lineno}: count is not an integer") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise LexiconError(
+                f"{path}:{lineno}: expected word<TAB>count")
+        word, count = parts
+        try:
+            overrides[word.strip().lower()] = int(count)
+        except ValueError:
+            raise LexiconError(
+                f"{path}:{lineno}: count is not an integer") from None
     return overrides
 
 

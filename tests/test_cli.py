@@ -10,6 +10,7 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fixture_docs
 import tosaudit
@@ -289,7 +290,7 @@ class TestAssess:
     def test_validate_missing_file_is_fatal(self, runner, tmp_path):
         outcome = runner.invoke(main, [
             "assess", "validate", "--file", str(tmp_path / "absent.json")])
-        assert_fatal(outcome, "cannot read assessment file")
+        assert_fatal(outcome, "assessment not found")
 
 
 class TestReport:
@@ -333,6 +334,346 @@ class TestReport:
             "--out", str(tmp_path / "x.csv")])
         assert outcome.exit_code == 2
         assert "error: results not found" in outcome.output
+
+
+_SHIPPED = Path(tosaudit.__file__).parent / "data"
+
+
+def _results_with(results_path, tmp_path, edit):
+    """A copy of the analyzed results file, passed through edit."""
+    payload = json.loads(results_path.read_text(encoding="utf-8"))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(payload)), encoding="utf-8")
+    return path
+
+
+def _drop_block(block):
+    def edit(payload):
+        del payload["results"][0][block]
+        return payload
+    return edit
+
+
+def _review_file(tmp_path, *lines):
+    header = json.dumps({"record_type": "header", "format": "tosaudit-review",
+                         "version": 1, "finding_count": len(lines)})
+    path = tmp_path / "review.jsonl"
+    path.write_bytes(b"\n".join([header.encode()] + list(lines)) + b"\n")
+    return path
+
+
+def _corpus_with(tmp_path, name, content):
+    """A fresh fixture corpus with one file replaced by content."""
+    corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+    (corpus_dir / name).write_bytes(content)
+    return corpus_dir
+
+
+def _manifest_edit(edit):
+    def case(tmp_path, results_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        path = corpus_dir / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return ["analyze", "--corpus", str(corpus_dir),
+                "--out", str(tmp_path / "r.json")]
+    return case
+
+
+def _analyze_with_lexicon(name, content):
+    def case(tmp_path, results_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        lexdir = tmp_path / "lex"
+        lexdir.mkdir()
+        if content is None:
+            (lexdir / name).mkdir()
+        else:
+            (lexdir / name).write_bytes(content)
+        return ["analyze", "--corpus", str(corpus_dir),
+                "--lexicons", str(lexdir), "--out", str(tmp_path / "r.json")]
+    return case
+
+
+def _sharing_with(**fields):
+    shipped = json.loads(
+        (_SHIPPED / "sharing.json").read_text(encoding="utf-8"))
+    return json.dumps({**shipped, **fields}).encode()
+
+
+def _table(path):
+    return ["report", "table", "--results", str(path), "--kind", "clarity",
+            "--format", "csv", "--out", str(path.parent / "t.csv")]
+
+
+def _export(path, out=None):
+    return ["review", "export", "--results", str(path),
+            "--out", str(out or path.parent / "review.jsonl")]
+
+
+def _apply(results_path, review_path, tmp_path):
+    return ["review", "apply", "--results", str(results_path),
+            "--review", str(review_path), "--out", str(tmp_path / "rev.json")]
+
+
+def _bytes_file(tmp_path, content, name="input.json"):
+    path = tmp_path / name
+    path.write_bytes(content)
+    return path
+
+
+# One case per bad input: (argv builder, exit code, message in stderr).
+FAIL_CLOSED_CASES = {
+    "table_results_list": (
+        lambda tmp, res: _table(_bytes_file(tmp, b"[]")),
+        2, "is not a JSON object"),
+    "table_result_missing_readability": (
+        lambda tmp, res: _table(
+            _results_with(res, tmp, _drop_block("readability"))),
+        2, "malformed results file"),
+    "table_results_schema_version_2": (
+        lambda tmp, res: _table(_bytes_file(
+            tmp, b'{"schema_version": 2, "results": []}')),
+        2, "not schema version 1"),
+    "table_results_not_utf8": (
+        lambda tmp, res: _table(_bytes_file(tmp, b'{"\xff": 1}')),
+        2, "malformed results file"),
+    "export_results_list": (
+        lambda tmp, res: _export(_bytes_file(tmp, b"[]")),
+        2, "is not a JSON object"),
+    "export_result_missing_specificity": (
+        lambda tmp, res: _export(
+            _results_with(res, tmp, _drop_block("specificity"))),
+        2, "malformed results file"),
+    "export_into_missing_dir": (
+        lambda tmp, res: _export(res, tmp / "missing" / "review.jsonl"),
+        2, "cannot write"),
+    "apply_missing_review": (
+        lambda tmp, res: _apply(res, tmp / "missing.jsonl", tmp),
+        2, "review not found"),
+    "apply_record_is_string": (
+        lambda tmp, res: _apply(res, _review_file(tmp, b'"x"'), tmp),
+        2, "line 2: record is not a JSON object"),
+    "apply_record_is_list": (
+        lambda tmp, res: _apply(res, _review_file(tmp, b"[1]"), tmp),
+        2, "line 2: record is not a JSON object"),
+    "apply_record_platform_not_string": (
+        lambda tmp, res: _apply(
+            res, _review_file(tmp, b'{"platform": [1]}'), tmp),
+        2, "malformed review record"),
+    "apply_review_not_utf8": (
+        lambda tmp, res: _apply(res, _review_file(tmp, b"\xff"), tmp),
+        2, "malformed review file"),
+    "analyze_out_in_missing_dir": (
+        lambda tmp, res: ["analyze", "--corpus",
+                          str(build_fixture_corpus(tmp / "corpus")),
+                          "--out", str(tmp / "missing" / "r.json")],
+        2, "cannot write"),
+    "figure_svg_into_missing_dir": (
+        lambda tmp, res: ["report", "figure", "--results", str(res),
+                          "--kind", "reading_time",
+                          "--out", str(tmp / "fig.json"),
+                          "--svg", str(tmp / "missing" / "fig.svg")],
+        2, "cannot write"),
+    "sharing_json_is_list": (
+        _analyze_with_lexicon("sharing.json", b"[]"),
+        2, "sharing.json is not a JSON object"),
+    "sharing_verbs_is_string": (
+        _analyze_with_lexicon(
+            "sharing.json", _sharing_with(sharing_verbs="share")),
+        2, "sharing.sharing_verbs: must be a list of non-empty strings"),
+    "vague_terms_not_utf8": (
+        _analyze_with_lexicon("vague_terms.json", b'{"terms": "\xff"}'),
+        2, "malformed lexicon file"),
+    "reader_groups_is_directory": (
+        _analyze_with_lexicon("reader_groups.json", None),
+        2, "cannot read reader groups"),
+    "manifest_not_utf8": (
+        lambda tmp, res: ["analyze", "--corpus", str(
+            _corpus_with(tmp, "manifest.json", b'{"\xff": 1}')),
+            "--out", str(tmp / "r.json")],
+        2, "malformed manifest file"),
+    "manifest_is_list": (
+        _manifest_edit(lambda manifest: []),
+        2, "manifest.json is not a JSON object"),
+    "manifest_entries_not_list": (
+        _manifest_edit(lambda manifest: {**manifest, "entries": {"a": 1}}),
+        2, "entries that are a list of objects"),
+    "manifest_payload_path_not_string": (
+        _manifest_edit(lambda manifest: {**manifest, "entries": [
+            {**manifest["entries"][0], "payload_path": 5}]}),
+        2, "manifest entry missing field 'payload_path'"),
+    "extraction_config_not_utf8": (
+        lambda tmp, res: ["analyze", "--corpus", str(
+            _corpus_with(tmp, "extraction_config.json", b'{"\xff": 1}')),
+            "--out", str(tmp / "r.json")],
+        2, "malformed extraction config file"),
+    "corpus_config_not_utf8": (
+        lambda tmp, res: ["fetch", "--config",
+                          str(_bytes_file(tmp, b'{"\xff": 1}')),
+                          "--corpus", str(tmp / "corpus")],
+        2, "malformed corpus config file"),
+    "payload_path_is_directory": (
+        _manifest_edit(lambda manifest: {**manifest, "entries": [
+            {**manifest["entries"][0], "payload_path": "payloads"}]}),
+        1, "cannot read payload"),
+}
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("case", FAIL_CLOSED_CASES)
+    def test_bad_input(self, analyzed, runner, tmp_path, case):
+        build, code, message = FAIL_CLOSED_CASES[case]
+        outcome = runner.invoke(main, build(tmp_path, analyzed[1]))
+        if code == 2:
+            assert_fatal(outcome, message)
+        else:
+            assert outcome.exit_code == code, outcome.output
+            assert outcome.exception is None or isinstance(
+                outcome.exception, SystemExit)
+            assert message in outcome.stderr
+
+    def test_analyze_out_checked_before_the_run(self, runner, tmp_path,
+                                                monkeypatch):
+        def run_pipeline(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(tosaudit.pipeline, "run_pipeline", run_pipeline)
+        out = tmp_path / "missing" / "r.json"
+        outcome = runner.invoke(main, [
+            "analyze", "--corpus", str(tmp_path), "--out", str(out)])
+        assert_fatal(outcome, f"cannot write {out}")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+_DELETE = object()
+
+
+def _mangled(valid):
+    """valid bytes with one slice replaced by a few arbitrary bytes."""
+    return st.tuples(st.integers(0, len(valid)), st.integers(0, len(valid)),
+                     st.binary(max_size=8)).map(
+        lambda cut: valid[:min(cut[:2])] + cut[2] + valid[max(cut[:2]):])
+
+
+def _paths(node, path=()):
+    """Key paths of every value inside a parsed JSON document."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _paths(child, path + (key,))
+
+
+def _reshaped(docs):
+    """The JSON documents docs, one per line, with one value deep inside
+    one of them replaced by another JSON value or deleted."""
+    choices = [(i, path) for i, doc in enumerate(docs)
+               for path in list(_paths(json.loads(doc)))[1:]]
+
+    def reshape(choice, value):
+        (i, path), lines = choice, list(docs)
+        doc = json.loads(lines[i])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        lines[i] = json.dumps(doc).encode()
+        return b"\n".join(lines)
+
+    return st.builds(reshape, st.sampled_from(choices),
+                     st.just(_DELETE) | _JSON_VALUES)
+
+
+def _any_bytes(valid, docs=None):
+    """Arbitrary bytes, valid with a slice mangled, a JSON value, or, for
+    JSON docs (the lines of valid), docs with one inner value changed."""
+    strategies = [st.binary(max_size=64), _mangled(valid),
+                  _JSON_VALUES.map(lambda v: json.dumps(v).encode())]
+    if docs:
+        strategies.append(_reshaped(docs))
+    return st.one_of(strategies)
+
+
+def assert_clean_exit(outcome):
+    """Exit 0, 1 or 2, `error: ...` on 2, and no uncaught exception."""
+    assert outcome.exit_code in (0, 1, 2), outcome.output
+    assert outcome.exception is None or isinstance(
+        outcome.exception, SystemExit), repr(outcome.exception)
+    if outcome.exit_code == 2:
+        assert outcome.stderr.startswith("error: ")
+
+
+# Every file that --lexicons reads; each falls back to the shipped one.
+LEXICON_FILES = ("vague_terms.json", "data_types.json", "entities.json",
+                 "retention.json", "sharing.json", "reader_groups.json",
+                 "syllable_exceptions.txt")
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Two fixture platforms; enough for every analysis layer to run."""
+    from tosaudit import corpus
+    root = tmp_path_factory.mktemp("small")
+    manifest = corpus.new_manifest()
+    for platform in ("bluesky", "reddit"):
+        media_kind, text = fixture_docs.DOCS[platform]
+        payload = text.encode("utf-8")
+        entry = corpus.SnapshotEntry(
+            platform=platform, source_url=f"https://example.org/{platform}",
+            retrieved_at="2025-11-01T00:00:00Z",
+            content_digest=corpus.digest_bytes(payload), payload_path="",
+            media_kind=media_kind)
+        manifest, _ = corpus.store_snapshot(manifest, entry, payload,
+                                            str(root))
+    return root
+
+
+class TestAnyBytes:
+    """Arbitrary bytes in any input file never end in a traceback."""
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_results_file(self, analyzed, runner, tmp_path, data):
+        valid = analyzed[1].read_bytes()
+        content = data.draw(_any_bytes(valid, [valid]))
+        path = _bytes_file(tmp_path, content)
+        for argv in (_table(path), _export(path)):
+            assert_clean_exit(runner.invoke(main, argv))
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_review_file(self, analyzed, runner, tmp_path, data):
+        valid = tmp_path / "valid.jsonl"
+        if not valid.exists():
+            runner.invoke(main, _export(analyzed[1], valid))
+        lines = valid.read_bytes().splitlines()
+        content = data.draw(_any_bytes(b"\n".join(lines), lines))
+        path = _bytes_file(tmp_path, content, "review.jsonl")
+        assert_clean_exit(runner.invoke(
+            main, _apply(analyzed[1], path, tmp_path)))
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), name=st.sampled_from(LEXICON_FILES))
+    def test_lexicon_file(self, small_corpus, runner, tmp_path, data, name):
+        valid = (_SHIPPED / name).read_bytes()
+        content = data.draw(_any_bytes(
+            valid, [valid] if name.endswith(".json") else None))
+        lexdir = tmp_path / "lex"
+        shutil.rmtree(lexdir, ignore_errors=True)
+        lexdir.mkdir()
+        (lexdir / name).write_bytes(content)
+        assert_clean_exit(runner.invoke(main, [
+            "analyze", "--corpus", str(small_corpus), "--lexicons",
+            str(lexdir), "--out", str(tmp_path / "r.json")]))
 
 
 class TestEntryPoint:

@@ -65,6 +65,20 @@ class TestManifestSerialization:
         with pytest.raises(CorpusError, match="manifest entry missing field"):
             manifest_from_dict(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"entries": {"demo": {}}}, "entries that are a list of objects"),
+        ({"entries": ["demo"]}, "entries that are a list of objects"),
+        ({"schema_version": "one", "entries": []}, "integer schema_version"),
+        ({"entries": [{"platform": "demo", "source_url": "u",
+                       "retrieved_at": "t", "content_digest": "d",
+                       "payload_path": 5, "media_kind": "plain_text"}]},
+         "missing field 'payload_path' as a string"),
+    ], ids=["entries_object", "entry_string", "schema_version_string",
+            "field_not_string"])
+    def test_wrong_shape_raises(self, data, message):
+        with pytest.raises(CorpusError, match=message):
+            manifest_from_dict(data)
+
     def test_duplicate_platform_raises(self):
         entry = {
             "platform": "demo",
@@ -163,6 +177,12 @@ class TestReadAndVerify:
         manifest, entry = self.build(tmp_path)
         (tmp_path / entry.payload_path).unlink()
         with pytest.raises(CorpusError, match="payload missing"):
+            read_payload(str(tmp_path), entry)
+
+    def test_unreadable_payload_raises(self, tmp_path):
+        manifest, entry = self.build(tmp_path)
+        entry.payload_path = "payloads"
+        with pytest.raises(CorpusError, match="cannot read payload"):
             read_payload(str(tmp_path), entry)
 
     def test_read_tampered_raises(self, tmp_path):
@@ -293,6 +313,12 @@ class TestCorpusConfig:
     def test_no_platforms_raises(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"platforms": []}))
+        with pytest.raises(CorpusError, match="corpus config has no platforms"):
+            load_corpus_config(str(path))
+
+    def test_platforms_not_a_list_raises(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"platforms": 5}))
         with pytest.raises(CorpusError, match="corpus config has no platforms"):
             load_corpus_config(str(path))
 

@@ -193,6 +193,21 @@ class TestCueLexicon:
         cues = load_cue_lexicon(str(path))
         assert cues["unticked_checkbox"] == ("placeholder cue",)
 
+    @pytest.mark.parametrize("data, message", [
+        ([], "is not a JSON object"),
+        ({"metrics": ["x y"]}, "metrics is not an object"),
+        ({"metrics": {m: "abc" for m in METRICS}},
+         "no phrases for unticked_checkbox"),
+        ({"metrics": {m: ["x y", 5] for m in METRICS}},
+         "no phrases for unticked_checkbox"),
+    ], ids=["top_level_list", "metrics_list", "phrases_string",
+            "phrase_not_string"])
+    def test_wrong_shape_raises(self, tmp_path, data, message):
+        path = tmp_path / "cues.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(LexiconError, match=message):
+            load_cue_lexicon(str(path))
+
     def test_missing_metric_raises(self, tmp_path):
         data = {m: ["x y"] for m in METRICS if m != "reversibility_cue"}
         path = tmp_path / "cues.json"

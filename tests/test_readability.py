@@ -181,6 +181,8 @@ class TestReaderGroups:
         {"name": "x", "wpm_low": 0, "wpm_high": 200},
         {"name": "x", "wpm_low": True, "wpm_high": 200},
         "x",
+        {"name": "x", "wpm_low": 100, "wpm_high": 10 ** 400},
+        {"name": "x", "wpm_low": 100, "wpm_high": float("inf")},
     ])
     def test_malformed_group_rejected(self, tmp_path, group):
         path = tmp_path / "groups.json"

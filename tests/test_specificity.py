@@ -1,6 +1,9 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tosaudit import specificity, textprep
 from tosaudit.errors import LexiconError, ReviewError, TosAuditError
@@ -491,6 +494,14 @@ class TestReviewRoundTrip:
         assert post1 == post2
         assert aggregate_counts(findings, use_review=True).ss == 0
 
+    @pytest.mark.parametrize("field", ["human_label", "reviewer_note"])
+    def test_non_string_label_or_note_raises(self, field):
+        finding = make_finding("sharing", "specific")
+        with pytest.raises(ReviewError, match="malformed review record"):
+            apply_review_records([finding], [{
+                "platform": "p", "sentence_index": 0, "detector": "sharing",
+                "evidence_span": {"start": 0, "end": 4}, field: 5}])
+
     def test_reviewer_note_preserved(self):
         finding = make_finding("sharing", "specific")
         apply_review_records([finding], [{
@@ -523,6 +534,27 @@ class TestLexiconLoading:
         lex = load_specificity_lexicons(str(tmp_path))
         assert lex.known_entities == ("Acme",)
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("sharing.json", lambda d: [], "is not a JSON object"),
+        ("sharing.json", lambda d: {**d, "sharing_verbs": "share"},
+         "sharing.sharing_verbs: must be a list of non-empty strings"),
+        ("sharing.json", lambda d: {**d, "negation_cues": ["do not", 5]},
+         "sharing.negation_cues: must be a list"),
+        ("entities.json", lambda d: {**d, "generic_descriptors": "partners"},
+         "entities.generic_descriptors: must be a list"),
+        ("data_types.json", lambda d: {"categories": ["email"]},
+         "no categories object"),
+        ("data_types.json", lambda d: {"categories": {"ids": "email"}},
+         "data_types.categories.ids: must be a list"),
+    ], ids=["sharing_list", "verbs_string", "cue_not_string",
+            "descriptors_string", "categories_list", "category_string"])
+    def test_wrong_shape_rejected(self, tmp_path, name, edit, message):
+        shipped = json.loads((Path(specificity.__file__).parent / "data"
+                              / name).read_text(encoding="utf-8"))
+        (tmp_path / name).write_text(json.dumps(edit(shipped)))
+        with pytest.raises(LexiconError, match=message):
+            load_specificity_lexicons(str(tmp_path))
+
     def test_duplicate_entry_rejected(self, tmp_path):
         (tmp_path / "data_types.json").write_text(json.dumps(
             {"categories": {"a": ["email"], "b": ["Email"]}}))
@@ -536,3 +568,29 @@ class TestLexiconLoading:
              "generic_cues": ["c d"], "negation_cues": ["e f"]}))
         with pytest.raises(LexiconError, match="duplicate entry"):
             load_specificity_lexicons(str(tmp_path))
+
+
+_LABELS = {
+    "data_type": st.sampled_from(["email address", "Email Address", "ip"]),
+    "entity": st.sampled_from(["Meta", "meta", "Acme Inc."]),
+    "retention": st.sampled_from(specificity.RETENTION_LABELS),
+    "sharing": st.sampled_from(specificity.SHARING_LABELS),
+}
+_FINDINGS = st.lists(st.sampled_from(specificity.DETECTORS).flatmap(
+    lambda detector: st.builds(
+        make_finding, st.just(detector), _LABELS[detector],
+        sentence_index=st.integers(0, 5),
+        span=st.tuples(st.integers(0, 3), st.integers(4, 8)))), max_size=30)
+
+
+class TestEmptyReview:
+    @settings(deadline=None)
+    @given(findings=_FINDINGS, sentence_count=st.integers(0, 8))
+    def test_post_review_equals_auto(self, findings, sentence_count):
+        apply_review_records(findings, [])
+        scored = score_findings(findings, sentence_count)
+        assert scored.post_counts == scored.auto_counts
+        assert (scored.auto_scores.stage, scored.post_scores.stage) == (
+            "auto", "post_review")
+        assert dataclasses.replace(scored.post_scores, stage="auto") == \
+            scored.auto_scores
