@@ -8,13 +8,14 @@ payload stays on disk for longitudinal diffs.
 """
 
 import hashlib
+import http.client
 import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from urllib.error import HTTPError
 from urllib.parse import urlparse
-
-import requests
+from urllib.request import Request, urlopen
 
 from . import inputs
 from .errors import CorpusError, FetchError
@@ -25,6 +26,9 @@ PAYLOADS_DIR = "payloads"
 
 _ENTRY_FIELDS = ("platform", "source_url", "retrieved_at", "content_digest",
                  "payload_path", "media_kind")
+
+# Longer waits overflow the C time types behind time.sleep and sockets.
+MAX_SECONDS = 86400
 
 
 @dataclass
@@ -64,39 +68,32 @@ def new_manifest():
     return CorpusManifest(created_at=utc_now_iso())
 
 
-def _atomic_write(path, data):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
-def fetch_snapshot(url, timeout=30, platform=None, user_agent=None,
-                   session=None):
-    """Fetch a URL; returns (SnapshotEntry, payload bytes).
+def fetch_snapshot(url, timeout=30, platform=None, user_agent=None):
+    """Fetch a URL, following redirects; returns (SnapshotEntry, payload).
 
     The entry's payload_path is empty until store_snapshot assigns it.
     """
-    parsed = urlparse(url)
+    try:
+        parsed = urlparse(url)
+    except ValueError:
+        raise FetchError(url, "invalid url") from None
     if parsed.scheme not in ("http", "https") or not parsed.netloc:
         raise FetchError(url, "invalid url")
-    headers = {}
-    if user_agent:
-        headers["User-Agent"] = user_agent
-    getter = session.get if session is not None else requests.get
+    headers = {"User-Agent": user_agent} if user_agent else {}
+    # urlopen raises HTTPError for each non-2xx status it does not redirect.
     try:
-        response = getter(url, timeout=timeout, headers=headers)
-    except requests.Timeout:
-        raise FetchError(url, "timeout") from None
-    except requests.RequestException as exc:
-        raise FetchError(url, "network failure", str(exc)) from None
-    if not 200 <= response.status_code < 300:
-        raise FetchError(url, f"http status {response.status_code}")
-    payload = response.content
-    content_type = response.headers.get("Content-Type", "")
+        with urlopen(Request(url, headers=headers), timeout=timeout) as response:
+            payload = response.read()
+            content_type = response.headers.get("Content-Type", "")
+    except HTTPError as exc:
+        exc.close()
+        raise FetchError(url, f"http status {exc.code}") from None
+    except http.client.InvalidURL:
+        raise FetchError(url, "invalid url") from None
+    except (OSError, http.client.HTTPException) as exc:
+        timed_out = isinstance(getattr(exc, "reason", exc), TimeoutError)
+        raise FetchError(url, "timeout" if timed_out else "network failure",
+                         str(exc)) from None
     media_kind = "html" if "html" in content_type.lower() else "plain_text"
     if platform is None:
         platform = parsed.netloc.replace(".", "_")
@@ -135,7 +132,7 @@ def store_snapshot(manifest, entry, payload, corpus_dir):
             raise CorpusError(
                 f"retrieved_at regresses for platform {entry.platform!r}")
     entry.payload_path = payload_relpath(entry)
-    _atomic_write(os.path.join(corpus_dir, entry.payload_path), payload)
+    inputs.write_atomic(os.path.join(corpus_dir, entry.payload_path), payload)
     if current is not None:
         manifest.entries = [e for e in manifest.entries
                             if e.platform != entry.platform]
@@ -189,7 +186,7 @@ def manifest_from_dict(data):
 
 
 def save_manifest(manifest, path):
-    _atomic_write(path, inputs.canonical_json(
+    inputs.write_atomic(path, inputs.canonical_json(
         manifest_to_dict(manifest)).encode("utf-8"))
 
 
@@ -220,17 +217,6 @@ def read_payload(corpus_dir, entry):
     return payload
 
 
-def verify_corpus(manifest, corpus_dir):
-    """Digest-check every entry; returns a list of problem strings."""
-    problems = []
-    for entry in manifest.entries:
-        try:
-            read_payload(corpus_dir, entry)
-        except CorpusError as exc:
-            problems.append(str(exc))
-    return problems
-
-
 def load_corpus_config(path=None):
     """Load and check a fetch config; defaults to the shipped one."""
     config = inputs.read_json(path or inputs.shipped("corpus_default.json"),
@@ -242,11 +228,24 @@ def load_corpus_config(path=None):
                 isinstance(target.get(k), str) for k in ("platform", "url"))):
             raise CorpusError(f"corpus config platforms[{i}]: "
                               "needs string 'platform' and 'url'")
+    # type() in (int, float) rules out the JSON booleans.
+    delay = config.setdefault("request_delay_s", 1.0)
+    if not (type(delay) in (int, float) and 0 <= delay <= MAX_SECONDS):
+        raise CorpusError("corpus config request_delay_s: must be a number "
+                          f"of seconds from 0 to {MAX_SECONDS}")
+    timeout = config.setdefault("timeout_s", 30)
+    if not (type(timeout) in (int, float) and 0 < timeout <= MAX_SECONDS):
+        raise CorpusError("corpus config timeout_s: must be a number of "
+                          f"seconds above 0 and at most {MAX_SECONDS}")
+    ua = config.get("user_agent", "")
+    if not (isinstance(ua, str) and ua.isascii() and ua.isprintable()):
+        raise CorpusError("corpus config user_agent: must be a string of "
+                          "printable ASCII characters")
     return config
 
 
 def fetch_all(config, corpus_dir, platform=None, sleeper=time.sleep):
-    """Fetch configured platforms into the corpus.
+    """Fetch the platforms of a load_corpus_config config into the corpus.
 
     Returns a list of (platform, status, detail) where status is one
     of stored, unchanged, or error. A per-host politeness delay runs
@@ -254,8 +253,7 @@ def fetch_all(config, corpus_dir, platform=None, sleeper=time.sleep):
     """
     manifest = load_or_create_manifest(corpus_dir)
     user_agent = config.get("user_agent")
-    delay = float(config.get("request_delay_s", 1.0))
-    timeout = float(config.get("timeout_s", 30))
+    delay = config["request_delay_s"]
     targets = [p for p in config["platforms"]
                if platform is None or p["platform"] == platform]
     if platform is not None and not targets:
@@ -267,7 +265,7 @@ def fetch_all(config, corpus_dir, platform=None, sleeper=time.sleep):
         name = target["platform"]
         try:
             entry, payload = fetch_snapshot(
-                target["url"], timeout=timeout, platform=name,
+                target["url"], timeout=config["timeout_s"], platform=name,
                 user_agent=user_agent)
             manifest, stored = store_snapshot(
                 manifest, entry, payload, corpus_dir)

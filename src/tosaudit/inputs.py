@@ -75,3 +75,17 @@ def write_text(path, text):
             fh.write(text)
     except OSError as exc:
         raise TosAuditError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def write_atomic(path, data):
+    """Write bytes to path through a .tmp file and a rename, making parents."""
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise TosAuditError(f"cannot write {path}: {exc.strerror}") from None

@@ -44,13 +44,31 @@ def fixture_corpus(tmp_path_factory):
     return build_fixture_corpus(root)
 
 
+# path: (status, body, headers) of answers that do not change.
+_FIXED_ANSWERS = {
+    "/redirect": (302, b"", {"Location": "/tos/bluesky"}),
+    "/no-type": (200, b"no content type", {}),
+    "/truncated": (200, b"cut short",
+                   {"Content-Type": "text/plain", "Content-Length": "1000"}),
+}
+
+
 class _FixtureHandler(BaseHTTPRequestHandler):
-    """Serves the fixture documents at /tos/<platform>."""
+    """Serves the fixture documents at /tos/<platform>.
+
+    The headers of the latest request are kept in last_headers.
+    """
+
+    last_headers = {}
 
     def do_GET(self):
+        type(self).last_headers = dict(self.headers)
+        if self.path in _FIXED_ANSWERS:
+            self._send(*_FIXED_ANSWERS[self.path])
+            return
         if self.path == "/slow":
             time.sleep(2)
-            self._send(200, "text/plain", b"finally")
+            self._send(200, b"finally", {"Content-Type": "text/plain"})
             return
         if self.path.startswith("/tos/"):
             platform = self.path[len("/tos/"):]
@@ -59,17 +77,18 @@ class _FixtureHandler(BaseHTTPRequestHandler):
                 media_kind, text = doc
                 ctype = ("text/html; charset=utf-8" if media_kind == "html"
                          else "text/plain; charset=utf-8")
-                self._send(200, ctype, text.encode("utf-8"))
+                self._send(200, text.encode("utf-8"), {"Content-Type": ctype})
                 return
-        self._send(404, "text/plain", b"not found")
+        self._send(404, b"not found", {"Content-Type": "text/plain"})
 
-    def _send(self, status, ctype, body):
+    def _send(self, status, body, headers):
         # A client that times out (see test_timeout) has hung up by the
         # time /slow answers; the late write is expected to fail.
         try:
             self.send_response(status)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(body)))
+            for name, value in {"Content-Length": str(len(body)),
+                                **headers}.items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):

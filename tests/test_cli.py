@@ -188,6 +188,17 @@ class TestFetch:
         assert_fatal(outcome, "corpus config platforms[0]")
         assert not (tmp_path / "corpus").exists()
 
+    def test_unwritable_corpus_is_fatal(self, runner, http_base, tmp_path):
+        config = {"request_delay_s": 0, "platforms": [
+            {"platform": "bluesky", "url": f"{http_base}/tos/bluesky"}]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        (tmp_path / "afile").write_text("")
+        outcome = runner.invoke(main, [
+            "fetch", "--config", str(config_path),
+            "--corpus", str(tmp_path / "afile" / "sub")])
+        assert_fatal(outcome, "cannot write")
+
 
 class TestReview:
     def test_export_and_apply(self, analyzed, runner, tmp_path):
@@ -420,6 +431,17 @@ def _bytes_file(tmp_path, content, name="input.json"):
     return path
 
 
+def _fetch_with(**fields):
+    """fetch with a config whose one URL is on localhost, plus fields."""
+    def case(tmp_path, results_path):
+        config = {"platforms": [
+            {"platform": "local", "url": "http://localhost:9/tos"}], **fields}
+        path = _bytes_file(tmp_path, json.dumps(config).encode())
+        return ["fetch", "--config", str(path),
+                "--corpus", str(tmp_path / "corpus")]
+    return case
+
+
 # One case per bad input: (argv builder, exit code, message in stderr).
 FAIL_CLOSED_CASES = {
     "table_results_list": (
@@ -511,6 +533,24 @@ FAIL_CLOSED_CASES = {
                           str(_bytes_file(tmp, b'{"\xff": 1}')),
                           "--corpus", str(tmp / "corpus")],
         2, "malformed corpus config file"),
+    "request_delay_s_is_string": (
+        _fetch_with(request_delay_s="x"),
+        2, "corpus config request_delay_s"),
+    "request_delay_s_is_bool": (
+        _fetch_with(request_delay_s=True),
+        2, "corpus config request_delay_s"),
+    "timeout_s_negative": (
+        _fetch_with(timeout_s=-1),
+        2, "corpus config timeout_s"),
+    "timeout_s_past_a_day": (
+        _fetch_with(timeout_s=1e10),
+        2, "corpus config timeout_s"),
+    "user_agent_is_number": (
+        _fetch_with(user_agent=5),
+        2, "corpus config user_agent"),
+    "user_agent_has_newline": (
+        _fetch_with(user_agent="bot\nX-Injected: 1"),
+        2, "corpus config user_agent"),
     "payload_path_is_directory": (
         _manifest_edit(lambda manifest: {**manifest, "entries": [
             {**manifest["entries"][0], "payload_path": "payloads"}]}),
@@ -676,12 +716,46 @@ class TestAnyBytes:
             str(lexdir), "--out", str(tmp_path / "r.json")]))
 
 
+def _tomllib():
+    if sys.version_info >= (3, 11):
+        import tomllib
+        return tomllib
+    return pytest.importorskip("tomli")
+
+
+def _env_with_src():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(tosaudit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_help(self, runner):
         outcome = runner.invoke(main, ["--help"])
         assert outcome.exit_code == 0
         for command in ("fetch", "analyze", "review", "assess", "report"):
             assert command in outcome.output
+
+    def test_cold_import_needs_only_click(self):
+        """Importing the CLI loads no third-party module but click."""
+        probe = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import tosaudit.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert set(json.loads(completed.stdout)) <= {"click", "tosaudit"}
+
+        with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+            project = _tomllib().load(handle)["project"]
+        assert project["dependencies"] == ["click>=8.0"]
 
     def test_console_script_installed(self):
         """The packaging gives a working `tosaudit` console script.
@@ -690,24 +764,16 @@ class TestEntryPoint:
         run the way an installed wrapper runs it. Where the distribution is
         installed, the wrapper must also be on PATH with that entry point.
         """
-        if sys.version_info >= (3, 11):
-            import tomllib
-        else:
-            tomllib = pytest.importorskip("tomli")
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
-            declared = tomllib.load(handle)["project"]["scripts"]["tosaudit"]
+            declared = _tomllib().load(handle)["project"]["scripts"]["tosaudit"]
 
         entry_point = importlib.metadata.EntryPoint(
             name="tosaudit", value=declared, group="console_scripts")
         assert entry_point.load() is main
 
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(tosaudit.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src_dir, env.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-c", _CONSOLE_WRAPPER, declared, "--help"],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
         for command in ("fetch", "analyze", "review", "assess", "report"):
             assert command in completed.stdout

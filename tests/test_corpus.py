@@ -1,15 +1,17 @@
 import json
 import socket
+import sys
 
 import pytest
 
 import fixture_docs
+from conftest import _FixtureHandler
 from tosaudit import corpus
 from tosaudit.corpus import (
     CorpusManifest, SnapshotEntry, digest_bytes, fetch_all,
     fetch_snapshot, load_corpus_config, load_manifest, manifest_from_dict,
     manifest_to_dict, new_manifest, read_payload, save_manifest,
-    store_snapshot, verify_corpus,
+    store_snapshot,
 )
 from tosaudit.errors import CorpusError, FetchError
 
@@ -191,17 +193,6 @@ class TestReadAndVerify:
         with pytest.raises(CorpusError, match="payload digest mismatch"):
             read_payload(str(tmp_path), entry)
 
-    def test_verify_clean_corpus(self, tmp_path):
-        manifest, _ = self.build(tmp_path)
-        assert verify_corpus(manifest, str(tmp_path)) == []
-
-    def test_verify_reports_problems(self, tmp_path):
-        manifest, entry = self.build(tmp_path)
-        (tmp_path / entry.payload_path).write_bytes(b"tampered")
-        problems = verify_corpus(manifest, str(tmp_path))
-        assert len(problems) == 1
-        assert "digest mismatch" in problems[0]
-
 
 class TestFetchSnapshot:
     def test_html_fetch(self, http_base):
@@ -225,7 +216,8 @@ class TestFetchSnapshot:
         with pytest.raises(FetchError, match="http status 404"):
             fetch_snapshot(f"{http_base}/tos/unknown")
 
-    @pytest.mark.parametrize("url", ["not a url", "ftp://example.org/x", "http://"])
+    @pytest.mark.parametrize("url", ["not a url", "ftp://example.org/x", "http://",
+                                     "http://[::1/x", "http://127.0.0.1/a b"])
     def test_invalid_url(self, url):
         with pytest.raises(FetchError, match="invalid url"):
             fetch_snapshot(url)
@@ -234,6 +226,27 @@ class TestFetchSnapshot:
         with pytest.raises(FetchError, match="timeout"):
             fetch_snapshot(f"{http_base}/slow", timeout=0.2)
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="needs a kernel that drops connections to a "
+                               "full accept queue")
+    def test_connect_timeout(self):
+        # urllib reports a timeout while connecting as URLError(reason=...).
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(0)
+        port = server.getsockname()[1]
+        fillers = [socket.socket() for _ in range(3)]
+        try:
+            for filler in fillers:
+                filler.setblocking(False)
+                filler.connect_ex(("127.0.0.1", port))
+            with pytest.raises(FetchError) as excinfo:
+                fetch_snapshot(f"http://127.0.0.1:{port}/x", timeout=0.5)
+            assert excinfo.value.cause == "timeout"
+        finally:
+            for sock in fillers + [server]:
+                sock.close()
+
     def test_connection_refused(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -241,6 +254,30 @@ class TestFetchSnapshot:
         probe.close()
         with pytest.raises(FetchError, match="network failure"):
             fetch_snapshot(f"http://127.0.0.1:{port}/x", timeout=2)
+
+    def test_user_agent_sent(self, http_base):
+        fetch_snapshot(f"{http_base}/tos/bluesky", user_agent="audit-bot/1")
+        assert _FixtureHandler.last_headers["User-Agent"] == "audit-bot/1"
+
+    def test_asks_for_uncompressed_body(self, http_base):
+        fetch_snapshot(f"{http_base}/tos/bluesky")
+        assert _FixtureHandler.last_headers.get(
+            "Accept-Encoding", "identity") == "identity"
+
+    def test_redirect_followed(self, http_base):
+        entry, payload = fetch_snapshot(f"{http_base}/redirect")
+        assert payload == fixture_docs.DOCS["bluesky"][1].encode("utf-8")
+        assert entry.source_url == f"{http_base}/redirect"
+
+    def test_no_content_type_is_plain_text(self, http_base):
+        entry, payload = fetch_snapshot(f"{http_base}/no-type")
+        assert entry.media_kind == "plain_text"
+        assert payload == b"no content type"
+
+    def test_truncated_body_is_network_failure(self, http_base):
+        with pytest.raises(FetchError) as excinfo:
+            fetch_snapshot(f"{http_base}/truncated", timeout=5)
+        assert excinfo.value.cause == "network failure"
 
     def test_error_carries_url_and_cause(self, http_base):
         url = f"{http_base}/tos/unknown"
