@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from urllib.error import HTTPError
-from urllib.parse import urlparse
+from urllib.parse import quote, urlparse
 from urllib.request import Request, urlopen
 
 from . import inputs
@@ -80,15 +80,20 @@ def fetch_snapshot(url, timeout=30, platform=None, user_agent=None):
     if parsed.scheme not in ("http", "https") or not parsed.netloc:
         raise FetchError(url, "invalid url")
     headers = {"User-Agent": user_agent} if user_agent else {}
+    # Percent-encode spaces and non-ASCII characters as requests did,
+    # keeping escapes and reserved characters; urllib IDNA-encodes the host.
+    request = Request(parsed._replace(**{
+        part: quote(getattr(parsed, part), safe="!#$%&'()*+,/:;=?@[]~")
+        for part in ("path", "params", "query")}).geturl(), headers=headers)
     # urlopen raises HTTPError for each non-2xx status it does not redirect.
     try:
-        with urlopen(Request(url, headers=headers), timeout=timeout) as response:
+        with urlopen(request, timeout=timeout) as response:
             payload = response.read()
             content_type = response.headers.get("Content-Type", "")
     except HTTPError as exc:
         exc.close()
         raise FetchError(url, f"http status {exc.code}") from None
-    except http.client.InvalidURL:
+    except (ValueError, http.client.InvalidURL):  # e.g. a bad IDNA host
         raise FetchError(url, "invalid url") from None
     except (OSError, http.client.HTTPException) as exc:
         timed_out = isinstance(getattr(exc, "reason", exc), TimeoutError)

@@ -47,6 +47,9 @@ def fixture_corpus(tmp_path_factory):
 # path: (status, body, headers) of answers that do not change.
 _FIXED_ANSWERS = {
     "/redirect": (302, b"", {"Location": "/tos/bluesky"}),
+    "/redirect308": (308, b"", {"Location": "/tos/bluesky"}),
+    "/t%C3%A9rminos%20de%20uso": (200, b"encoded path",
+                                  {"Content-Type": "text/plain"}),
     "/no-type": (200, b"no content type", {}),
     "/truncated": (200, b"cut short",
                    {"Content-Type": "text/plain", "Content-Length": "1000"}),

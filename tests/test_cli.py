@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import click
@@ -716,13 +717,6 @@ class TestAnyBytes:
             str(lexdir), "--out", str(tmp_path / "r.json")]))
 
 
-def _tomllib():
-    if sys.version_info >= (3, 11):
-        import tomllib
-        return tomllib
-    return pytest.importorskip("tomli")
-
-
 def _env_with_src():
     """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
@@ -754,7 +748,7 @@ class TestEntryPoint:
         assert set(json.loads(completed.stdout)) <= {"click", "tosaudit"}
 
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
-            project = _tomllib().load(handle)["project"]
+            project = tomllib.load(handle)["project"]
         assert project["dependencies"] == ["click>=8.0"]
 
     def test_console_script_installed(self):
@@ -765,7 +759,7 @@ class TestEntryPoint:
         installed, the wrapper must also be on PATH with that entry point.
         """
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
-            declared = _tomllib().load(handle)["project"]["scripts"]["tosaudit"]
+            declared = tomllib.load(handle)["project"]["scripts"]["tosaudit"]
 
         entry_point = importlib.metadata.EntryPoint(
             name="tosaudit", value=declared, group="console_scripts")
