@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from . import inputs
 from .errors import LexiconError
 from .matching import PhraseMatcher
+from .textprep import TokenView
 
 CATEGORIES = ("uncertainty", "actor_ambiguity", "scope_ambiguity", "other")
 
@@ -115,7 +116,8 @@ def scan_vague_terms(doc, lex, matcher=None):
     matches = []
     for sentence in doc.sentences:
         base = sentence.char_span[0]
-        for start, end, canonical, _surface in matcher.find(sentence.text):
+        view = TokenView(sentence.text, sentence.tokens)
+        for start, end, canonical, _surface in matcher.find(view):
             matches.append(
                 (sentence.index, (base + start, base + end), canonical))
             per_term[canonical] = per_term.get(canonical, 0) + 1

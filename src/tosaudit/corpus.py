@@ -8,14 +8,11 @@ payload stays on disk for longitudinal diffs.
 """
 
 import hashlib
-import http.client
 import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from urllib.error import HTTPError
 from urllib.parse import quote, urlparse
-from urllib.request import Request, urlopen
 
 from . import inputs
 from .errors import CorpusError, FetchError
@@ -73,6 +70,12 @@ def fetch_snapshot(url, timeout=30, platform=None, user_agent=None):
 
     The entry's payload_path is empty until store_snapshot assigns it.
     """
+    # Imported here: http.client pulls in email and ssl, which no other
+    # command needs.
+    import http.client
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
     try:
         parsed = urlparse(url)
     except ValueError:

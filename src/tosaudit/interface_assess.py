@@ -165,7 +165,7 @@ def suggest_evidence(doc, cues):
         matchers[metric] = matcher
     suggestions = {metric: [] for metric in cues}
     for sentence in doc.sentences:
-        view = TokenView(sentence.text)
+        view = TokenView(sentence.text, sentence.tokens)
         for metric, matcher in matchers.items():
             hits = matcher.find(view)
             if hits:

@@ -10,8 +10,11 @@ Each matcher keeps a first-token index, in the spirit of Aho-Corasick
 multi-pattern matching: it maps the first token of every phrase to the
 lengths of the phrases that start with it, longest first. A scan probes
 the index once per token and builds a phrase key only where a phrase
-can start. Text arrives as a textprep.TokenView, so a sentence is
-tokenized once for every matcher that scans it.
+can start, and a sentence that holds no first token at all is passed
+over with one set test. Text arrives as a textprep.TokenView built
+from Sentence.tokens, so a segmented sentence is not tokenized again;
+the view finds character spans on first use, for a sentence with a
+match.
 """
 
 from .errors import LexiconError
@@ -51,6 +54,8 @@ class PhraseMatcher:
             view = TokenView(view)
         tokens = view.folded if self._fold_case else view.tokens
         first = self._first
+        if first.keys().isdisjoint(tokens):
+            return []
         table = self._table
         n = len(tokens)
         out = []

@@ -241,12 +241,14 @@ def _duration_ranges(folded_tokens, units):
             if tail in units and head and _is_number_token(head):
                 ranges.append((i, i))
                 continue
-        if not _is_number_token(tok):
+        if i + 1 < n and folded_tokens[i + 1] in units:
+            j = i + 1
+        elif i + 2 < n and folded_tokens[i + 2] in units:
+            j = i + 2
+        else:
             continue
-        for j in (i + 1, i + 2):
-            if j < n and folded_tokens[j] in units:
-                ranges.append((i, j))
-                break
+        if _is_number_token(tok):
+            ranges.append((i, j))
     return ranges
 
 
@@ -257,7 +259,7 @@ def detect_data_types(sentence, lex, platform="", view=None):
     """
     lex = ensure_compiled(lex)
     if view is None:
-        view = TokenView(sentence.text)
+        view = TokenView(sentence.text, sentence.tokens)
     findings = []
     seen = set()
     for start, end, phrase, _surface in lex.dt_matcher.find(view):
@@ -285,7 +287,7 @@ def detect_entities(sentence, lex, platform="", view=None):
     lex = ensure_compiled(lex)
     text = sentence.text
     if view is None:
-        view = TokenView(text)
+        view = TokenView(text, sentence.tokens)
     candidates = []
     taken = []
     for m in lex.suffix_re.finditer(text):
@@ -324,7 +326,7 @@ def classify_retention(sentence, lex, platform="", view=None):
     """
     lex = ensure_compiled(lex)
     if view is None:
-        view = TokenView(sentence.text)
+        view = TokenView(sentence.text, sentence.tokens)
     folded = view.folded
     verb_positions = [i for i, tok in enumerate(folded)
                       if tok in lex.retention_verb_forms]
@@ -370,7 +372,7 @@ def classify_sharing(sentence, lex, platform="", view=None):
     """
     lex = ensure_compiled(lex)
     if view is None:
-        view = TokenView(sentence.text)
+        view = TokenView(sentence.text, sentence.tokens)
     if lex.sharing_verb_forms.isdisjoint(view.folded):
         return "none", None
 
@@ -403,7 +405,7 @@ def analyze_document(doc, lex):
     findings = []
     platform = doc.platform
     for sentence in doc.sentences:
-        view = TokenView(sentence.text)
+        view = TokenView(sentence.text, sentence.tokens)
         findings.extend(detect_data_types(sentence, lex, platform, view))
         findings.extend(detect_entities(sentence, lex, platform, view))
         _, finding = classify_retention(sentence, lex, platform, view)

@@ -4,7 +4,7 @@ Produces static scatter and grouped-bar charts. This is a rendering
 convenience for the data files, not a plotting library.
 """
 
-from xml.sax.saxutils import escape
+import html
 
 WIDTH = 840
 HEIGHT = 520
@@ -14,6 +14,15 @@ MARGIN_TOP = 50
 MARGIN_BOTTOM = 60
 
 _SERIES_COLORS = ("#4878a8", "#d9823b", "#5a9e5a", "#b05a5a", "#8668a8")
+
+
+def escape(text):
+    """Text content with &, < and > escaped, as xml.sax.saxutils does.
+
+    xml.sax.saxutils would import urllib.request, and with it http.client,
+    email and ssl, into every command that imports the report module.
+    """
+    return html.escape(text, quote=False)
 
 
 def _fmt(value):

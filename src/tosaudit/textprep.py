@@ -27,6 +27,8 @@ ABBREVIATIONS = frozenset({
 
 _SENT_END_RE = re.compile(r"[.!?]+")
 _SPACE_RE = re.compile(r"\s+")
+# A whitespace run that holds a blank line: a paragraph break.
+_BLANK_LINE_RE = re.compile(r"\s*\n\s*\n\s*")
 _OPENING_QUOTES = "\"'“‘"
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -67,11 +69,8 @@ class Document:
 
 def normalize_text(text):
     """Collapse whitespace; any run holding a blank line becomes '\n\n'."""
-
-    def repl(m):
-        return "\n\n" if m.group(0).count("\n") >= 2 else " "
-
-    return re.sub(r"\s+", repl, text).strip()
+    return "\n\n".join(
+        " ".join(part.split()) for part in _BLANK_LINE_RE.split(text)).strip()
 
 
 def extract_text(payload, media_kind, extraction_config=None, platform=None):
@@ -124,23 +123,27 @@ def load_extraction_config(path):
 
 
 class TokenView:
-    """Word tokens of one text from a single WORD_RE pass.
+    """Word tokens of one text, with their lowercased forms in folded.
 
-    tokens keep their case and folded holds their lowercased forms.
-    Views are built per sentence and dropped after use; they are not
-    stored on a Sentence, whose documents live until serialization.
+    A sentence's view reuses Sentence.tokens, so building it runs no
+    regex. Character spans are found with one WORD_RE pass the first
+    time span() is called, which happens only for a sentence with a
+    match. Views are built per sentence and dropped after use; they are
+    not stored on a Sentence, whose documents live until serialization.
     """
 
     __slots__ = ("text", "_matches", "tokens", "folded")
 
-    def __init__(self, text):
+    def __init__(self, text, tokens=None):
         self.text = text
-        self._matches = list(WORD_RE.finditer(text))
-        self.tokens = list(map(re.Match.group, self._matches))
+        self.tokens = WORD_RE.findall(text) if tokens is None else tokens
         self.folded = list(map(str.lower, self.tokens))
+        self._matches = None
 
     def span(self, first, last):
         """Character span from token first through token last."""
+        if self._matches is None:
+            self._matches = list(WORD_RE.finditer(self.text))
         return self._matches[first].start(), self._matches[last].end()
 
 
@@ -276,8 +279,11 @@ def compute_doc_stats(sentences, syllable_overrides=None):
         word_count += n
         syllables = count_syllables(token, syllable_overrides)
         syllable_count += n * syllables
-        letter_count += n * sum(1 for ch in token if ch.isalpha())
-        character_count += n * sum(1 for ch in token if ch.isalnum())
+        letter_count += n * (len(token) if token.isalpha()
+                             else sum(1 for ch in token if ch.isalpha()))
+        # Every character of a token but its joiners is alphanumeric.
+        character_count += n * (len(token) - token.count("-")
+                                - token.count("'") - token.count("’"))
         if syllables >= 3:
             hard += n
     easy = word_count - hard

@@ -734,18 +734,25 @@ class TestEntryPoint:
             assert command in outcome.output
 
     def test_cold_import_needs_only_click(self):
-        """Importing the CLI loads no third-party module but click."""
+        """Importing the CLI loads no third-party module but click.
+
+        Nor does it load http.client (with email and ssl): only fetch
+        makes a request, so only fetch pays for importing it.
+        """
         probe = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
             "import tosaudit.cli\n"
             "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-            "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))\n")
+            "print(json.dumps([sorted(new - set(sys.stdlib_module_names)),\n"
+            "                  'http.client' in sys.modules]))\n")
         completed = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
-        assert set(json.loads(completed.stdout)) <= {"click", "tosaudit"}
+        third_party, http_client_loaded = json.loads(completed.stdout)
+        assert set(third_party) <= {"click", "tosaudit"}
+        assert not http_client_loaded
 
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
             project = tomllib.load(handle)["project"]

@@ -1,5 +1,6 @@
 import json
 import socket
+import urllib.request
 from urllib.error import URLError
 
 import pytest
@@ -230,7 +231,7 @@ class TestFetchSnapshot:
         # urllib reports a timeout while connecting as URLError(reason=...).
         def timed_out(*args, **kwargs):
             raise URLError(TimeoutError())
-        monkeypatch.setattr(corpus, "urlopen", timed_out)
+        monkeypatch.setattr(urllib.request, "urlopen", timed_out)
         with pytest.raises(FetchError) as excinfo:
             fetch_snapshot("http://127.0.0.1/x")
         assert excinfo.value.cause == "timeout"

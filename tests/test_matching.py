@@ -151,6 +151,7 @@ class TestIndexedFindMatchesReference:
         hits = matcher.find(text)
         assert hits == reference_find(table, text, fold_case)
         assert matcher.find(TokenView(text)) == hits
+        assert matcher.find(TokenView(text, WORD_RE.findall(text))) == hits
         for start, end, _payload, surface in hits:
             assert 0 <= start < end <= len(text)
             assert text[start:end] == surface

@@ -594,3 +594,39 @@ class TestEmptyReview:
             "auto", "post_review")
         assert dataclasses.replace(scored.post_scores, stage="auto") == \
             scored.auto_scores
+
+
+def reference_duration_ranges(folded_tokens, units):
+    """_duration_ranges as it was, testing every token for a number."""
+    ranges = []
+    n = len(folded_tokens)
+    for i, tok in enumerate(folded_tokens):
+        if "-" in tok:
+            head, _, tail = tok.rpartition("-")
+            if tail in units and head and specificity._is_number_token(head):
+                ranges.append((i, i))
+                continue
+        if not specificity._is_number_token(tok):
+            continue
+        for j in (i + 1, i + 2):
+            if j < n and folded_tokens[j] in units:
+                ranges.append((i, j))
+                break
+    return ranges
+
+
+_UNITS = frozenset(
+    u.lower() for u in load_specificity_lexicons().duration_units)
+_DURATION_TOKENS = st.lists(st.sampled_from([
+    "3", "30", "0", "thirty", "one", "thirty-one", "twenty-", "-five",
+    "30-day", "ninety-day", "thirty-one-year", "x-day", "-day", "3-",
+    "day", "days", "month", "years", "for", "up", "to", "we", "keep", "-",
+]), max_size=20)
+
+
+class TestDurationRanges:
+    @settings(deadline=None)
+    @given(tokens=_DURATION_TOKENS)
+    def test_matches_reference(self, tokens):
+        assert specificity._duration_ranges(tokens, _UNITS) == \
+            reference_duration_ranges(tokens, _UNITS)

@@ -248,11 +248,13 @@ class TestBuildDocument:
 
 # Words and gaps dense in what segmentation and counting react to:
 # terminators, abbreviations, decimals, quotes, blank lines, hyphens,
-# apostrophes, underscores, digits and non-ASCII letters.
+# apostrophes, underscores, digits, non-ASCII letters and numerals, and
+# a combining mark.
 _WORDS = st.sampled_from([
     "word", "Word", "university", "queue", "the", "3.5", "42", "Inc.",
     "e.g.", "Dr.", "U.S.", "(Inc.", "end.", "Why?!", "\"Quote", "don't",
-    "third-party", "x_y", "Éclair", "straße", "…",
+    "third-party", "x_y", "Éclair", "straße", "…", "it’s", "x²", "Ⅻ",
+    "e\u0301",
 ])
 _GAPS = st.sampled_from(
     ["", " ", "  ", "\u00a0", "\t", "\n", "\n\n", " \n \n "])
@@ -280,6 +282,23 @@ def reference_split_points(para):
             continue
         points.append((end, nxt))
     return points
+
+
+def reference_normalize_text(text):
+    """normalize_text as it was, with one callback per whitespace run."""
+
+    def repl(m):
+        return "\n\n" if m.group(0).count("\n") >= 2 else " "
+
+    return re.sub(r"\s+", repl, text).strip()
+
+
+# Every kind of whitespace: ASCII, a file separator, a no-break space
+# and a Unicode line separator, none of them a newline but "\n".
+_WHITESPACE_TEXTS = st.text(alphabet=" \n\t\r\x0b\x1c\xa0\u2028ab")
+# Letters, digits, numerals, joiners, an underscore, separators and a
+# combining mark, which is not a word character.
+_TOKEN_TEXTS = st.text(alphabet="aZéß2²Ⅻ'’-_ .,\n\u0301")
 
 
 _MARKUP = st.lists(st.one_of(
@@ -348,3 +367,21 @@ class TestProperties:
     @given(para=_TEXTS)
     def test_split_points_match_reference(self, para):
         assert textprep._split_points(para) == reference_split_points(para)
+
+    @settings(deadline=None, max_examples=500)
+    @given(text=_WHITESPACE_TEXTS)
+    @example(text="a \n\t\n b\u2028\n\xa0\nc")
+    @example(text="a\r\nb\u2028\u2028c\r\rd")
+    def test_normalize_matches_reference(self, text):
+        assert textprep.normalize_text(text) == reference_normalize_text(text)
+
+    @settings(deadline=None)
+    @given(text=_TOKEN_TEXTS, data=st.data())
+    def test_view_spans_match_finditer(self, text, data):
+        spans = [m.span() for m in textprep.WORD_RE.finditer(text)]
+        view = textprep.TokenView(text, textprep.WORD_RE.findall(text))
+        if not spans:
+            return
+        first = data.draw(st.integers(0, len(spans) - 1))
+        last = data.draw(st.integers(first, len(spans) - 1))
+        assert view.span(first, last) == (spans[first][0], spans[last][1])
