@@ -75,12 +75,12 @@ def analyze(corpus_dir, lexicons_dir, out_path, classic_lensear):
     out_dir = os.path.dirname(out_path) or "."
     if not os.path.isdir(out_dir):
         raise TosAuditError(f"cannot write {out_path}: no directory {out_dir}")
-    results, failures = pipeline.run_pipeline(
+    records, failures = pipeline.run_pipeline(
         corpus_dir, lexicons_dir=lexicons_dir,
         classic_lensear=classic_lensear)
     pipeline.save_results(
-        pipeline.results_payload(results, failures), out_path)
-    click.echo(f"analyzed {len(results)} platform(s), "
+        pipeline.results_payload(records, failures), out_path)
+    click.echo(f"analyzed {len(records)} platform(s), "
                f"{len(failures)} failure(s) -> {out_path}")
     for platform, message in failures:
         click.echo(f"failed {platform}: {message}", err=True)

@@ -194,8 +194,11 @@ class CompiledLexicons:
         suffix_alt = "|".join(sorted(
             (re.escape(s) for s in lex.corporate_suffixes),
             key=len, reverse=True))
-        self.suffix_re = re.compile(
-            rf"\b{name_part}(?:\s+{name_part})*,?\s+(?:{suffix_alt})\b\.?")
+        name_run = rf"\b{name_part}(?:\s+{name_part})*"
+        # The second branch takes a run with no suffix after it whole, so
+        # finditer tries each run once; see corporate_names.
+        self.corporate_re = re.compile(
+            rf"{name_run},?\s+(?:{suffix_alt})\b\.?|{name_run}(?P<bare>)")
         self.descriptors = {d.lower() for d in lex.generic_descriptors}
         self.retention_verb_forms = set()
         for verb in lex.retention_verbs:
@@ -216,6 +219,20 @@ class CompiledLexicons:
         self.negation_matcher = PhraseMatcher(fold_case=True)
         for cue in lex.negation_cues:
             self.negation_matcher.add(cue, cue)
+
+    def corporate_names(self, text):
+        """Corporate names: capitalized words, an optional comma, a suffix.
+
+        Without the bare branch, finditer would try the first branch at
+        every capitalized word of a run, each try scanning the rest of
+        the run: quadratic in an ALL-CAPS clause. A match from a later
+        word of a run extends to one from the run's first word, and
+        greedy repetition makes that one reach at least as far, so once
+        the first word is tried nothing before the end of the run (or
+        of the match) can match, and the bare branch may skip it.
+        """
+        return [m for m in self.corporate_re.finditer(text)
+                if m["bare"] is None]
 
 
 def ensure_compiled(lex):
@@ -290,7 +307,7 @@ def detect_entities(sentence, lex, platform="", view=None):
         view = TokenView(text, sentence.tokens)
     candidates = []
     taken = []
-    for m in lex.suffix_re.finditer(text):
+    for m in lex.corporate_names(text):
         surface = m.group(0)
         taken.append((m.start(), m.end()))
         candidates.append((m.start(), m.end(), surface))

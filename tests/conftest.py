@@ -1,3 +1,4 @@
+import copy
 import json
 import threading
 import time
@@ -113,12 +114,20 @@ def http_base():
 
 
 @pytest.fixture(scope="session")
-def pipeline_run(fixture_corpus):
-    results, failures = pipeline.run_pipeline(str(fixture_corpus))
-    return results, failures
+def fixture_corpus_run(fixture_corpus):
+    return pipeline.run_pipeline(str(fixture_corpus))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
+def pipeline_run(fixture_corpus_run):
+    """(records, failures) of the fixture corpus, a copy for each test.
+
+    apply_review_to_results revises the records of a payload in place.
+    """
+    return copy.deepcopy(fixture_corpus_run)
+
+
+@pytest.fixture
 def results_by_platform(pipeline_run):
-    results, _ = pipeline_run
-    return {r.platform: r for r in results}
+    records, _ = pipeline_run
+    return {r["platform"]: r for r in records}

@@ -758,6 +758,27 @@ class TestEntryPoint:
             project = tomllib.load(handle)["project"]
         assert project["dependencies"] == ["click>=8.0"]
 
+    def test_small_analyze_loads_no_multiprocessing(self, tmp_path):
+        """Below the pool's size floor, analyze runs without multiprocessing.
+
+        Neither the import nor the run of a small corpus pays for it.
+        """
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        probe = (
+            "import json, sys\n"
+            "import tosaudit.cli\n"
+            "imported = 'multiprocessing' in sys.modules\n"
+            "tosaudit.cli.main(sys.argv[1:], standalone_mode=False)\n"
+            "print(json.dumps([imported, 'multiprocessing' in sys.modules]))\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe, "analyze", "--corpus",
+             str(corpus_dir), "--out", str(tmp_path / "results.json")],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert "analyzed 13 platform(s), 0 failure(s)" in completed.stdout
+        loaded = json.loads(completed.stdout.splitlines()[-1])
+        assert loaded == [False, False]
+
     def test_console_script_installed(self):
         """The packaging gives a working `tosaudit` console script.
 

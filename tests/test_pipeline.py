@@ -1,16 +1,19 @@
+import hashlib
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import fixture_docs
 from conftest import build_fixture_corpus
+from test_golden import RESULTS_SHA256
 from tosaudit import corpus, interface_assess, pipeline, specificity
 from tosaudit.errors import ReviewError, TosAuditError
 from tosaudit.pipeline import (
     apply_review_to_results, canonical_json, export_review_from_results,
-    load_results, result_to_dict, results_payload, run_pipeline,
-    save_results,
+    analyze_entry, load_results, results_payload, run_pipeline, save_results,
 )
 
 
@@ -28,17 +31,26 @@ def store_text(root, platform, text, media_kind="plain_text"):
     corpus.store_snapshot(manifest, entry, payload, str(root))
 
 
+def document_of(corpus_dir, platform):
+    """The Document analyze_entry builds for one platform of a corpus."""
+    manifest = corpus.load_manifest(str(corpus_dir / "manifest.json"))
+    entry = manifest.entry_for(platform)
+    payload = corpus.read_payload(str(corpus_dir), entry)
+    ctx = pipeline.PipelineContext(corpus_dir=str(corpus_dir))
+    return analyze_entry(entry, payload, ctx).document
+
+
 class TestFullRun:
     def test_thirteen_results_no_failures(self, pipeline_run):
         results, failures = pipeline_run
         assert failures == []
-        assert [r.platform for r in results] == list(fixture_docs.PLATFORMS)
+        assert [r["platform"] for r in results] == \
+            list(fixture_docs.PLATFORMS)
 
     def test_auto_counts_match_expected(self, results_by_platform):
+        keys = ("dt", "en", "re_explicit", "re_vague", "sg", "ss")
         got = {
-            p: (r.auto_counts.dt, r.auto_counts.en,
-                r.auto_counts.re_explicit, r.auto_counts.re_vague,
-                r.auto_counts.sg, r.auto_counts.ss)
+            p: tuple(r["specificity"]["auto"]["counts"][k] for k in keys)
             for p, r in results_by_platform.items()
         }
         assert got == fixture_docs.EXPECTED_AUTO
@@ -46,23 +58,25 @@ class TestFullRun:
     def test_post_equals_auto_before_review(self, pipeline_run):
         results, _ = pipeline_run
         for r in results:
-            assert r.post_counts == r.auto_counts
-            assert r.post_scores.composite == r.auto_scores.composite
-            assert r.auto_scores.stage == "auto"
-            assert r.post_scores.stage == "post_review"
+            auto = r["specificity"]["auto"]
+            post = r["specificity"]["post_review"]
+            assert post["counts"] == auto["counts"]
+            assert post["scores"]["composite"] == auto["scores"]["composite"]
+            assert auto["scores"]["stage"] == "auto"
+            assert post["scores"]["stage"] == "post_review"
 
     def test_interface_attached_everywhere(self, pipeline_run):
         results, _ = pipeline_run
         for r in results:
-            assert r.interface is not None
-            assert r.interface.explicit_denial == 1
-            assert r.interface.reversibility_cue == 1
+            assert r["interface"] is not None
+            assert r["interface"]["explicit_denial"] == 1
+            assert r["interface"]["reversibility_cue"] == 1
 
-    def test_html_boilerplate_stripped(self, results_by_platform):
-        instagram = results_by_platform["instagram"].document.text
+    def test_html_boilerplate_stripped(self, fixture_corpus):
+        instagram = document_of(fixture_corpus, "instagram").text
         assert "analyticsBootstrap" not in instagram
         assert "Cookies Policy" not in instagram
-        youtube = results_by_platform["youtube"].document.text
+        youtube = document_of(fixture_corpus, "youtube").text
         assert "Premium" not in youtube
         assert "comments" not in youtube
 
@@ -70,20 +84,21 @@ class TestFullRun:
                                            results_by_platform):
         manifest = corpus.load_manifest(str(fixture_corpus / "manifest.json"))
         for entry in manifest.entries:
-            assert results_by_platform[entry.platform].source_digest == \
+            assert results_by_platform[entry.platform]["source_digest"] == \
                 entry.content_digest
 
     def test_coverage_keys(self, pipeline_run):
         results, _ = pipeline_run
         for r in results:
-            assert set(r.coverage) == \
+            coverage = r["specificity"]["coverage"]
+            assert set(coverage) == \
                 {"data_type", "entity", "retention", "sharing"}
-            assert all(0.0 <= v <= 1.0 for v in r.coverage.values())
+            assert all(0.0 <= v <= 1.0 for v in coverage.values())
 
     def test_fluency_groups(self, results_by_platform):
-        fluency = results_by_platform["bluesky"].fluency
+        fluency = results_by_platform["bluesky"]["fluency"]
         assert set(fluency) == {"child_oral", "adult_oral", "adult_silent"}
-        wc = results_by_platform["bluesky"].document.stats.word_count
+        wc = results_by_platform["bluesky"]["doc_stats"]["word_count"]
         adult = fluency["adult_oral"]
         assert adult["minutes_low"] == pytest.approx(wc / 183)
         assert adult["minutes_high"] == pytest.approx(wc / 183)
@@ -94,7 +109,7 @@ class TestFailureModes:
         store_text(tmp_path, "blank", "   \n\n \t ")
         store_text(tmp_path, "fine", "This document is fine. It has words.")
         results, failures = run_pipeline(str(tmp_path))
-        assert [r.platform for r in results] == ["fine"]
+        assert [r["platform"] for r in results] == ["fine"]
         assert failures == [("blank", "degenerate document")]
 
     def test_invalid_assessment_keeps_result(self, tmp_path):
@@ -107,7 +122,7 @@ class TestFailureModes:
             str(tmp_path / pipeline.ASSESSMENTS_DIR), assessment)
         results, failures = run_pipeline(str(tmp_path))
         assert len(results) == 1
-        assert results[0].interface is None
+        assert results[0]["interface"] is None
         assert len(failures) == 1
         platform, message = failures[0]
         assert platform == "demo"
@@ -127,8 +142,8 @@ class TestFailureModes:
         adir.mkdir()
         (adir / "demo.json").write_bytes(content)
         results, failures = run_pipeline(str(tmp_path))
-        assert [r.platform for r in results] == ["demo", "fine"]
-        assert results[0].interface is None
+        assert [r["platform"] for r in results] == ["demo", "fine"]
+        assert results[0]["interface"] is None
         assert len(failures) == 1
         platform, message = failures[0]
         assert platform == "demo"
@@ -155,12 +170,13 @@ class TestFailureModes:
         results, failures = run_pipeline(str(tmp_path),
                                          lexicons_dir=str(lexdir))
         assert failures == []
-        clarity = results[0].clarity
+        clarity = results[0]["clarity"]
         # only the single custom term is scanned for
-        assert clarity.per_term_counts == {"gizmos": 1}
-        assert clarity.unique_terms == 1
+        assert clarity["per_term_counts"] == {"gizmos": 1}
+        assert clarity["unique_terms"] == 1
         # the four specificity files fall back to the shipped lexicons
-        assert results[0].auto_counts == results[0].post_counts
+        spec = results[0]["specificity"]
+        assert spec["auto"]["counts"] == spec["post_review"]["counts"]
 
     def test_lexicons_dir_with_only_sharing_json(self, tmp_path):
         store_text(tmp_path, "demo",
@@ -178,8 +194,9 @@ class TestFailureModes:
             results, failures = run_pipeline(str(tmp_path),
                                               lexicons_dir=lexicons_dir)
             assert failures == []
-            return [f.sentence_index for f in results[0].findings
-                    if f.detector == "sharing"]
+            return [f["sentence_index"]
+                    for f in results[0]["specificity"]["findings"]
+                    if f["detector"] == "sharing"]
 
         assert sharing_sentences(None) == [1]
         assert sharing_sentences(str(lexdir)) == [0]
@@ -196,7 +213,96 @@ class TestDeterminismAndOptions:
     def test_classic_lensear_changes_score(self, fixture_corpus):
         modern = run_pipeline(str(fixture_corpus))[0]
         classic = run_pipeline(str(fixture_corpus), classic_lensear=True)[0]
-        assert modern[0].profile.lensear != classic[0].profile.lensear
+        assert modern[0]["readability"]["scores"]["lensear"] != \
+            classic[0]["readability"]["scores"]["lensear"]
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """run_pipeline uses a pool of 2 workers for any corpus, on any host."""
+    monkeypatch.setattr(pipeline, "POOL_MIN_PAYLOAD_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def pooled_run(forced_pool, monkeypatch, tmp_path):
+    """run_pipeline on the pool; it checks that workers did every entry."""
+    pids = tmp_path / "pids"
+    entry_outcome = pipeline._entry_outcome
+
+    def recorded(*args):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return entry_outcome(*args)
+
+    monkeypatch.setattr(pipeline, "_entry_outcome", recorded)
+
+    def run(corpus_dir, **kwargs):
+        outcome = run_pipeline(str(corpus_dir), **kwargs)
+        workers = pids.read_text(encoding="utf-8").split()
+        pids.unlink()
+        assert str(os.getpid()) not in workers
+        return outcome
+
+    return run
+
+
+class TestPool:
+    def test_same_bytes_as_golden(self, fixture_corpus, pooled_run):
+        blob = canonical_json(results_payload(*pooled_run(fixture_corpus)))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == \
+            RESULTS_SHA256
+
+    def test_same_failures_as_serial(self, tmp_path, pooled_run):
+        root = build_fixture_corpus(tmp_path / "corpus")
+        entry = corpus.load_manifest(
+            str(root / "manifest.json")).entry_for("reddit")
+        (root / entry.payload_path).write_bytes(b"tampered")
+        (root / pipeline.ASSESSMENTS_DIR / "bluesky.json").write_text("{bad")
+        serial = run_pipeline(str(root))
+        pooled = pooled_run(root)
+        assert [p for p, _ in serial[1]] == ["bluesky", "reddit"]
+        assert serial[1][1][1] == \
+            "payload digest mismatch for platform 'reddit'"
+        assert pooled[1] == serial[1]
+        assert canonical_json(results_payload(*pooled)) == \
+            canonical_json(results_payload(*serial))
+
+    def test_dead_worker_fails_the_run(self, fixture_corpus, forced_pool,
+                                       monkeypatch):
+        def die(ctx, corpus_dir, entry):
+            os._exit(3)
+
+        monkeypatch.setattr(pipeline, "_entry_outcome", die)
+        with pytest.raises(BrokenProcessPool):
+            run_pipeline(str(fixture_corpus))
+
+    @pytest.mark.parametrize("cpus, floor, platforms, expected", [
+        ({0, 1, 2}, 0, 3, 3),
+        ({0, 1, 2}, 0, 2, 2),
+        ({0}, 0, 3, 1),
+        ({0, 1}, 0, 1, 1),
+        ({0, 1}, 10**9, 3, 1),
+    ])
+    def test_pool_size(self, tmp_path, monkeypatch, cpus, floor, platforms,
+                       expected):
+        monkeypatch.setattr(pipeline, "POOL_MIN_PAYLOAD_BYTES", floor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        for i in range(platforms):
+            store_text(tmp_path, f"p{i}", "Some words here.")
+        entries = corpus.load_manifest(str(tmp_path / "manifest.json")).entries
+        assert pipeline._pool_size(str(tmp_path), entries) == expected
+
+    def test_floor_counts_payload_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for platform in ("a", "b", "c"):
+            store_text(tmp_path, platform, "x" * 100)
+        manifest = corpus.load_manifest(str(tmp_path / "manifest.json"))
+        (tmp_path / manifest.entries[0].payload_path).unlink()
+        for floor, expected in ((200, 2), (201, 1)):
+            monkeypatch.setattr(pipeline, "POOL_MIN_PAYLOAD_BYTES", floor)
+            assert pipeline._pool_size(
+                str(tmp_path), manifest.entries) == expected
 
 
 class TestResultsFile:
@@ -217,7 +323,7 @@ class TestResultsFile:
             load_results(str(path))
 
     def test_result_dict_shape(self, results_by_platform):
-        d = result_to_dict(results_by_platform["bluesky"])
+        d = results_by_platform["bluesky"]
         assert d["platform"] == "bluesky"
         assert set(d["readability"]["scores"]) == {
             "flesch_reading_ease", "gunning_fog", "flesch_kincaid_grade",

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import json
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -630,3 +633,55 @@ class TestDurationRanges:
     def test_matches_reference(self, tokens):
         assert specificity._duration_ranges(tokens, _UNITS) == \
             reference_duration_ranges(tokens, _UNITS)
+
+
+def reference_suffix_re(lex):
+    """The corporate-name pattern, which detect_entities ran with finditer."""
+    name_part = r"[A-Z][A-Za-z0-9&'’.-]*"
+    suffix_alt = "|".join(sorted(
+        (re.escape(s) for s in lex.raw.corporate_suffixes),
+        key=len, reverse=True))
+    return re.compile(
+        rf"\b{name_part}(?:\s+{name_part})*,?\s+(?:{suffix_alt})\b\.?")
+
+
+_ENTITY_WORDS = st.sampled_from([
+    "Acme", "DATA", "Meta", "Platforms", "Google", "THE", "COMPANY", "O'Neil",
+    "A.B.", "X-Ray", "x.Foo", "Ab.cd.Bar", "Dé", "éFoo", "Inc", "Inc.",
+    "LLC", "Ltd", "Corp", "Corp.", "Corporation", "GmbH", "PLC",
+    "Incorporated", "Inc.com", "Inc-x", "& Co", "Co.", "s.a.", "and", "with",
+    "the", "partners", "vendors", "7", "(", ";",
+])
+_ENTITY_TEXT = st.lists(
+    st.tuples(_ENTITY_WORDS, st.sampled_from(["", ","]),
+              st.sampled_from([" ", " ", "  ", "\n", " , "])),
+    max_size=30).map(lambda parts: "".join(w + c + sep for w, c, sep in parts))
+# A lexicon's suffixes need not be capitalized words.
+_SUFFIX_SETS = {"shipped": None, "custom": ("Inc", "& Co", "s.a.", "Co")}
+
+
+class TestCorporateNames:
+    @pytest.mark.parametrize("suffixes", list(_SUFFIX_SETS.values()),
+                             ids=list(_SUFFIX_SETS))
+    @settings(deadline=None)
+    @given(text=_ENTITY_TEXT)
+    def test_matches_reference(self, lex, suffixes, text):
+        if suffixes is not None:
+            lex = specificity.CompiledLexicons(dataclasses.replace(
+                lex.raw, corporate_suffixes=suffixes))
+        old = reference_suffix_re(lex)
+        assert [m.span() for m in lex.corporate_names(text)] == \
+            [m.span() for m in old.finditer(text)]
+        oracle = copy.copy(lex)
+        oracle.corporate_names = old.finditer
+        sentence = textprep.Sentence(0, text, tuple(
+            textprep.tokenize_words(text)), (0, len(text)))
+        assert detect_entities(sentence, lex) == \
+            detect_entities(sentence, oracle)
+
+    def test_caps_run_is_linear(self, lex):
+        # suffix_re.finditer takes over a minute on this run.
+        text = " ".join(["LIABLE", "FOR", "ANY", "DAMAGES"] * 5000) + "."
+        start = time.perf_counter()
+        assert list(lex.corporate_names(text)) == []
+        assert time.perf_counter() - start < 2.0
