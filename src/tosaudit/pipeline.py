@@ -299,7 +299,9 @@ def apply_review_to_results(payload, review_path):
 
     Rebuilds each platform's post-review counts and scores from the
     human labels; auto values are recomputed from auto labels and stay
-    untouched by review actions. Returns the revised payload.
+    untouched by review actions. Returns a new payload whose records and
+    specificity blocks are new dicts; payload and its records are left
+    as they were, and the blocks a review does not touch are shared.
     """
     records = specificity_mod.parse_review_file(review_path)
     by_platform = {}
@@ -311,6 +313,7 @@ def apply_review_to_results(payload, review_path):
     for platform in by_platform:
         if platform not in known:
             raise ReviewError(f"unmatched review record: platform {platform!r}")
+    revised = []
     for result in payload["results"]:
         findings = [specificity_mod.finding_from_dict(d)
                     for d in result["specificity"]["findings"]]
@@ -318,5 +321,6 @@ def apply_review_to_results(payload, review_path):
             findings, by_platform.get(result["platform"], []))
         scored = specificity_mod.score_findings(
             findings, result["doc_stats"]["sentence_count"])
-        result["specificity"].update(_specificity_block(findings, scored))
-    return payload
+        revised.append({**result, "specificity": {
+            **result["specificity"], **_specificity_block(findings, scored)}})
+    return {**payload, "results": revised}

@@ -580,9 +580,8 @@ def export_review(findings, path, include_dt_en=False):
         "finding_count": len(records),
     }
     dicts = itertools.chain([header], map(finding_to_dict, records))
-    inputs.write_text(path, "".join(
-        json.dumps(d, sort_keys=True, ensure_ascii=False) + "\n"
-        for d in dicts))
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+    inputs.write_text(path, "".join(encode(d) + "\n" for d in dicts))
     return len(records)
 
 

@@ -1,4 +1,3 @@
-import copy
 import json
 import threading
 import time
@@ -114,17 +113,9 @@ def http_base():
 
 
 @pytest.fixture(scope="session")
-def fixture_corpus_run(fixture_corpus):
+def pipeline_run(fixture_corpus):
+    """(records, failures) of the fixture corpus, shared by every test."""
     return pipeline.run_pipeline(str(fixture_corpus))
-
-
-@pytest.fixture
-def pipeline_run(fixture_corpus_run):
-    """(records, failures) of the fixture corpus, a copy for each test.
-
-    apply_review_to_results revises the records of a payload in place.
-    """
-    return copy.deepcopy(fixture_corpus_run)
 
 
 @pytest.fixture

@@ -264,6 +264,37 @@ class TestReview:
         assert outcome.exit_code == 0, outcome.output
         assert out_path.read_bytes() == results_path.read_bytes()
 
+    def test_apply_keeps_deep_nesting(self, analyzed, tmp_path):
+        """A list 970 deep in fluency is read, applied and written back.
+
+        json.load rejects nesting from about 978 levels on (exit 2); the
+        writer, which recurses once per level, must not fail below that.
+        A fresh process has the stack depth of a real run.
+        """
+        payload = json.loads(analyzed[1].read_text(encoding="utf-8"))
+        deep = []
+        for _ in range(969):
+            deep = [deep]
+        payload["results"][0]["fluency"]["deep"] = deep
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2000)  # under pytest's own frames
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2,
+                              ensure_ascii=False) + "\n"
+        finally:
+            sys.setrecursionlimit(limit)
+        results_path = tmp_path / "deep.json"
+        results_path.write_text(text, encoding="utf-8")
+        review_path = _review_file(tmp_path)
+        out_path = tmp_path / "revised.json"
+        completed = subprocess.run(
+            [sys.executable, "-m", "tosaudit.cli", "review", "apply",
+             "--results", str(results_path), "--review", str(review_path),
+             "--out", str(out_path)],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert out_path.read_bytes() == results_path.read_bytes()
+
     def test_export_missing_results_is_fatal(self, runner, tmp_path):
         outcome = runner.invoke(main, [
             "review", "export", "--results", str(tmp_path / "nope.json"),
@@ -582,6 +613,32 @@ class TestFailClosed:
         outcome = runner.invoke(main, [
             "analyze", "--corpus", str(tmp_path), "--out", str(out)])
         assert_fatal(outcome, f"cannot write {out}")
+
+    @pytest.mark.parametrize("command", ["export", "apply"])
+    def test_lone_surrogate_leaves_out_untouched(self, analyzed, runner,
+                                                 tmp_path, command):
+        # "\ud800" is valid JSON and loads, but UTF-8 cannot encode it.
+        def edit(payload):
+            if command == "apply":
+                payload["results"][0]["source_digest"] = "\ud800"
+            else:
+                finding = next(
+                    f for r in payload["results"]
+                    for f in r["specificity"]["findings"]
+                    if f["detector"] == "sharing")
+                finding["sentence_text"] += "\ud800"
+            return payload
+
+        results = _results_with(analyzed[1], tmp_path, edit)
+        out = tmp_path / "out"
+        out.write_bytes(b"earlier output")
+        argv = (_export(results, out) if command == "export" else [
+            "review", "apply", "--results", str(results),
+            "--review", str(_review_file(tmp_path)), "--out", str(out)])
+        outcome = runner.invoke(main, argv)
+        assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
+        assert len(outcome.stderr) < 200
+        assert out.read_bytes() == b"earlier output"
 
 
 _JSON_VALUES = st.recursive(

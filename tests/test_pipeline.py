@@ -372,6 +372,25 @@ class TestReviewOverResults:
                 assert spec["auto"]["counts"] == \
                     spec["post_review"]["counts"]
 
+    def test_apply_leaves_the_run_records_unchanged(self, pipeline_run,
+                                                    tmp_path):
+        records, failures = pipeline_run
+        before = canonical_json(records)
+        payload = results_payload(records, failures)
+        out = tmp_path / "review.jsonl"
+        export_review_from_results(payload, str(out))
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        out.write_text("\n".join([header] + [
+            json.dumps({**json.loads(line), "human_label": "rejected"})
+            for line in lines]) + "\n", encoding="utf-8")
+        revised = apply_review_to_results(payload, str(out))
+        assert payload["results"] is records
+        assert canonical_json(records) == before
+        assert all(r["specificity"]["post_review"]["counts"]["ss"] == 0
+                   for r in revised["results"])
+        assert any(r["specificity"]["auto"]["counts"]["ss"] > 0
+                   for r in revised["results"])
+
     def test_unknown_platform_raises(self, pipeline_run, tmp_path):
         payload = results_payload(*pipeline_run)
         out = tmp_path / "review.jsonl"
