@@ -267,7 +267,7 @@ class TestReview:
     def test_apply_keeps_deep_nesting(self, analyzed, tmp_path):
         """A list 970 deep in fluency is read, applied and written back.
 
-        json.load rejects nesting from about 978 levels on (exit 2); the
+        json.load rejects nesting from about 977 levels on (exit 2); the
         writer, which recurses once per level, must not fail below that.
         A fresh process has the stack depth of a real run.
         """
@@ -637,7 +637,7 @@ class TestFailClosed:
             "--review", str(_review_file(tmp_path)), "--out", str(out)])
         outcome = runner.invoke(main, argv)
         assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
-        assert len(outcome.stderr) < 200
+        assert len(outcome.stderr) < len(str(out)) + 100
         assert out.read_bytes() == b"earlier output"
 
 
