@@ -1,16 +1,16 @@
 """Vague-term detection: density, diversity, and per-term frequencies.
 
-Scans each sentence with the shared phrase matcher, so matching is
-case-insensitive, word-bounded, longest-match-wins, and never crosses
-a sentence boundary. A multi-word match counts as one occurrence.
+Reads each sentence's vague-term matches from its scan by the shared
+lexicon index, so matching is case-insensitive, word-bounded,
+longest-match-wins, and never crosses a sentence boundary. A
+multi-word match counts as one occurrence.
 """
 
 from dataclasses import dataclass, field
 
 from . import inputs
 from .errors import LexiconError
-from .matching import PhraseMatcher
-from .textprep import TokenView
+from .matching import LexiconIndex
 
 CATEGORIES = ("uncertainty", "actor_ambiguity", "scope_ambiguity", "other")
 
@@ -95,29 +95,32 @@ def density_pct(vague_count, word_count):
     return 100.0 * vague_count / word_count
 
 
-def build_matcher(lex):
-    matcher = PhraseMatcher(fold_case=True)
+def index_terms(index, lex):
+    """Add lex to a LexiconIndex as "vague"; variants map to canonicals."""
     for term in lex.terms:
-        matcher.add(term.canonical, term.canonical)
+        index.add("vague", term.canonical, term.canonical)
         for variant in term.variants:
-            matcher.add(variant, term.canonical)
-    return matcher
+            index.add("vague", variant, term.canonical)
 
 
-def scan_vague_terms(doc, lex, matcher=None):
+def scan_vague_terms(doc, lex, views=None):
     """Scan a Document for vague terms and build its ClarityReport.
 
+    views are the sentences' views scanned by a LexiconIndex that holds
+    lex (see index_terms); without them the sentences are scanned here.
     Match spans are absolute offsets into doc.text. Variant hits are
     attributed to their canonical term.
     """
-    if matcher is None:
-        matcher = build_matcher(lex)
+    if views is None:
+        index = LexiconIndex()
+        index_terms(index, lex)
+        views = map(index.scan, doc.sentences)
     per_term = {}
     matches = []
-    for sentence in doc.sentences:
+    for sentence, view in zip(doc.sentences, views):
         base = sentence.char_span[0]
-        view = TokenView(sentence.text, sentence.tokens)
-        for start, end, canonical, _surface in matcher.find(view):
+        for first, last, canonical in view.hits.get("vague", ()):
+            start, end = view.span(first, last)
             matches.append(
                 (sentence.index, (base + start, base + end), canonical))
             per_term[canonical] = per_term.get(canonical, 0) + 1

@@ -85,18 +85,20 @@ def fetch_snapshot(url, timeout=30, platform=None, user_agent=None):
     headers = {"User-Agent": user_agent} if user_agent else {}
     # Percent-encode spaces and non-ASCII characters as requests did,
     # keeping escapes and reserved characters; urllib IDNA-encodes the host.
-    request = Request(parsed._replace(**{
-        part: quote(getattr(parsed, part), safe="!#$%&'()*+,/:;=?@[]~")
-        for part in ("path", "params", "query")}).geturl(), headers=headers)
     # urlopen raises HTTPError for each non-2xx status it does not redirect.
     try:
+        request = Request(parsed._replace(**{
+            part: quote(getattr(parsed, part), safe="!#$%&'()*+,/:;=?@[]~")
+            for part in ("path", "params", "query")}).geturl(),
+            headers=headers)
         with urlopen(request, timeout=timeout) as response:
             payload = response.read()
             content_type = response.headers.get("Content-Type", "")
     except HTTPError as exc:
         exc.close()
         raise FetchError(url, f"http status {exc.code}") from None
-    except (ValueError, http.client.InvalidURL):  # e.g. a bad IDNA host
+    except (ValueError, http.client.InvalidURL):
+        # A bad IDNA host, or a lone surrogate that quote cannot encode.
         raise FetchError(url, "invalid url") from None
     except (OSError, http.client.HTTPException) as exc:
         timed_out = isinstance(getattr(exc, "reason", exc), TimeoutError)

@@ -6,13 +6,11 @@ candidate evidentiary sentences from cue phrases. It never scores
 anything itself.
 """
 
-import os
 from dataclasses import asdict, dataclass, field
 
 from . import inputs
 from .errors import AssessmentError, LexiconError
-from .matching import PhraseMatcher
-from .textprep import TokenView
+from .matching import LexiconIndex
 
 # Metric name -> inclusive score range, in table column order.
 METRIC_RANGES = {
@@ -121,19 +119,6 @@ def load_assessment(path):
         inputs.read_json(path, AssessmentError, "assessment"))
 
 
-def store_assessment(dir_path, assessment, overwrite=False):
-    """Write an assessment file; refuses silent replacement."""
-    os.makedirs(dir_path, exist_ok=True)
-    path = os.path.join(dir_path, f"{assessment.platform}.json")
-    if os.path.exists(path) and not overwrite:
-        raise AssessmentError(
-            f"assessment for {assessment.platform!r} already exists "
-            "(pass overwrite to replace)")
-    inputs.write_text(path, inputs.canonical_json(
-        assessment_to_dict(assessment)))
-    return path
-
-
 def load_cue_lexicon(path=None):
     """Per-metric cue phrases; defaults to the shipped file."""
     data = inputs.read_json(path or inputs.shipped("interface_cues.json"),
@@ -157,20 +142,17 @@ def suggest_evidence(doc, cues):
     Advisory only: returns (sentence_index, sentence_text, cue_count)
     triples and never touches an assessment.
     """
-    matchers = {}
+    index = LexiconIndex()
     for metric, phrases in cues.items():
-        matcher = PhraseMatcher(fold_case=True)
         for phrase in phrases:
-            matcher.add(phrase, phrase)
-        matchers[metric] = matcher
+            index.add(metric, phrase, phrase)
     suggestions = {metric: [] for metric in cues}
     for sentence in doc.sentences:
-        view = TokenView(sentence.text, sentence.tokens)
-        for metric, matcher in matchers.items():
-            hits = matcher.find(view)
-            if hits:
-                suggestions[metric].append(
-                    (sentence.index, sentence.text, len(hits)))
+        hits = index.scan(sentence).hits
+        for metric, found in suggestions.items():
+            if metric in hits:
+                found.append(
+                    (sentence.index, sentence.text, len(hits[metric])))
     for metric in suggestions:
         suggestions[metric].sort(key=lambda t: (-t[2], t[0]))
     return suggestions

@@ -6,19 +6,33 @@ matches) while hyphenated forms stay distinct tokens ("third-party"
 never equals "third party"). Matching is non-overlapping, scans left
 to right, and the longest known phrase at a position always wins.
 
-Each matcher keeps a first-token index, in the spirit of Aho-Corasick
-multi-pattern matching: it maps the first token of every phrase to the
-lengths of the phrases that start with it, longest first. A scan probes
-the index once per token and builds a phrase key only where a phrase
-can start, and a sentence that holds no first token at all is passed
-over with one set test. Text arrives as a textprep.TokenView built
-from Sentence.tokens, so a segmented sentence is not tokenized again;
-the view finds character spans on first use, for a sentence with a
-match.
+LexiconIndex is one first-token index over every lexicon of the text
+layer, in the spirit of Aho-Corasick (A. V. Aho and M. J. Corasick,
+CACM 1975). It maps the case-folded first token of each phrase to the
+lexicons with a phrase starting there and those phrases' lengths,
+longest first; a case-sensitive lexicon then compares raw tokens. One
+pass over a sentence's TokenView builds a phrase key only where some
+phrase can start and keeps a next free token per lexicon, so lexicons
+never block each other and each gets what its own PhraseMatcher would
+find. A sentence with no first token of any lexicon costs one set test.
 """
 
 from .errors import LexiconError
 from .textprep import WORD_RE, TokenView
+
+
+def _phrase_key(phrase, fold_case):
+    key = tuple(WORD_RE.findall(phrase))
+    if fold_case:
+        key = tuple(token.lower() for token in key)
+    if not key:
+        raise LexiconError(f"lexicon phrase has no word tokens: {phrase!r}")
+    return key
+
+
+def _duplicate(phrase):
+    return LexiconError(
+        f"duplicate lexicon phrase: {phrase!r} tokenizes like another")
 
 
 class PhraseMatcher:
@@ -30,14 +44,9 @@ class PhraseMatcher:
         self._first = {}
 
     def add(self, phrase, payload):
-        key = tuple(m.group(0) for m in WORD_RE.finditer(phrase))
-        if self._fold_case:
-            key = tuple(token.lower() for token in key)
-        if not key:
-            raise LexiconError(f"lexicon phrase has no word tokens: {phrase!r}")
+        key = _phrase_key(phrase, self._fold_case)
         if key in self._table:
-            raise LexiconError(
-                f"duplicate lexicon phrase: {phrase!r} tokenizes like another")
+            raise _duplicate(phrase)
         self._table[key] = payload
         lengths = set(self._first.get(key[0], ())) | {len(key)}
         self._first[key[0]] = tuple(sorted(lengths, reverse=True))
@@ -73,3 +82,59 @@ class PhraseMatcher:
                         break
             i += step
         return out
+
+
+class LexiconIndex:
+    """One first-token index over named lexicons of phrases."""
+
+    def __init__(self):
+        self._tables = {}  # lexicon -> (fold_case, {key: payload})
+        # folded first token -> ((lexicon, fold_case, table, lengths), ...)
+        self._first = {}
+
+    def add(self, lexicon, phrase, payload, fold_case=True):
+        """Add a phrase to a lexicon, whose first phrase fixes fold_case."""
+        self._put(lexicon, _phrase_key(phrase, fold_case), payload,
+                  fold_case, phrase)
+
+    def add_words(self, lexicon, words):
+        """Add lowercase words as one-token phrases, each its own payload."""
+        for word in sorted(set(words)):
+            self._put(lexicon, (word,), word, True, word)
+
+    def _put(self, lexicon, key, payload, fold_case, phrase):
+        fold_case, table = self._tables.setdefault(lexicon, (fold_case, {}))
+        if key in table:
+            raise _duplicate(phrase)
+        table[key] = payload
+        first = key[0].lower()
+        entries = {entry[0]: entry for entry in self._first.get(first, ())}
+        lengths = {len(key), *entries.get(lexicon, ((),))[-1]}
+        entries[lexicon] = (lexicon, fold_case, table,
+                            tuple(sorted(lengths, reverse=True)))
+        self._first[first] = tuple(entries.values())
+
+    def scan(self, sentence):
+        """A TokenView of a Sentence whose hits map each lexicon with a
+        match to its (first_token, last_token, payload) matches."""
+        view = TokenView(sentence.text, sentence.tokens)
+        folded = view.folded
+        first = self._first
+        if first.keys().isdisjoint(folded):
+            return view
+        hits = view.hits
+        free = {}
+        n = len(folded)
+        for i, token in enumerate(folded):
+            for lexicon, fold_case, table, lengths in first.get(token, ()):
+                if free.get(lexicon, 0) > i:
+                    continue
+                words = folded if fold_case else view.tokens
+                for length in lengths:
+                    key = words[i:i + length]
+                    if i + length <= n and key in table:
+                        hits.setdefault(lexicon, []).append(
+                            (i, i + length - 1, table[key]))
+                        free[lexicon] = i + length
+                        break
+        return view

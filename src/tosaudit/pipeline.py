@@ -18,6 +18,7 @@ from . import specificity as specificity_mod
 from . import textprep
 from .errors import AssessmentError, ReviewError, TosAuditError
 from .inputs import canonical_json
+from .matching import LexiconIndex
 
 RESULTS_SCHEMA_VERSION = 1
 
@@ -102,9 +103,11 @@ class PipelineContext:
                  classic_lensear=False):
         self.vague_lexicon = clarity_mod.load_vague_lexicon(
             inputs.lexicon_file(lexicons_dir, "vague_terms.json"))
-        self.vague_matcher = clarity_mod.build_matcher(self.vague_lexicon)
-        self.spec_lexicons = specificity_mod.ensure_compiled(
-            specificity_mod.load_specificity_lexicons(lexicons_dir))
+        self.spec_lexicons = specificity_mod.load_specificity_lexicons(
+            lexicons_dir)
+        self.index = LexiconIndex()
+        clarity_mod.index_terms(self.index, self.vague_lexicon)
+        specificity_mod.index_lexicons(self.index, self.spec_lexicons)
         self.reader_groups = readability_mod.load_reader_groups(
             inputs.lexicon_file(lexicons_dir, "reader_groups.json"))
         self.syllable_overrides = textprep.load_syllable_overrides(
@@ -119,7 +122,7 @@ class PipelineContext:
 
 def analyze_entry(entry, payload, ctx):
     """Analyze one snapshot payload into a PlatformResult."""
-    text = textprep.extract_text(
+    text = textprep.payload_text(
         payload, entry.media_kind,
         extraction_config=ctx.extraction_config, platform=entry.platform)
     doc = textprep.build_document(
@@ -133,9 +136,11 @@ def analyze_entry(entry, payload, ctx):
             doc.stats.word_count, group)
         fluency[group.name] = {"wpm_low": group.wpm_low,
                                "wpm_high": group.wpm_high, **asdict(estimate)}
+    # One scan per sentence serves both clarity and specificity.
+    views = list(map(ctx.index.scan, doc.sentences))
     clarity_report = clarity_mod.scan_vague_terms(
-        doc, ctx.vague_lexicon, matcher=ctx.vague_matcher)
-    findings = specificity_mod.analyze_document(doc, ctx.spec_lexicons)
+        doc, ctx.vague_lexicon, views)
+    findings = specificity_mod.analyze_document(doc, ctx.spec_lexicons, views)
     scored = specificity_mod.score_findings(
         findings, doc.stats.sentence_count)
     return PlatformResult(

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from . import inputs
 from .errors import LexiconError, ReviewError, TosAuditError
-from .matching import PhraseMatcher
-from .textprep import TokenView
+from .matching import LexiconIndex
 
 DETECTORS = ("data_type", "entity", "retention", "sharing")
 RETENTION_LABELS = ("explicit", "vague")
@@ -36,8 +35,11 @@ _IRREGULAR_VERB_FORMS = {"keep": ("kept",)}
 RETENTION_PROXIMITY_TOKENS = 10
 
 
-@dataclass(frozen=True)
+@dataclass
 class SpecificityLexicons:
+    """The four pattern-family lexicons, with the corporate-name pattern
+    and the descriptor and duration-unit sets compiled from them."""
+
     data_types: dict
     known_entities: tuple
     corporate_suffixes: tuple
@@ -49,6 +51,33 @@ class SpecificityLexicons:
     generic_purpose_cues: tuple
     negation_cues: tuple
     generic_descriptors: tuple = ()
+
+    def __post_init__(self):
+        name_part = r"[A-Z][A-Za-z0-9&'’.-]*"
+        suffix_alt = "|".join(sorted(
+            (re.escape(s) for s in self.corporate_suffixes),
+            key=len, reverse=True))
+        name_run = rf"\b{name_part}(?:\s+{name_part})*"
+        # The second branch takes a run with no suffix after it whole, so
+        # finditer tries each run once; see corporate_names.
+        self.corporate_re = re.compile(
+            rf"{name_run},?\s+(?:{suffix_alt})\b\.?|{name_run}(?P<bare>)")
+        self.descriptors = {d.lower() for d in self.generic_descriptors}
+        self.units = {u.lower() for u in self.duration_units}
+
+    def corporate_names(self, text):
+        """Corporate names: capitalized words, an optional comma, a suffix.
+
+        Without the bare branch, finditer would try the first branch at
+        every capitalized word of a run, each try scanning the rest of
+        the run: quadratic in an ALL-CAPS clause. A match from a later
+        word of a run extends to one from the run's first word, and
+        greedy repetition makes that one reach at least as far, so once
+        the first word is tried nothing before the end of the run (or
+        of the match) can match, and the bare branch may skip it.
+        """
+        return [m for m in self.corporate_re.finditer(text)
+                if m["bare"] is None]
 
 
 @dataclass
@@ -178,67 +207,26 @@ def inflect_verb(verb):
     return forms
 
 
-class CompiledLexicons:
-    """Lexicons with matchers and verb-form sets built once."""
-
-    def __init__(self, lex):
-        self.raw = lex
-        self.dt_matcher = PhraseMatcher(fold_case=True)
-        for phrases in lex.data_types.values():
-            for phrase in phrases:
-                self.dt_matcher.add(phrase, phrase)
-        self.entity_matcher = PhraseMatcher(fold_case=False)
-        for name in lex.known_entities:
-            self.entity_matcher.add(name, name)
-        name_part = r"[A-Z][A-Za-z0-9&'’.-]*"
-        suffix_alt = "|".join(sorted(
-            (re.escape(s) for s in lex.corporate_suffixes),
-            key=len, reverse=True))
-        name_run = rf"\b{name_part}(?:\s+{name_part})*"
-        # The second branch takes a run with no suffix after it whole, so
-        # finditer tries each run once; see corporate_names.
-        self.corporate_re = re.compile(
-            rf"{name_run},?\s+(?:{suffix_alt})\b\.?|{name_run}(?P<bare>)")
-        self.descriptors = {d.lower() for d in lex.generic_descriptors}
-        self.retention_verb_forms = set()
-        for verb in lex.retention_verbs:
-            self.retention_verb_forms.update(inflect_verb(verb.lower()))
-        self.vague_retention_matcher = PhraseMatcher(fold_case=True)
-        for phrase in lex.vague_retention_phrases:
-            self.vague_retention_matcher.add(phrase, phrase)
-        self.duration_units = {u.lower() for u in lex.duration_units}
-        self.sharing_verb_forms = set()
-        for verb in lex.sharing_verbs:
-            self.sharing_verb_forms.update(inflect_verb(verb.lower()))
-        self.specific_matcher = PhraseMatcher(fold_case=True)
-        for cue in lex.specific_purpose_cues:
-            self.specific_matcher.add(cue, cue)
-        self.generic_matcher = PhraseMatcher(fold_case=True)
-        for cue in lex.generic_purpose_cues:
-            self.generic_matcher.add(cue, cue)
-        self.negation_matcher = PhraseMatcher(fold_case=True)
-        for cue in lex.negation_cues:
-            self.negation_matcher.add(cue, cue)
-
-    def corporate_names(self, text):
-        """Corporate names: capitalized words, an optional comma, a suffix.
-
-        Without the bare branch, finditer would try the first branch at
-        every capitalized word of a run, each try scanning the rest of
-        the run: quadratic in an ALL-CAPS clause. A match from a later
-        word of a run extends to one from the run's first word, and
-        greedy repetition makes that one reach at least as far, so once
-        the first word is tried nothing before the end of the run (or
-        of the match) can match, and the bare branch may skip it.
-        """
-        return [m for m in self.corporate_re.finditer(text)
-                if m["bare"] is None]
-
-
-def ensure_compiled(lex):
-    if isinstance(lex, CompiledLexicons):
-        return lex
-    return CompiledLexicons(lex)
+def index_lexicons(index, lex):
+    """Add lex's phrase lexicons, verb forms and duration units to a
+    matching.LexiconIndex; curated entities match case-sensitively."""
+    for phrases in lex.data_types.values():
+        for phrase in phrases:
+            index.add("data_type", phrase, phrase)
+    for name in lex.known_entities:
+        index.add("entity", name, name, fold_case=False)
+    for lexicon, phrases in (
+            ("vague_retention", lex.vague_retention_phrases),
+            ("specific", lex.specific_purpose_cues),
+            ("generic", lex.generic_purpose_cues),
+            ("negated", lex.negation_cues)):
+        for phrase in phrases:
+            index.add(lexicon, phrase, phrase)
+    for lexicon, verbs in (("retention_verb", lex.retention_verbs),
+                           ("sharing_verb", lex.sharing_verbs)):
+        index.add_words(lexicon, set().union(
+            *(inflect_verb(verb.lower()) for verb in verbs)))
+    index.add_words("duration_unit", lex.units)
 
 
 def _is_number_token(token):
@@ -248,19 +236,30 @@ def _is_number_token(token):
     return all(p in _SPELLED_NUMBERS for p in parts if p)
 
 
-def _duration_ranges(folded_tokens, units):
-    """Token-index ranges (start, end inclusive) of numeric durations."""
+def _duration_ranges(view, units):
+    """Token-index ranges (start, end inclusive) of numeric durations.
+
+    A duration is a number one or two tokens before a duration unit, or
+    one hyphenated token such as "30-day". Only the tokens before the
+    view's "duration_unit" hits and hyphenated tokens can start one.
+    """
+    folded = view.folded
+    n = len(folded)
+    starts = {unit - k for unit, _, _ in view.hits.get("duration_unit", ())
+              for k in (1, 2) if unit >= k}
+    if "-" in view.text:
+        starts.update(i for i, tok in enumerate(folded) if "-" in tok)
     ranges = []
-    n = len(folded_tokens)
-    for i, tok in enumerate(folded_tokens):
+    for i in sorted(starts):
+        tok = folded[i]
         if "-" in tok:
             head, _, tail = tok.rpartition("-")
             if tail in units and head and _is_number_token(head):
                 ranges.append((i, i))
                 continue
-        if i + 1 < n and folded_tokens[i + 1] in units:
+        if i + 1 < n and folded[i + 1] in units:
             j = i + 1
-        elif i + 2 < n and folded_tokens[i + 2] in units:
+        elif i + 2 < n and folded[i + 2] in units:
             j = i + 2
         else:
             continue
@@ -269,52 +268,52 @@ def _duration_ranges(folded_tokens, units):
     return ranges
 
 
-def detect_data_types(sentence, lex, platform="", view=None):
+def _finding(sentence, view, platform, detector, label, first, last):
+    return SentenceFinding(
+        platform=platform,
+        sentence_index=sentence.index,
+        detector=detector,
+        auto_label=label,
+        evidence_span=view.span(first, last),
+        sentence_text=sentence.text,
+    )
+
+
+def detect_data_types(sentence, view, platform=""):
     """One finding per distinct data-type phrase named in the sentence.
 
-    view is the sentence's TokenView; it is built here when omitted.
+    view is the sentence's view scanned by a LexiconIndex that holds the
+    lexicons (see index_lexicons), as for every detector here.
     """
-    lex = ensure_compiled(lex)
-    if view is None:
-        view = TokenView(sentence.text, sentence.tokens)
     findings = []
     seen = set()
-    for start, end, phrase, _surface in lex.dt_matcher.find(view):
+    for first, last, phrase in view.hits.get("data_type", ()):
         if phrase.lower() in seen:
             continue
         seen.add(phrase.lower())
-        findings.append(SentenceFinding(
-            platform=platform,
-            sentence_index=sentence.index,
-            detector="data_type",
-            auto_label=phrase,
-            evidence_span=(start, end),
-            sentence_text=sentence.text,
-        ))
+        findings.append(_finding(
+            sentence, view, platform, "data_type", phrase, first, last))
     return findings
 
 
-def detect_entities(sentence, lex, platform="", view=None):
+def detect_entities(sentence, view, lex, platform=""):
     """Findings for curated names and suffix-pattern corporate names.
 
     Curated hits nested inside a suffix-pattern span are suppressed so
     "Meta Platforms, Inc." yields one entity, not two. Generic
     descriptors never match.
     """
-    lex = ensure_compiled(lex)
     text = sentence.text
-    if view is None:
-        view = TokenView(text, sentence.tokens)
     candidates = []
     taken = []
     for m in lex.corporate_names(text):
-        surface = m.group(0)
         taken.append((m.start(), m.end()))
-        candidates.append((m.start(), m.end(), surface))
-    for start, end, _name, surface in lex.entity_matcher.find(view):
+        candidates.append((m.start(), m.end(), m.group(0)))
+    for first, last, _name in view.hits.get("entity", ()):
+        start, end = view.span(first, last)
         if any(s <= start and end <= e for s, e in taken):
             continue
-        candidates.append((start, end, surface))
+        candidates.append((start, end, text[start:end]))
     candidates.sort()
     findings = []
     seen = set()
@@ -334,101 +333,69 @@ def detect_entities(sentence, lex, platform="", view=None):
     return findings
 
 
-def classify_retention(sentence, lex, platform="", view=None):
+def classify_retention(sentence, view, lex, platform=""):
     """Label a sentence explicit, vague, or none for retention detail.
 
     Explicit needs a retention verb within RETENTION_PROXIMITY_TOKENS
     tokens of a numeric duration; vague needs a vague retention phrase
     and no numeric duration anywhere in the sentence.
     """
-    lex = ensure_compiled(lex)
-    if view is None:
-        view = TokenView(sentence.text, sentence.tokens)
-    folded = view.folded
-    verb_positions = [i for i, tok in enumerate(folded)
-                      if tok in lex.retention_verb_forms]
-    durations = _duration_ranges(folded, lex.duration_units)
-
-    for vi in verb_positions:
+    verbs = view.hits.get("retention_verb", ())
+    vague = view.hits.get("vague_retention")
+    if not (verbs or vague):
+        return "none", None
+    durations = _duration_ranges(view, lex.units)
+    for vi, _, _ in verbs:
         for ds, de in durations:
             if min(abs(vi - ds), abs(vi - de)) <= RETENTION_PROXIMITY_TOKENS:
-                lo = min(vi, ds)
-                hi = max(vi, de)
-                finding = SentenceFinding(
-                    platform=platform,
-                    sentence_index=sentence.index,
-                    detector="retention",
-                    auto_label="explicit",
-                    evidence_span=view.span(lo, hi),
-                    sentence_text=sentence.text,
-                )
-                return "explicit", finding
-
-    if not durations:
-        vague_hits = lex.vague_retention_matcher.find(view)
-        if vague_hits:
-            start, end, _, _ = vague_hits[0]
-            finding = SentenceFinding(
-                platform=platform,
-                sentence_index=sentence.index,
-                detector="retention",
-                auto_label="vague",
-                evidence_span=(start, end),
-                sentence_text=sentence.text,
-            )
-            return "vague", finding
+                return "explicit", _finding(
+                    sentence, view, platform, "retention", "explicit",
+                    min(vi, ds), max(vi, de))
+    if vague and not durations:
+        first, last, _ = vague[0]
+        return "vague", _finding(
+            sentence, view, platform, "retention", "vague", first, last)
     return "none", None
 
 
-def classify_sharing(sentence, lex, platform="", view=None):
+def classify_sharing(sentence, view, platform=""):
     """Label a sharing-verb sentence specific, generic, or negated.
 
     Sentences without a sharing verb are none. Negation wins, then a
     specific purpose cue, then a generic one; a sentence gets at most
     one sharing finding, under its most specific label.
     """
-    lex = ensure_compiled(lex)
-    if view is None:
-        view = TokenView(sentence.text, sentence.tokens)
-    if lex.sharing_verb_forms.isdisjoint(view.folded):
+    if "sharing_verb" not in view.hits:
         return "none", None
-
-    def finding_for(label, hit):
-        start, end, _, _ = hit
-        return SentenceFinding(
-            platform=platform,
-            sentence_index=sentence.index,
-            detector="sharing",
-            auto_label=label,
-            evidence_span=(start, end),
-            sentence_text=sentence.text,
-        )
-
-    negated = lex.negation_matcher.find(view)
-    if negated:
-        return "negated", finding_for("negated", negated[0])
-    specific = lex.specific_matcher.find(view)
-    if specific:
-        return "specific", finding_for("specific", specific[0])
-    generic = lex.generic_matcher.find(view)
-    if generic:
-        return "generic", finding_for("generic", generic[0])
+    for label in ("negated", "specific", "generic"):
+        cues = view.hits.get(label)
+        if cues:
+            first, last, _ = cues[0]
+            return label, _finding(
+                sentence, view, platform, "sharing", label, first, last)
     return "none", None
 
 
-def analyze_document(doc, lex):
-    """Run all four detectors over every sentence of a document."""
-    lex = ensure_compiled(lex)
+def analyze_document(doc, lex, views=None):
+    """Run all four detectors over every sentence of a document.
+
+    views are the sentences' views scanned by a LexiconIndex that holds
+    lex (see index_lexicons); without them the sentences are scanned
+    here.
+    """
+    if views is None:
+        index = LexiconIndex()
+        index_lexicons(index, lex)
+        views = map(index.scan, doc.sentences)
     findings = []
     platform = doc.platform
-    for sentence in doc.sentences:
-        view = TokenView(sentence.text, sentence.tokens)
-        findings.extend(detect_data_types(sentence, lex, platform, view))
-        findings.extend(detect_entities(sentence, lex, platform, view))
-        _, finding = classify_retention(sentence, lex, platform, view)
+    for sentence, view in zip(doc.sentences, views):
+        findings.extend(detect_data_types(sentence, view, platform))
+        findings.extend(detect_entities(sentence, view, lex, platform))
+        _, finding = classify_retention(sentence, view, lex, platform)
         if finding is not None:
             findings.append(finding)
-        _, finding = classify_sharing(sentence, lex, platform, view)
+        _, finding = classify_sharing(sentence, view, platform)
         if finding is not None:
             findings.append(finding)
     return findings

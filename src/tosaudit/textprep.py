@@ -73,8 +73,8 @@ def normalize_text(text):
         " ".join(part.split()) for part in _BLANK_LINE_RE.split(text)).strip()
 
 
-def extract_text(payload, media_kind, extraction_config=None, platform=None):
-    """Decode a snapshot payload into normalized plain text.
+def payload_text(payload, media_kind, extraction_config=None, platform=None):
+    """Decode a snapshot payload into plain text, not yet normalized.
 
     media_kind is 'html' or 'plain_text'. extraction_config maps a
     platform name to {"include": [...], "exclude": [...]} selector
@@ -95,7 +95,13 @@ def extract_text(payload, media_kind, extraction_config=None, platform=None):
         text = html_to_text(text, include=include, exclude=exclude)
     elif media_kind != "plain_text":
         raise ExtractionError(f"unknown media kind: {media_kind}")
-    return normalize_text(text)
+    return text
+
+
+def extract_text(payload, media_kind, extraction_config=None, platform=None):
+    """payload_text, normalized: the text of a Document built from it."""
+    return normalize_text(
+        payload_text(payload, media_kind, extraction_config, platform))
 
 
 def load_extraction_config(path):
@@ -126,25 +132,35 @@ class TokenView:
     """Word tokens of one text, with their lowercased forms in folded.
 
     A sentence's view reuses Sentence.tokens, so building it runs no
-    regex. Character spans are found with one WORD_RE pass the first
-    time span() is called, which happens only for a sentence with a
-    match. Views are built per sentence and dropped after use; they are
-    not stored on a Sentence, whose documents live until serialization.
+    regex; matching.LexiconIndex.scan fills hits. Views live for one
+    document's analysis and are not stored on a Sentence.
     """
 
-    __slots__ = ("text", "_matches", "tokens", "folded")
+    __slots__ = ("text", "tokens", "folded", "hits", "_starts")
 
     def __init__(self, text, tokens=None):
         self.text = text
-        self.tokens = WORD_RE.findall(text) if tokens is None else tokens
-        self.folded = list(map(str.lower, self.tokens))
-        self._matches = None
+        self.tokens = tuple(WORD_RE.findall(text) if tokens is None
+                            else tokens)
+        self.folded = tuple(map(str.lower, self.tokens))
+        self.hits = {}
+        self._starts = None
 
     def span(self, first, last):
-        """Character span from token first through token last."""
-        if self._matches is None:
-            self._matches = list(WORD_RE.finditer(self.text))
-        return self._matches[first].start(), self._matches[last].end()
+        """Character span from token first through token last.
+
+        On first use each token is found with str.find from the end of
+        the one before: a gap between WORD_RE matches holds no character
+        that can start a token.
+        """
+        if self._starts is None:
+            self._starts = starts = []
+            pos = 0
+            for token in self.tokens:
+                pos = self.text.find(token, pos)
+                starts.append(pos)
+                pos += len(token)
+        return self._starts[first], self._starts[last] + len(self.tokens[last])
 
 
 def tokenize_words(sentence_text):

@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -6,7 +7,21 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import fixture_docs
-from tosaudit import corpus, interface_assess, pipeline
+from tosaudit import corpus, inputs, interface_assess, pipeline
+from tosaudit.errors import AssessmentError
+
+
+def store_assessment(dir_path, assessment, overwrite=False):
+    """Write an assessment file; refuses silent replacement."""
+    os.makedirs(dir_path, exist_ok=True)
+    path = os.path.join(dir_path, f"{assessment.platform}.json")
+    if os.path.exists(path) and not overwrite:
+        raise AssessmentError(
+            f"assessment for {assessment.platform!r} already exists "
+            "(pass overwrite to replace)")
+    inputs.write_text(path, inputs.canonical_json(
+        interface_assess.assessment_to_dict(assessment)))
+    return path
 
 
 def build_fixture_corpus(root):
@@ -34,7 +49,7 @@ def build_fixture_corpus(root):
     for platform in fixture_docs.PLATFORMS:
         assessment = interface_assess.assessment_from_dict(
             fixture_docs.assessment_dict(platform))
-        interface_assess.store_assessment(str(adir), assessment)
+        store_assessment(str(adir), assessment)
     return root
 
 

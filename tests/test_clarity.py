@@ -4,6 +4,7 @@ import pytest
 
 from tosaudit import clarity, textprep
 from tosaudit.errors import LexiconError
+from tosaudit.matching import LexiconIndex
 
 
 @pytest.fixture(scope="module")
@@ -12,13 +13,19 @@ def lexicon():
 
 
 @pytest.fixture(scope="module")
-def matcher(lexicon):
-    return clarity.build_matcher(lexicon)
+def index(lexicon):
+    index = LexiconIndex()
+    clarity.index_terms(index, lexicon)
+    return index
 
 
-def scan(text, lexicon, matcher):
-    doc = textprep.build_document("demo", text)
-    return clarity.scan_vague_terms(doc, lexicon, matcher=matcher)
+def scan_doc(doc, lexicon, index):
+    views = [index.scan(sentence) for sentence in doc.sentences]
+    return clarity.scan_vague_terms(doc, lexicon, views)
+
+
+def scan(text, lexicon, index):
+    return scan_doc(textprep.build_document("demo", text), lexicon, index)
 
 
 class TestLexiconLoading:
@@ -88,9 +95,9 @@ class TestLexiconLoading:
 
 
 class TestScan:
-    def test_nesting_sentence_yields_three_matches(self, lexicon, matcher):
+    def test_nesting_sentence_yields_three_matches(self, lexicon, index):
         report = scan("We may share certain information with third parties.",
-                      lexicon, matcher)
+                      lexicon, index)
         assert report.vague_count == 3
         assert report.per_term_counts == {
             "may": 1, "certain information": 1, "third parties": 1}
@@ -98,18 +105,18 @@ class TestScan:
         assert report.density_pct == pytest.approx(37.5)
         assert report.unique_terms == 3
 
-    def test_variant_attributed_to_canonical(self, lexicon, matcher):
-        report = scan("We could contact vendors.", lexicon, matcher)
+    def test_variant_attributed_to_canonical(self, lexicon, index):
+        report = scan("We could contact vendors.", lexicon, index)
         assert report.per_term_counts == {"may": 1, "third parties": 1}
 
-    def test_singular_vendor_maps_to_hyphenated_term(self, lexicon, matcher):
-        report = scan("A vendor handles payments.", lexicon, matcher)
+    def test_singular_vendor_maps_to_hyphenated_term(self, lexicon, index):
+        report = scan("A vendor handles payments.", lexicon, index)
         assert report.per_term_counts == {"third-party": 1}
 
-    def test_match_spans_are_absolute(self, lexicon, matcher):
+    def test_match_spans_are_absolute(self, lexicon, index):
         text = "First sentence is plain.\n\nWe may act from time to time."
         doc = textprep.build_document("demo", text)
-        report = clarity.scan_vague_terms(doc, lexicon, matcher=matcher)
+        report = scan_doc(doc, lexicon, index)
         for sentence_index, (start, end), canonical in report.matches:
             surface = doc.text[start:end]
             assert surface.lower().split()[0] in (
@@ -118,22 +125,22 @@ class TestScan:
         assert "may" in spans
         assert "time to time" in spans
 
-    def test_counts_accumulate_across_sentences(self, lexicon, matcher):
-        report = scan("We may act. We may rest. Some stay.", lexicon, matcher)
+    def test_counts_accumulate_across_sentences(self, lexicon, index):
+        report = scan("We may act. We may rest. Some stay.", lexicon, index)
         assert report.per_term_counts["may"] == 2
         assert report.per_term_counts["some"] == 1
         assert report.vague_count == 3
         assert report.unique_terms == 2
 
-    def test_no_matches(self, lexicon, matcher):
-        report = scan("The walrus naps.", lexicon, matcher)
+    def test_no_matches(self, lexicon, index):
+        report = scan("The walrus naps.", lexicon, index)
         assert report.vague_count == 0
         assert report.density_pct == 0.0
         assert report.matches == []
 
-    def test_empty_document(self, lexicon, matcher):
+    def test_empty_document(self, lexicon, index):
         doc = textprep.build_document("demo", "")
-        report = clarity.scan_vague_terms(doc, lexicon, matcher=matcher)
+        report = scan_doc(doc, lexicon, index)
         assert report.vague_count == 0
         assert report.word_count == 0
         assert report.density_pct == 0.0

@@ -218,7 +218,8 @@ class TestFetchSnapshot:
             fetch_snapshot(f"{http_base}/tos/unknown")
 
     @pytest.mark.parametrize("url", ["not a url", "ftp://example.org/x", "http://",
-                                     "http://[::1/x", "http://\u00e9..b/x"])
+                                     "http://[::1/x", "http://\u00e9..b/x",
+                                     "http://127.0.0.1:9/tos.txt?x=\ud800"])
     def test_invalid_url(self, url):
         with pytest.raises(FetchError, match="invalid url"):
             fetch_snapshot(url)

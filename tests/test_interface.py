@@ -2,12 +2,13 @@ import json
 
 import pytest
 
+from conftest import store_assessment
 from tosaudit import textprep
 from tosaudit.errors import AssessmentError, LexiconError
 from tosaudit.interface_assess import (
     METRIC_RANGES, METRICS, EvidenceRecord, InterfaceAssessment,
     assessment_from_dict, assessment_to_dict,
-    load_assessment, load_cue_lexicon, store_assessment, suggest_evidence,
+    load_assessment, load_cue_lexicon, suggest_evidence,
     validate_assessment,
 )
 

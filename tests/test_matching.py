@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tosaudit import clarity, specificity
 from tosaudit.errors import LexiconError
-from tosaudit.matching import PhraseMatcher
-from tosaudit.textprep import WORD_RE, TokenView
+from tosaudit.matching import LexiconIndex, PhraseMatcher
+from tosaudit.textprep import WORD_RE, Sentence, TokenView
 
 
 def build(phrases, fold_case=True):
@@ -156,3 +157,121 @@ class TestIndexedFindMatchesReference:
             assert 0 <= start < end <= len(text)
             assert text[start:end] == surface
         assert all(a[1] <= b[0] for a, b in zip(hits, hits[1:]))
+
+
+def matchers_of(lexicons):
+    """name -> PhraseMatcher for {name: (fold_case, [(phrase, payload)])}."""
+    matchers = {}
+    for name, (fold_case, pairs) in lexicons.items():
+        matchers[name] = PhraseMatcher(fold_case=fold_case)
+        for phrase, payload in pairs:
+            matchers[name].add(phrase, payload)
+    return matchers
+
+
+def assert_scan_matches_each_matcher(index, matchers, text):
+    """The one-pass scan gives each lexicon its own matcher's hits."""
+    view = index.scan(Sentence(0, text, tuple(WORD_RE.findall(text)),
+                               (0, len(text))))
+    assert set(view.hits) <= set(matchers)
+    for name, matcher in matchers.items():
+        hits = [(*view.span(first, last), payload)
+                for first, last, payload in view.hits.get(name, ())]
+        assert hits == [hit[:3] for hit in matcher.find(text)], name
+
+
+def _shipped_lexicons():
+    vague = clarity.load_vague_lexicon()
+    lex = specificity.load_specificity_lexicons()
+
+    def same(phrases):
+        return [(phrase, phrase) for phrase in phrases]
+
+    def forms(verbs):
+        return same(sorted(set().union(
+            *(specificity.inflect_verb(v.lower()) for v in verbs))))
+
+    return {
+        "vague": (True, [(surface, term.canonical) for term in vague.terms
+                         for surface in (term.canonical, *term.variants)]),
+        "data_type": (True, same(p for phrases in lex.data_types.values()
+                                 for p in phrases)),
+        "entity": (False, same(lex.known_entities)),
+        "vague_retention": (True, same(lex.vague_retention_phrases)),
+        "specific": (True, same(lex.specific_purpose_cues)),
+        "generic": (True, same(lex.generic_purpose_cues)),
+        "negated": (True, same(lex.negation_cues)),
+        "retention_verb": (True, forms(lex.retention_verbs)),
+        "sharing_verb": (True, forms(lex.sharing_verbs)),
+        "duration_unit": (True, same(u.lower() for u in lex.duration_units)),
+    }
+
+
+SHIPPED = _shipped_lexicons()
+SHIPPED_INDEX = LexiconIndex()
+clarity.index_terms(SHIPPED_INDEX, clarity.load_vague_lexicon())
+specificity.index_lexicons(SHIPPED_INDEX,
+                           specificity.load_specificity_lexicons())
+SHIPPED_MATCHERS = matchers_of(SHIPPED)
+
+# Whole phrases of every shipped lexicon, so phrases of different
+# lexicons meet and overlap ("payment" starts a data type and a specific
+# cue, "for" a generic cue and a vague retention phrase), plus their
+# single words, fillers and number-unit tokens.
+_SHIPPED_PHRASES = sorted({phrase for _, pairs in SHIPPED.values()
+                           for phrase, _ in pairs})
+_SHIPPED_CHUNKS = st.one_of(
+    st.sampled_from(_SHIPPED_PHRASES),
+    st.sampled_from(sorted({w for p in _SHIPPED_PHRASES
+                            for w in WORD_RE.findall(p)})),
+    st.sampled_from(["the", "we", "data", "for", "30", "ninety", "thirty-one",
+                     "30-day", "ninety-days", "thirty-one-year", "x-day"]))
+_CASES = st.sampled_from([str, str.lower, str.upper, str.title])
+_PUNCTUATION = st.sampled_from([" ", " ", ", ", "; ", " (", ") ", ". ", " - ",
+                                "-", "'", "\n"])
+
+
+@st.composite
+def shipped_texts(draw):
+    chunks = draw(st.lists(
+        st.tuples(_SHIPPED_CHUNKS, _CASES, _PUNCTUATION), max_size=25))
+    return "".join(case(chunk) + sep for chunk, case, sep in chunks)
+
+
+class TestLexiconIndexMatchesEachMatcher:
+    @settings(max_examples=300, deadline=None)
+    @given(text=shipped_texts())
+    @example(text="We keep data for as long as necessary and share it with "
+                  "Google, META and the Meta Platforms for fraud detection.")
+    def test_shipped_lexicons(self, text):
+        assert_scan_matches_each_matcher(SHIPPED_INDEX, SHIPPED_MATCHERS, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lexicons=st.lists(
+               st.tuples(st.booleans(), st.lists(texts(max_words=4),
+                                                 max_size=8)),
+               min_size=1, max_size=4),
+           words=st.lists(st.sampled_from(["a", "b", "ab", "é", "3", "b-a"]),
+                          max_size=4),
+           text=texts(max_words=25))
+    def test_overlapping_random_lexicons(self, lexicons, words, text):
+        index = LexiconIndex()
+        kept = {}
+        for n, (fold_case, phrases) in enumerate(lexicons):
+            matcher = PhraseMatcher(fold_case=fold_case)
+            kept[n] = (fold_case, [])
+            for phrase in phrases:
+                try:
+                    matcher.add(phrase, phrase)
+                except LexiconError:
+                    with pytest.raises(LexiconError):
+                        index.add(n, phrase, phrase, fold_case=fold_case)
+                    continue
+                index.add(n, phrase, phrase, fold_case=fold_case)
+                kept[n][1].append((phrase, phrase))
+        index.add_words("words", words)
+        kept["words"] = (True, [(w, w) for w in set(words)])
+        matchers = {name: matcher
+                    for name, matcher in matchers_of(kept).items()
+                    if len(matcher)}
+        assert_scan_matches_each_matcher(index, matchers, text)

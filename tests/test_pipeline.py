@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import fixture_docs
-from conftest import build_fixture_corpus
+from conftest import build_fixture_corpus, store_assessment
 from test_golden import RESULTS_SHA256
-from tosaudit import corpus, interface_assess, pipeline, specificity
+from tosaudit import corpus, interface_assess, pipeline, specificity, textprep
 from tosaudit.errors import ReviewError, TosAuditError
 from tosaudit.pipeline import (
     apply_review_to_results, canonical_json, export_review_from_results,
@@ -118,8 +118,7 @@ class TestFailureModes:
             platform="demo", explicit_denial=1,
             evidence=[interface_assess.EvidenceRecord(
                 metric="explicit_denial", excerpt="not in the document")])
-        interface_assess.store_assessment(
-            str(tmp_path / pipeline.ASSESSMENTS_DIR), assessment)
+        store_assessment(str(tmp_path / pipeline.ASSESSMENTS_DIR), assessment)
         results, failures = run_pipeline(str(tmp_path))
         assert len(results) == 1
         assert results[0]["interface"] is None
@@ -209,6 +208,16 @@ class TestDeterminismAndOptions:
         blob_a = canonical_json(results_payload(*first))
         blob_b = canonical_json(results_payload(*second))
         assert blob_a == blob_b
+
+    @pytest.mark.parametrize("platform", ["reddit", "youtube"])
+    def test_each_document_normalized_once(self, fixture_corpus, platform,
+                                           monkeypatch):
+        calls = []
+        normalize = textprep.normalize_text
+        monkeypatch.setattr(textprep, "normalize_text",
+                            lambda text: calls.append(text) or normalize(text))
+        document_of(fixture_corpus, platform)
+        assert len(calls) == 1
 
     def test_classic_lensear_changes_score(self, fixture_corpus):
         modern = run_pipeline(str(fixture_corpus))[0]

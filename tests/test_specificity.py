@@ -10,19 +10,24 @@ from hypothesis import given, settings, strategies as st
 
 from tosaudit import specificity, textprep
 from tosaudit.errors import LexiconError, ReviewError, TosAuditError
+from tosaudit.matching import LexiconIndex
 from tosaudit.specificity import (
     SentenceFinding, SpecificityCounts, aggregate_counts, analyze_document,
     apply_review_records, classify_retention, classify_sharing,
-    detect_data_types, detect_entities, ensure_compiled, export_review,
-    finding_from_dict, finding_to_dict, inflect_verb,
+    detect_data_types, detect_entities, export_review,
+    finding_from_dict, finding_to_dict, index_lexicons, inflect_verb,
     load_specificity_lexicons, map_scores, parse_review_file,
     score_findings, sentence_coverage,
 )
 
+SHIPPED = load_specificity_lexicons()
+INDEX = LexiconIndex()
+index_lexicons(INDEX, SHIPPED)
+
 
 @pytest.fixture(scope="module")
 def lex():
-    return ensure_compiled(load_specificity_lexicons())
+    return SHIPPED
 
 
 def sentence_of(text, index=0):
@@ -55,104 +60,104 @@ class TestInflect:
 class TestDataTypes:
     def test_single_phrase(self, lex):
         s = sentence_of("We collect your email address.")
-        findings = detect_data_types(s, lex)
+        findings = detect_data_types(s, INDEX.scan(s))
         assert [f.auto_label for f in findings] == ["email address"]
         start, end = findings[0].evidence_span
         assert s.text[start:end] == "email address"
 
     def test_longest_phrase_wins(self, lex):
         s = sentence_of("We log your approximate location.")
-        findings = detect_data_types(s, lex)
+        findings = detect_data_types(s, INDEX.scan(s))
         assert [f.auto_label for f in findings] == ["approximate location"]
 
     def test_duplicates_collapse_within_sentence(self, lex):
         s = sentence_of("Email address here, email address there.")
-        findings = detect_data_types(s, lex)
+        findings = detect_data_types(s, INDEX.scan(s))
         assert len(findings) == 1
 
     def test_case_insensitive(self, lex):
         s = sentence_of("We read your IP ADDRESS.")
-        assert [f.auto_label for f in detect_data_types(s, lex)] == \
+        assert [f.auto_label for f in detect_data_types(s, INDEX.scan(s))] == \
             ["IP address"]
 
     def test_list_sentence(self, lex):
         s = sentence_of(
             "We collect your phone number, location, and browsing history.")
-        labels = {f.auto_label for f in detect_data_types(s, lex)}
+        labels = {f.auto_label for f in detect_data_types(s, INDEX.scan(s))}
         assert labels == {"phone number", "location", "browsing history"}
 
     def test_no_hits(self, lex):
         s = sentence_of("We value your trust.")
-        assert detect_data_types(s, lex) == []
+        assert detect_data_types(s, INDEX.scan(s)) == []
 
 
 class TestEntities:
     def test_curated_name(self, lex):
         s = sentence_of("We work with Google today.")
-        findings = detect_entities(s, lex)
+        findings = detect_entities(s, INDEX.scan(s), lex)
         assert [f.auto_label for f in findings] == ["Google"]
 
     def test_curated_is_case_sensitive(self, lex):
         s = sentence_of("We searched google results.")
-        assert detect_entities(s, lex) == []
+        assert detect_entities(s, INDEX.scan(s), lex) == []
 
     def test_suffix_pattern(self, lex):
         s = sentence_of("Files are stored by Acme Data Corp. every night.")
-        findings = detect_entities(s, lex)
+        findings = detect_entities(s, INDEX.scan(s), lex)
         assert [f.auto_label for f in findings] == ["Acme Data Corp."]
 
     def test_suffix_swallows_nested_curated(self, lex):
         s = sentence_of("Meta Platforms, Inc. operates this service.")
-        findings = detect_entities(s, lex)
+        findings = detect_entities(s, INDEX.scan(s), lex)
         assert [f.auto_label for f in findings] == ["Meta Platforms, Inc."]
 
     def test_curated_and_suffix_mix(self, lex):
         s = sentence_of("We rely on Google and Streamline Media Ltd. daily.")
-        labels = [f.auto_label for f in detect_entities(s, lex)]
+        labels = [f.auto_label for f in detect_entities(s, INDEX.scan(s), lex)]
         assert labels == ["Google", "Streamline Media Ltd."]
 
     def test_generic_descriptors_never_match(self, lex):
         s = sentence_of("We rely on service providers and vendors.")
-        assert detect_entities(s, lex) == []
+        assert detect_entities(s, INDEX.scan(s), lex) == []
 
     def test_dedupe_within_sentence(self, lex):
         s = sentence_of("Google tools and Google accounts differ.")
-        assert len(detect_entities(s, lex)) == 1
+        assert len(detect_entities(s, INDEX.scan(s), lex)) == 1
 
     def test_sentence_initial_capital_not_entity(self, lex):
         s = sentence_of("The provider stores files.")
-        assert detect_entities(s, lex) == []
+        assert detect_entities(s, INDEX.scan(s), lex) == []
 
 
 class TestRetention:
     def test_explicit_digits(self, lex):
         s = sentence_of("We retain logs for 30 days.")
-        label, finding = classify_retention(s, lex)
+        label, finding = classify_retention(s, INDEX.scan(s), lex)
         assert label == "explicit"
         start, end = finding.evidence_span
         assert s.text[start:end] == "retain logs for 30 days"
 
     def test_explicit_spelled_number(self, lex):
         s = sentence_of("Backups are kept for ninety days.")
-        label, _ = classify_retention(s, lex)
+        label, _ = classify_retention(s, INDEX.scan(s), lex)
         assert label == "explicit"
 
     def test_explicit_hyphenated_duration(self, lex):
         s = sentence_of("A 30-day retention window applies; we delete after.")
-        label, _ = classify_retention(s, lex)
+        label, _ = classify_retention(s, INDEX.scan(s), lex)
         assert label == "explicit"
 
     def test_proximity_limit(self, lex):
         s = sentence_of(
             "We retain your records according to the policies described "
             "in the manual that quietly mentions just 30 days.")
-        label, finding = classify_retention(s, lex)
+        label, finding = classify_retention(s, INDEX.scan(s), lex)
         assert label == "none"
         assert finding is None
 
     def test_vague_phrase(self, lex):
         s = sentence_of("We keep your data as long as necessary.")
-        label, finding = classify_retention(s, lex)
+        label, finding = classify_retention(s, INDEX.scan(s), lex)
         assert label == "vague"
         start, end = finding.evidence_span
         assert s.text[start:end] == "as long as necessary"
@@ -160,22 +165,22 @@ class TestRetention:
     def test_explicit_dominates_vague(self, lex):
         s = sentence_of(
             "We retain data for 30 days or as long as necessary.")
-        label, _ = classify_retention(s, lex)
+        label, _ = classify_retention(s, INDEX.scan(s), lex)
         assert label == "explicit"
 
     def test_duration_without_verb_is_none(self, lex):
         s = sentence_of("The trial lasts 30 days.")
-        label, _ = classify_retention(s, lex)
+        label, _ = classify_retention(s, INDEX.scan(s), lex)
         assert label == "none"
 
     def test_verb_without_signal_is_none(self, lex):
         s = sentence_of("We store your preferences.")
-        label, _ = classify_retention(s, lex)
+        label, _ = classify_retention(s, INDEX.scan(s), lex)
         assert label == "none"
 
     def test_number_without_unit_is_not_duration(self, lex):
         s = sentence_of("We keep 30 copies as long as necessary.")
-        label, _ = classify_retention(s, lex)
+        label, _ = classify_retention(s, INDEX.scan(s), lex)
         # "30" has no adjacent duration unit, so the vague phrase stands
         assert label == "vague"
 
@@ -183,48 +188,48 @@ class TestRetention:
 class TestSharing:
     def test_specific(self, lex):
         s = sentence_of("We share telemetry for fraud detection.")
-        label, finding = classify_sharing(s, lex)
+        label, finding = classify_sharing(s, INDEX.scan(s))
         assert label == "specific"
         start, end = finding.evidence_span
         assert s.text[start:end] == "fraud detection"
 
     def test_generic(self, lex):
         s = sentence_of("We use your data to provide our services.")
-        label, _ = classify_sharing(s, lex)
+        label, _ = classify_sharing(s, INDEX.scan(s))
         assert label == "generic"
 
     def test_negated(self, lex):
         s = sentence_of("We do not share personally identifiable information.")
-        label, _ = classify_sharing(s, lex)
+        label, _ = classify_sharing(s, INDEX.scan(s))
         assert label == "negated"
 
     def test_negation_beats_specific(self, lex):
         s = sentence_of(
             "We will not share your data, even for fraud detection.")
-        label, _ = classify_sharing(s, lex)
+        label, _ = classify_sharing(s, INDEX.scan(s))
         assert label == "negated"
 
     def test_specific_beats_generic(self, lex):
         s = sentence_of(
             "We process data to provide our services and for fraud "
             "detection checks.")
-        label, _ = classify_sharing(s, lex)
+        label, _ = classify_sharing(s, INDEX.scan(s))
         assert label == "specific"
 
     def test_no_verb_is_none(self, lex):
         s = sentence_of("Your data belongs to you.")
-        label, finding = classify_sharing(s, lex)
+        label, finding = classify_sharing(s, INDEX.scan(s))
         assert label == "none"
         assert finding is None
 
     def test_verb_without_cue_is_none(self, lex):
         s = sentence_of("We share updates with you.")
-        label, _ = classify_sharing(s, lex)
+        label, _ = classify_sharing(s, INDEX.scan(s))
         assert label == "none"
 
     def test_inflected_verb_counts(self, lex):
         s = sentence_of("Data is processed for spam detection.")
-        label, _ = classify_sharing(s, lex)
+        label, _ = classify_sharing(s, INDEX.scan(s))
         assert label == "specific"
 
 
@@ -390,7 +395,7 @@ class TestReviewRoundTrip:
         doc = doc_of(
             "We share one for fraud detection. We share two for content "
             "moderation. We keep data as long as necessary.")
-        lex = ensure_compiled(load_specificity_lexicons())
+        lex = load_specificity_lexicons()
         return analyze_document(doc, lex)
 
     def test_export_header_and_order(self, tmp_path):
@@ -415,7 +420,7 @@ class TestReviewRoundTrip:
 
     def test_export_can_include_dt_en(self, tmp_path):
         doc = doc_of("We collect your email address from Google.")
-        lex = ensure_compiled(load_specificity_lexicons())
+        lex = load_specificity_lexicons()
         findings = analyze_document(doc, lex)
         path = tmp_path / "review.jsonl"
         assert export_review(findings, str(path)) == 0
@@ -618,8 +623,7 @@ def reference_duration_ranges(folded_tokens, units):
     return ranges
 
 
-_UNITS = frozenset(
-    u.lower() for u in load_specificity_lexicons().duration_units)
+_UNITS = frozenset(u.lower() for u in SHIPPED.duration_units)
 _DURATION_TOKENS = st.lists(st.sampled_from([
     "3", "30", "0", "thirty", "one", "thirty-one", "twenty-", "-five",
     "30-day", "ninety-day", "thirty-one-year", "x-day", "-day", "3-",
@@ -631,7 +635,9 @@ class TestDurationRanges:
     @settings(deadline=None)
     @given(tokens=_DURATION_TOKENS)
     def test_matches_reference(self, tokens):
-        assert specificity._duration_ranges(tokens, _UNITS) == \
+        view = INDEX.scan(textprep.Sentence(
+            0, " ".join(tokens), tuple(tokens), (0, 0)))
+        assert specificity._duration_ranges(view, _UNITS) == \
             reference_duration_ranges(tokens, _UNITS)
 
 
@@ -639,7 +645,7 @@ def reference_suffix_re(lex):
     """The corporate-name pattern, which detect_entities ran with finditer."""
     name_part = r"[A-Z][A-Za-z0-9&'’.-]*"
     suffix_alt = "|".join(sorted(
-        (re.escape(s) for s in lex.raw.corporate_suffixes),
+        (re.escape(s) for s in lex.corporate_suffixes),
         key=len, reverse=True))
     return re.compile(
         rf"\b{name_part}(?:\s+{name_part})*,?\s+(?:{suffix_alt})\b\.?")
@@ -667,8 +673,7 @@ class TestCorporateNames:
     @given(text=_ENTITY_TEXT)
     def test_matches_reference(self, lex, suffixes, text):
         if suffixes is not None:
-            lex = specificity.CompiledLexicons(dataclasses.replace(
-                lex.raw, corporate_suffixes=suffixes))
+            lex = dataclasses.replace(lex, corporate_suffixes=suffixes)
         old = reference_suffix_re(lex)
         assert [m.span() for m in lex.corporate_names(text)] == \
             [m.span() for m in old.finditer(text)]
@@ -676,8 +681,9 @@ class TestCorporateNames:
         oracle.corporate_names = old.finditer
         sentence = textprep.Sentence(0, text, tuple(
             textprep.tokenize_words(text)), (0, len(text)))
-        assert detect_entities(sentence, lex) == \
-            detect_entities(sentence, oracle)
+        view = INDEX.scan(sentence)
+        assert detect_entities(sentence, view, lex) == \
+            detect_entities(sentence, view, oracle)
 
     def test_caps_run_is_linear(self, lex):
         # suffix_re.finditer takes over a minute on this run.

@@ -385,3 +385,10 @@ class TestProperties:
         first = data.draw(st.integers(0, len(spans) - 1))
         last = data.draw(st.integers(first, len(spans) - 1))
         assert view.span(first, last) == (spans[first][0], spans[last][1])
+
+    @settings(deadline=None, max_examples=300)
+    @given(text=st.one_of(st.text(), _TOKEN_TEXTS))
+    def test_find_spans_equal_finditer_on_any_text(self, text):
+        view = textprep.TokenView(text)
+        spans = [m.span() for m in textprep.WORD_RE.finditer(text)]
+        assert [view.span(i, i) for i in range(len(spans))] == spans
