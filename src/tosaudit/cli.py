@@ -14,6 +14,13 @@ from . import interface_assess, pipeline, report
 from .errors import TosAuditError
 
 
+def _echo(message, err=False):
+    """click.echo, with a lone surrogate (valid in JSON text, but not
+    writable as UTF-8) written as a backslash escape."""
+    click.echo(message.encode("utf-8", "backslashreplace").decode("utf-8"),
+               err=err)
+
+
 class _Main(click.Group):
     """The command group; any TosAuditError is fatal, with exit code 2."""
 
@@ -21,7 +28,7 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except TosAuditError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
 
 
@@ -53,7 +60,7 @@ def fetch(config_path, platform, corpus_dir):
     outcomes = corpus_mod.fetch_all(config, corpus_dir, platform=platform)
     errors = 0
     for name, status, detail in outcomes:
-        click.echo(f"{name}: {status} {detail}")
+        _echo(f"{name}: {status} {detail}")
         if status == "error":
             errors += 1
     if errors:

@@ -1,14 +1,18 @@
-"""HTML to plain text conversion built on the stdlib parser.
+"""HTML to plain text conversion with one compiled-regex tokenizer.
 
-Text is emitted while the markup is parsed: no tree is built and
-nothing recurses, so nesting depth is unbounded. Script/style/navigation
-boilerplate is dropped, block elements become paragraph breaks, and a
-deliberately small selector subset (tag, .class, #id, tag.class, tag#id)
-serves per-platform include/exclude rules.
+Text is emitted while the markup is tokenized: no tree is built and
+nothing recurses, so nesting depth is unbounded. The tokenizer
+reproduces the token boundaries of Python 3.11's html.parser fed the
+whole markup and closed. Text runs and clean tags take one match of
+one regex; any other '<' is read by a port of that parser's rule for
+the one construct there. Script/style/navigation boilerplate is
+dropped, block elements become paragraph breaks, and a deliberately
+small selector subset (tag, .class, #id, tag.class, tag#id) serves
+per-platform include/exclude rules.
 """
 
 import re
-from html.parser import HTMLParser
+from html import unescape
 
 from .errors import ExtractionError
 
@@ -35,6 +39,36 @@ _SELECTOR_RE = re.compile(
     r"([a-zA-Z][a-zA-Z0-9-]*)?(?:\.([\w-]+)|#([\w-]+))?"
 )
 
+# One token, by m.lastindex: 1 a text run; 4 a start tag whose name (2)
+# and attributes (3) html.parser reads exactly so, with 4 the '/' of
+# '/>'; 5 an end tag, html.parser's endtagfind. Attributes here are bare
+# or double-quoted, each after ASCII space, so the stdlib's tolerant
+# start-tag patterns would end the tag at the same '>'.
+_TOKEN = re.compile(
+    r'([^<]+)'
+    r'|<([a-zA-Z][-.:\w]*)'
+    r'((?:[ \t\n\r\f]+[a-zA-Z_:][-.:\w]*(?:="[^"]*")?)*)[ \t\n\r\f]*(/?)>'
+    r'|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>')
+_ATTR = re.compile(r'([a-zA-Z_:][-.:\w]*)(?:="([^"]*)")?')
+# html.parser's raw-text elements and the end tag it searches for.
+_RAW_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I)
+            for tag in ("script", "style")}
+
+# html.parser (3.11) patterns for what _TOKEN does not take, compiled
+# (and cached by re) on first use: most documents never need them.
+_LOCATE_END = (
+    r"""<[a-zA-Z][^\t\n\r\f />\x00]*(?:[\s/]*(?:(?<=['"\s/])[^\s/>]"""
+    r"""[^\s/=>]*(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?"""
+    r"""(?:\s|/(?!>))*)*)?\s*""")
+_TAGFIND = r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*"
+_ATTRFIND = (r"""((?<=['"\s/])[^\s/>][^\s/=>]*)"""
+             r"""(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
+_DECL_NAME = r"[a-zA-Z][-_.a-zA-Z0-9]*\s*"
+_SECTION_END = dict.fromkeys(("if", "else", "endif"), r"]\s*>")
+_SECTION_END.update(dict.fromkeys(
+    ("temp", "cdata", "ignore", "include", "rcdata"), r"]\s*]\s*>"))
+_NAME_OR_VALUE = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ="
+
 # What an open element does with the text inside it.
 _MUTED = 0    # excluded, or a DROP_TAGS element that would emit: no text,
               # and nothing inside is matched against a selector
@@ -53,87 +87,87 @@ def parse_selector(selector):
     return (tag.lower() if tag else None, cls, node_id)
 
 
-def _matches_any(tag, attrs, selectors):
-    for sel_tag, cls, node_id in selectors:
-        if ((sel_tag is None or sel_tag == tag)
-                and (cls is None
-                     or cls in (attrs.get("class") or "").split())
+def _matches_any(attrs, selectors):
+    """Whether attrs satisfy one of selectors, whose tags already match."""
+    for _, cls, node_id in selectors:
+        if ((cls is None or cls in (attrs.get("class") or "").split())
                 and (node_id is None or attrs.get("id") == node_id)):
             return True
     return False
 
 
-class _TextExtractor(HTMLParser):
-    """Emits text into self.out as the markup is fed.
+def _construct(s, i):
+    """Read the construct at s[i] == '<' that _TOKEN did not match.
 
-    Each open element is a (tag, state, closing) frame; closing is the
-    text emitted when the element closes. A close tag closes every
-    element up to the nearest open one with its name, and a close tag
-    with no open match is ignored.
+    This is html.parser's rule for it, with the whole input fed and
+    closed. Returns (end, kind, value, attrs, empty): kind 1 is text
+    (value), 4 a start tag and 5 an end tag (value is the tag name), and
+    0 something that yields nothing (a comment, declaration or the like).
     """
-
-    def __init__(self, include, exclude):
-        super().__init__(convert_charrefs=True)
-        self._include = include
-        self._exclude = exclude
-        self._stack = [("#root", _OUTSIDE if include else _EMIT, "")]
-        self._parts = 0
-        self.out = []
-
-    def _open(self, tag, attrs):
-        state = self._stack[-1][1]
-        if state == _MUTED:
-            return (tag, _MUTED, "")
-        if self._exclude or state == _OUTSIDE:
-            attrs = dict(attrs)
-            if self._exclude and _matches_any(tag, attrs, self._exclude):
-                return (tag, _MUTED, "")
-            if state == _OUTSIDE:
-                if not _matches_any(tag, attrs, self._include):
-                    return (tag, _OUTSIDE, "")
-                # An included element starts a part; parts are joined
-                # by a blank line and nested matches stay in their part.
-                if self._parts:
-                    self.out.append("\n\n")
-                self._parts += 1
-        if tag in DROP_TAGS:
-            return (tag, _MUTED, "")
-        if tag == "br":
-            self.out.append("\n")
-        elif tag in BLOCK_TAGS:
-            self.out.append("\n\n")
-            return (tag, _EMIT, "\n\n")
-        return (tag, _EMIT, "")
-
-    def _close_from(self, i):
-        stack = self._stack
-        self.out.extend(frame[2] for frame in reversed(stack[i:]))
-        del stack[i:]
-
-    def handle_starttag(self, tag, attrs):
-        frame = self._open(tag, attrs)
-        if tag in VOID_TAGS:
-            self.out.append(frame[2])
-        else:
-            self._stack.append(frame)
-
-    def handle_startendtag(self, tag, attrs):
-        self.out.append(self._open(tag, attrs)[2])
-
-    def handle_endtag(self, tag):
-        stack = self._stack
-        for i in range(len(stack) - 1, 0, -1):
-            if stack[i][0] == tag:
-                self._close_from(i)
-                return
-
-    def handle_data(self, data):
-        if self._stack[-1][1] == _EMIT:
-            self.out.append(data)
-
-    def close(self):
-        super().close()
-        self._close_from(1)
+    c = s[i + 1:i + 2]
+    k = -1
+    if c.isascii() and c.isalpha():
+        j = re.compile(_LOCATE_END).match(s, i).end()
+        c = s[j:j + 1]
+        if c == ">":
+            k = j + 1
+        elif c == "/":
+            k = j + 2 if s.startswith("/>", j) else -1
+        elif c and c not in _NAME_OR_VALUE:
+            k = j
+        if k >= 0:
+            m = re.compile(_TAGFIND).match(s, i + 1)
+            tag, j = m[1].lower(), m.end()
+            attrs = {}
+            while j < k and (m := re.compile(_ATTRFIND).match(s, j)):
+                name, rest, value = m.group(1, 2, 3)
+                if not rest:
+                    value = None
+                elif (value[:1] == "'" == value[-1:]
+                      or value[:1] == '"' == value[-1:]):
+                    value = value[1:-1]
+                attrs[name.lower()] = unescape(value) if value else value
+                j = m.end()
+            end = s[j:k].strip()
+            if end == ">" or end == "/>":
+                return k, 4, tag, attrs, end == "/>"
+            return k, 1, s[i:k], None, False
+    elif c == "/":
+        k = s.find(">", i + 2)
+        if k >= 0:
+            # _TOKEN took every end tag that endtagfind matches.
+            m = re.compile(_TAGFIND).match(s, i + 2)
+            return k + 1, 5 if m else 0, m and m[1].lower(), None, False
+    elif s.startswith("<!--", i):
+        m = re.compile(r"--\s*>").search(s, i + 4)
+        k = m.end() if m else -1
+    elif s.startswith("<![", i):
+        m = re.compile(_DECL_NAME).match(s, i + 3)
+        if m is None and i + 3 < len(s):
+            raise ExtractionError(
+                f"unparseable HTML: expected name token at {s[i:i + 20]!r}")
+        if m and m.end() < len(s):
+            end = _SECTION_END.get(m[0].strip().lower())
+            if end is None:
+                raise ExtractionError(
+                    f"unparseable HTML: unknown status keyword "
+                    f"{s[i + 3:m.end()]!r} in marked section")
+            m = re.compile(end).search(s, i + 3)
+            k = m.end() if m else -1
+    elif c == "!" or c == "?":
+        # A declaration (<!doctype too), a bogus comment or a processing
+        # instruction ends at the next '>'.
+        k = s.find(">", i + 2) + 1 or -1
+    else:
+        return i + 1, 1, "<", None, False
+    if k >= 0:
+        return k, 0, None, None, False
+    # Unterminated: text up to and including the next '>', or else up to
+    # the next '<', or else the '<' alone.
+    k = s.find(">", i + 1) + 1 or s.find("<", i + 1)
+    if k < 0:
+        k = i + 1
+    return k, 1, unescape(s[i:k]), None, False
 
 
 def html_to_text(markup, include=None, exclude=None):
@@ -145,15 +179,91 @@ def html_to_text(markup, include=None, exclude=None):
     skipped so text is never duplicated).
     exclude: optional selectors whose subtrees never contribute text
     and are never included.
-    Markup the stdlib parser cannot read raises ExtractionError.
+    A close tag closes every element up to the nearest open one with
+    its name; one with no open match is ignored. Markup that
+    html.parser cannot read (a marked section such as "<![x]>") raises
+    ExtractionError.
     """
     exclude = [parse_selector(s) for s in exclude or ()]
     include = [parse_selector(s) for s in include or ()]
-    extractor = _TextExtractor(include, exclude)
-    try:
-        extractor.feed(markup)
-        extractor.close()
-    except AssertionError as exc:
-        # html.parser raises this on some broken declarations ("<![x").
-        raise ExtractionError(f"unparseable HTML: {exc}") from None
-    return "".join(extractor.out)
+    # Each open element is a (tag, state, closing) frame; closing is the
+    # text emitted when the element closes.
+    stack = [("#root", _OUTSIDE if include else _EMIT, "")]
+    out = []
+    parts = 0
+    selectors = {}  # tag -> (exclude, include) selectors it can match
+    token = _TOKEN.match
+    pos, n = 0, len(markup)
+    while pos < n:
+        m = token(markup, pos)
+        if m is None:
+            pos, kind, tag, attrs, empty = _construct(markup, pos)
+            if kind == 1:
+                if stack[-1][1] == _EMIT:
+                    out.append(tag)
+                continue
+        else:
+            pos = m.end()
+            kind = m.lastindex
+            if kind == 1:
+                if stack[-1][1] == _EMIT:
+                    out.append(unescape(m[1]))
+                continue
+            if kind == 5:
+                tag = m[5].lower()
+            else:
+                tag, attrs, empty = m[2].lower(), m[3], m[4]
+        if kind == 5:
+            if stack[-1][0] == tag:
+                out.append(stack.pop()[2])
+                continue
+            for i in range(len(stack) - 2, 0, -1):
+                if stack[i][0] == tag:
+                    out.extend([frame[2] for frame in reversed(stack[i:])])
+                    del stack[i:]
+                    break
+        elif kind == 4:
+            state = stack[-1][1]
+            closing = ""
+            if state != _MUTED:
+                sels = selectors.get(tag)
+                if sels is None:
+                    sels = selectors[tag] = tuple(
+                        [s for s in group if s[0] is None or s[0] == tag]
+                        for group in (exclude, include))
+                ex, inc = sels
+                if ex or (inc and state == _OUTSIDE):
+                    # Attributes are read only where a selector can match.
+                    if isinstance(attrs, str):
+                        attrs = {name.lower(): unescape(value) for name, value
+                                 in _ATTR.findall(attrs)}
+                if ex and _matches_any(attrs, ex):
+                    state = _MUTED
+                elif state == _OUTSIDE and inc and _matches_any(attrs, inc):
+                    # An included element starts a part; parts are joined
+                    # by a blank line and nested matches stay in their part.
+                    if parts:
+                        out.append("\n\n")
+                    parts += 1
+                    state = _EMIT
+                if state == _EMIT:
+                    if tag in DROP_TAGS:
+                        state = _MUTED
+                    elif tag == "br":
+                        out.append("\n")
+                    elif tag in BLOCK_TAGS:
+                        out.append("\n\n")
+                        closing = "\n\n"
+            if empty or tag in VOID_TAGS:
+                out.append(closing)
+            elif tag in _RAW_END:
+                # Raw text that no frame of a DROP_TAGS element emits:
+                # skip to the end tag, or drop the rest if there is none.
+                m = _RAW_END[tag].search(markup, pos)
+                if m is None:
+                    break
+                pos = m.end()
+            else:
+                stack.append((tag, state, closing))
+    out.extend([frame[2] for frame in reversed(stack[1:])])
+    return "".join(out)

@@ -25,10 +25,12 @@ RESULTS_SCHEMA_VERSION = 1
 EXTRACTION_CONFIG_NAME = "extraction_config.json"
 ASSESSMENTS_DIR = "assessments"
 
-# Starting a worker pool costs about 55 ms per run. Markup-heavy HTML,
-# the least work per payload byte, pays that back from about 0.25 to
-# 0.4 MB on (2 CPUs, Python 3.11); a smaller corpus is analyzed in this
-# process.
+# Starting a worker pool costs about 55-75 ms per run. On 2 CPUs
+# (Python 3.11) serial analysis takes about 1 s per MB of plain text and
+# 0.26 s per MB of markup-heavy HTML, the least work per payload byte, so
+# the pool pays back from about 0.15 MB of text and 0.5-0.6 MB of such
+# HTML. At 400 kB it loses at most about 25 ms on that HTML and gains
+# over 100 ms on text; a smaller corpus is analyzed in this process.
 POOL_MIN_PAYLOAD_BYTES = 400_000
 
 

@@ -169,6 +169,19 @@ class TestFetch:
         assert outcome.exit_code == 1
         assert "ghost: error" in outcome.output
 
+    def test_lone_surrogate_in_url_is_an_error_line(self, runner, tmp_path):
+        # "\ud800" is valid JSON; the URL fails before any request is made.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            '{"request_delay_s": 0, "platforms": [{"platform": "x", '
+            '"url": "http://127.0.0.1:9/t?x=\\ud800"}]}')
+        outcome = runner.invoke(main, [
+            "fetch", "--config", str(config_path),
+            "--corpus", str(tmp_path / "corpus")])
+        assert outcome.exit_code == 1, outcome.output
+        assert ("x: error invalid url for http://127.0.0.1:9/t?x=\\ud800"
+                in outcome.output)
+
     def test_missing_config_is_fatal(self, runner, tmp_path):
         outcome = runner.invoke(main, [
             "fetch", "--config", str(tmp_path / "nope.json"),
@@ -794,22 +807,24 @@ class TestEntryPoint:
         """Importing the CLI loads no third-party module but click.
 
         Nor does it load http.client (with email and ssl): only fetch
-        makes a request, so only fetch pays for importing it.
+        makes a request, so only fetch pays for importing it. Nor the
+        stdlib HTML parser: htmltext tokenizes markup itself.
         """
         probe = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
             "import tosaudit.cli\n"
             "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "unwanted = ['http.client', 'html.parser', '_markupbase']\n"
             "print(json.dumps([sorted(new - set(sys.stdlib_module_names)),\n"
-            "                  'http.client' in sys.modules]))\n")
+            "                  [m for m in unwanted if m in sys.modules]]))\n")
         completed = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
-        third_party, http_client_loaded = json.loads(completed.stdout)
+        third_party, unwanted = json.loads(completed.stdout)
         assert set(third_party) <= {"click", "tosaudit"}
-        assert not http_client_loaded
+        assert unwanted == []
 
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
             project = tomllib.load(handle)["project"]
