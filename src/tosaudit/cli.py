@@ -10,7 +10,7 @@ import sys
 import click
 
 from . import corpus as corpus_mod
-from . import interface_assess, pipeline, report
+from . import inputs, interface_assess, pipeline, report
 from .errors import TosAuditError
 
 
@@ -82,9 +82,12 @@ def analyze(corpus_dir, lexicons_dir, out_path, classic_lensear):
     out_dir = os.path.dirname(out_path) or "."
     if not os.path.isdir(out_dir):
         raise TosAuditError(f"cannot write {out_path}: no directory {out_dir}")
-    records, failures = pipeline.run_pipeline(
-        corpus_dir, lexicons_dir=lexicons_dir,
-        classic_lensear=classic_lensear)
+    # Records are encoded as they are made, so text that UTF-8 cannot
+    # hold fails the run as a write of --out.
+    with inputs.encoding_for(out_path):
+        records, failures = pipeline.run_pipeline(
+            corpus_dir, lexicons_dir=lexicons_dir,
+            classic_lensear=classic_lensear)
     pipeline.save_results(
         pipeline.results_payload(records, failures), out_path)
     click.echo(f"analyzed {len(records)} platform(s), "
@@ -119,8 +122,11 @@ def review_export(results_path, out_path, include_dt_en):
 @click.option("--out", "out_path", required=True)
 def review_apply(results_path, review_path, out_path):
     """Apply reviewed labels and recompute post-review scores."""
-    revised = _use_results(results_path, lambda payload: (
-        pipeline.apply_review_to_results(payload, review_path)))
+    def apply(payload):
+        with inputs.encoding_for(out_path):  # revised records are encoded
+            return pipeline.apply_review_to_results(payload, review_path)
+
+    revised = _use_results(results_path, apply)
     pipeline.save_results(revised, out_path)
     click.echo(f"applied review -> {out_path}")
 

@@ -142,7 +142,8 @@ def store_snapshot(manifest, entry, payload, corpus_dir):
             raise CorpusError(
                 f"retrieved_at regresses for platform {entry.platform!r}")
     entry.payload_path = payload_relpath(entry)
-    inputs.write_atomic(os.path.join(corpus_dir, entry.payload_path), payload)
+    inputs.write_atomic(os.path.join(corpus_dir, entry.payload_path),
+                        [payload], make_parents=True)
     if current is not None:
         manifest.entries = [e for e in manifest.entries
                             if e.platform != entry.platform]
@@ -196,8 +197,8 @@ def manifest_from_dict(data):
 
 
 def save_manifest(manifest, path):
-    inputs.write_atomic(path, inputs.canonical_json(
-        manifest_to_dict(manifest)).encode("utf-8"))
+    inputs.write_atomic(path, [inputs.canonical_json(
+        manifest_to_dict(manifest))])
 
 
 def load_manifest(path):
@@ -221,6 +222,9 @@ def read_payload(corpus_dir, entry):
     except OSError as exc:
         raise CorpusError(
             f"cannot read payload {path}: {exc.strerror}") from None
+    except ValueError:  # a NUL byte or a lone surrogate in the path
+        raise CorpusError(
+            f"cannot read payload {path!r}: invalid path") from None
     if digest_bytes(payload) != entry.content_digest:
         raise CorpusError(
             f"payload digest mismatch for platform {entry.platform!r}")

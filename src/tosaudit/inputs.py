@@ -64,7 +64,7 @@ def is_phrase_list(value):
         isinstance(v, str) and v.strip() for v in value)
 
 
-def canonical_json(obj):
+def canonical_json(obj, depth=0):
     """The package's JSON file text: sorted keys, two-space indent.
 
     The text is exactly json.dumps(obj, sort_keys=True, indent=2,
@@ -73,13 +73,19 @@ def canonical_json(obj):
     json.dumps would run its generator-based Python encoder; this writer
     appends whole lines to one list instead, in about 40% of the time.
     obj must not contain itself.
+
+    At a depth above 0 the text is obj as it sits that many containers
+    deep in such a file: its inner lines carry that depth's indent, and
+    no newline ends it.
     """
-    if not isinstance(obj, (dict, list, tuple)):
-        # A lone scalar: the item line of a one-item list, unindented.
-        return canonical_json([obj])[len("[\n  "):-len("\n]\n")] + "\n"
-    out = []
-    _write(obj, out, 0, [])
-    out.append("\n")
+    if isinstance(obj, (dict, list, tuple)):
+        out = []
+        _write(obj, out, depth, {})
+    else:
+        # A scalar's text is the same at any depth.
+        out = [json.dumps(obj, ensure_ascii=False)]
+    if not depth:
+        out.append("\n")
     return "".join(out)
 
 
@@ -133,13 +139,14 @@ def _write(value, out, depth, rows):
     elif not value:
         out.append("[]")
         return
-    if len(rows) == depth:
+    row = rows.get(depth)
+    if row is None:
         indent = "\n" + "  " * (depth + 1)
         close = "\n" + "  " * depth
-        rows.append(("[" + indent, "{" + indent, "," + indent,
-                     close + "]", close + "}", {}, {}))
+        row = rows[depth] = ("[" + indent, "{" + indent, "," + indent,
+                             close + "]", close + "}", {}, {})
     (open_list, open_dict, comma, close_list, close_dict,
-     first_heads, next_heads) = rows[depth]
+     first_heads, next_heads) = row
     append = out.append
     if isinstance(value, dict):
         heads = first_heads
@@ -183,34 +190,39 @@ def _write(value, out, depth, rows):
         append(close_list)
 
 
-def write_text(path, text):
-    """Write text to path as UTF-8, replacing any existing file.
+@contextlib.contextmanager
+def encoding_for(path):
+    """Text that UTF-8 cannot hold raises TosAuditError naming path.
 
-    Text that UTF-8 cannot hold, such as a lone surrogate from a JSON
-    escape, raises TosAuditError before the file is opened, so an
-    existing file is left as it was.
+    Wrap the code that encodes text bound for path in it: a lone
+    surrogate from a JSON escape, for example, cannot be written.
     """
     try:
-        data = text.encode("utf-8")
+        yield
     except UnicodeEncodeError as exc:
         raise TosAuditError(f"cannot write {path}: {exc.reason}: "
-                            f"{text[exc.start:exc.end]!r}") from None
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise TosAuditError(f"cannot write {path}: {exc.strerror}") from None
+                            f"{exc.object[exc.start:exc.end]!r}") from None
 
 
-def write_atomic(path, data):
-    """Write bytes to path through a .tmp file and a rename, making parents."""
+def write_atomic(path, chunks, make_parents=False):
+    """Write chunks, str as UTF-8 or bytes, to path.
+
+    They go to path.tmp, which is then renamed onto path. Any failure
+    removes path.tmp and leaves an existing file at path as it was.
+    """
+    tmp = path + ".tmp"
     try:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        if make_parents:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with encoding_for(path), open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk if isinstance(chunk, bytes)
+                         else chunk.encode("utf-8"))
         os.replace(tmp, path)
-    except OSError as exc:
-        raise TosAuditError(f"cannot write {path}: {exc.strerror}") from None
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise TosAuditError(
+                f"cannot write {path}: {exc.strerror}") from None
+        raise

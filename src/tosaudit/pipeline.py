@@ -5,6 +5,10 @@ options: no timestamps are generated, platforms are reported in
 alphabetical order, and serialization is canonical, so re-runs over a
 frozen corpus are byte-identical. A large corpus is analyzed in a pool
 of forked processes, one per usable CPU; a small one in this process.
+
+Each platform's record is encoded to its results-file bytes where it is
+built, in the worker that analyzed it or in `review apply`, and the
+results file is streamed from those bytes; no whole-file text is built.
 """
 
 import os
@@ -52,6 +56,11 @@ class PlatformResult:
     interface: object = None
 
 
+# Records sit this many containers deep in a results file: the top-level
+# object, then its "results" list.
+RECORD_DEPTH = 2
+
+
 def _specificity_block(findings, scored):
     """Results-file specificity block from findings and their scores.
 
@@ -96,6 +105,14 @@ def result_to_dict(result):
         "interface": (interface_assess.assessment_to_dict(result.interface)
                       if result.interface is not None else None),
     }
+
+
+def encode_record(record):
+    """A results record's text, as it sits in a results file, as UTF-8.
+
+    Text that UTF-8 cannot hold raises UnicodeEncodeError.
+    """
+    return canonical_json(record, RECORD_DEPTH).encode("utf-8")
 
 
 class PipelineContext:
@@ -177,14 +194,14 @@ def _attach_interface(result, corpus_dir):
 
 
 def _entry_outcome(ctx, corpus_dir, entry):
-    """(results record or None, failure message or None) of one entry."""
+    """(encoded record or None, failure message or None) of one entry."""
     try:
         payload = corpus_mod.read_payload(corpus_dir, entry)
         result = analyze_entry(entry, payload, ctx)
     except TosAuditError as exc:
         return None, str(exc)
     problem = _attach_interface(result, corpus_dir)
-    return (result_to_dict(result),
+    return (encode_record(result_to_dict(result)),
             f"invalid assessment: {problem}" if problem else None)
 
 
@@ -215,22 +232,24 @@ def _pool_size(corpus_dir, entries):
         try:
             total += os.path.getsize(
                 os.path.join(corpus_dir, entry.payload_path))
-        except OSError:
-            pass  # read_payload reports the missing payload
+        except (OSError, ValueError):
+            pass  # read_payload reports the missing payload or bad path
     return workers if total >= POOL_MIN_PAYLOAD_BYTES else 1
 
 
 def run_pipeline(corpus_dir, lexicons_dir=None, classic_lensear=False):
     """Analyze every platform in the corpus.
 
-    Returns (records, failures): results-file records (result_to_dict)
-    sorted by platform, and sorted (platform, message) pairs for
+    Returns (records, failures): results-file records as encode_record
+    bytes, sorted by platform (json.loads(record) gives the
+    result_to_dict dict), and sorted (platform, message) pairs for
     documents that could not be analyzed. Lexicon problems raise
-    instead of being collected.
+    instead of being collected, and a record that UTF-8 cannot hold
+    raises UnicodeEncodeError.
 
     A forked worker inherits the PipelineContext built here and sends
-    back only plain records, so nothing is loaded twice and no Document
-    is pickled.
+    back only encoded records, so nothing is loaded twice, no Document
+    is pickled and the records are encoded on every CPU.
     """
     manifest = corpus_mod.load_manifest(
         os.path.join(corpus_dir, corpus_mod.MANIFEST_NAME))
@@ -273,7 +292,27 @@ def results_payload(records, failures):
 
 
 def save_results(payload, path):
-    inputs.write_text(path, canonical_json(payload))
+    """Write a results payload whose records are encode_record bytes.
+
+    The file holds canonical_json of the payload with its records
+    decoded. The records are written as they are, between the other
+    keys' text, so no whole-file text is built.
+    """
+    def chunks():
+        sep = "{\n  "
+        for key, value in sorted(payload.items()):
+            yield f"{sep}{canonical_json(key, 1)}: "
+            sep = ",\n  "
+            if key == "results":
+                for i, record in enumerate(value):
+                    yield ",\n    " if i else "[\n    "
+                    yield record
+                yield "\n  ]" if value else "[]"
+            else:
+                yield canonical_json(value, 1)
+        yield "\n}\n"
+
+    inputs.write_atomic(path, chunks())
 
 
 def load_results(path):
@@ -306,9 +345,9 @@ def apply_review_to_results(payload, review_path):
 
     Rebuilds each platform's post-review counts and scores from the
     human labels; auto values are recomputed from auto labels and stay
-    untouched by review actions. Returns a new payload whose records and
-    specificity blocks are new dicts; payload and its records are left
-    as they were, and the blocks a review does not touch are shared.
+    untouched by review actions. Returns a new payload whose records
+    are encode_record bytes, each encoded as it is revised; payload and
+    its records are left as they were.
     """
     records = specificity_mod.parse_review_file(review_path)
     by_platform = {}
@@ -328,6 +367,6 @@ def apply_review_to_results(payload, review_path):
             findings, by_platform.get(result["platform"], []))
         scored = specificity_mod.score_findings(
             findings, result["doc_stats"]["sentence_count"])
-        revised.append({**result, "specificity": {
-            **result["specificity"], **_specificity_block(findings, scored)}})
+        revised.append(encode_record({**result, "specificity": {
+            **result["specificity"], **_specificity_block(findings, scored)}}))
     return {**payload, "results": revised}

@@ -220,11 +220,12 @@ def render_figure_svg(records, figure_kind):
 
 
 def write_table(results, table_kind, fmt, out_path):
-    inputs.write_text(out_path, render_table(results, table_kind, fmt))
+    inputs.write_atomic(out_path, [render_table(results, table_kind, fmt)])
 
 
 def write_figure(results, figure_kind, out_path, svg_path=None):
     records = emit_figure_data(results, figure_kind)
-    inputs.write_text(out_path, inputs.canonical_json(records))
+    inputs.write_atomic(out_path, [inputs.canonical_json(records)])
     if svg_path:
-        inputs.write_text(svg_path, render_figure_svg(records, figure_kind))
+        inputs.write_atomic(
+            svg_path, [render_figure_svg(records, figure_kind)])

@@ -548,7 +548,7 @@ def export_review(findings, path, include_dt_en=False):
     }
     dicts = itertools.chain([header], map(finding_to_dict, records))
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-    inputs.write_text(path, "".join(encode(d) + "\n" for d in dicts))
+    inputs.write_atomic(path, (encode(d) + "\n" for d in dicts))
     return len(records)
 
 

@@ -19,8 +19,8 @@ def store_assessment(dir_path, assessment, overwrite=False):
         raise AssessmentError(
             f"assessment for {assessment.platform!r} already exists "
             "(pass overwrite to replace)")
-    inputs.write_text(path, inputs.canonical_json(
-        interface_assess.assessment_to_dict(assessment)))
+    inputs.write_atomic(path, [inputs.canonical_json(
+        interface_assess.assessment_to_dict(assessment))])
     return path
 
 
@@ -129,11 +129,20 @@ def http_base():
 
 @pytest.fixture(scope="session")
 def pipeline_run(fixture_corpus):
-    """(records, failures) of the fixture corpus, shared by every test."""
+    """(records, failures) of the fixture corpus, shared by every test.
+
+    The records are encoded bytes, as run_pipeline returns them.
+    """
     return pipeline.run_pipeline(str(fixture_corpus))
 
 
 @pytest.fixture
-def results_by_platform(pipeline_run):
-    records, _ = pipeline_run
-    return {r["platform"]: r for r in records}
+def run_payload(pipeline_run):
+    """The fixture corpus's results payload as load_results reads it."""
+    payload = pipeline.results_payload(*pipeline_run)
+    return {**payload, "results": [json.loads(r) for r in payload["results"]]}
+
+
+@pytest.fixture
+def results_by_platform(run_payload):
+    return {r["platform"]: r for r in run_payload["results"]}

@@ -23,7 +23,7 @@ from tosaudit.interface_assess import (
     validate_assessment,
 )
 from tosaudit.pipeline import (
-    apply_review_to_results, export_review_from_results, results_payload,
+    apply_review_to_results, export_review_from_results,
 )
 from tosaudit.readability import (
     METRICS, classify_band, compute_readability_profile,
@@ -430,10 +430,10 @@ def test_criterion_6_clarity_scanner():
           time.perf_counter() - start, 1.0)
 
 
-def test_criterion_7_review_round_trip(pipeline_run, tmp_path):
+def test_criterion_7_review_round_trip(run_payload, tmp_path):
     start = time.perf_counter()
     mismatches = []
-    payload = results_payload(*pipeline_run)
+    payload = run_payload
     review_path = str(tmp_path / "review.jsonl")
     export_review_from_results(payload, review_path)
 
@@ -464,8 +464,9 @@ def test_criterion_7_review_round_trip(pipeline_run, tmp_path):
         for r in records:
             fh.write(json.dumps(r) + "\n")
 
-    revised = apply_review_to_results(payload, review_path)
-    spec = {r["platform"]: r["specificity"] for r in revised["results"]}
+    revised = [json.loads(r) for r in
+               apply_review_to_results(payload, review_path)["results"]]
+    spec = {r["platform"]: r["specificity"] for r in revised}
 
     bluesky = spec["bluesky"]
     if (bluesky["auto"]["counts"]["ss"],
@@ -491,7 +492,7 @@ def test_criterion_7_review_round_trip(pipeline_run, tmp_path):
             f"{reddit['auto']['scores']['s_s']}->"
             f"{reddit['post_review']['scores']['s_s']}")
 
-    table = report.render_table(revised["results"], "specificity", "csv")
+    table = report.render_table(revised, "specificity", "csv")
     rows = {line.split(",")[0]: line for line in table.splitlines()[1:]}
     if "5→2" not in rows["bluesky"]:
         mismatches.append(f"bluesky row lacks 5→2: {rows['bluesky']}")

@@ -213,6 +213,22 @@ class TestFetch:
             "--corpus", str(tmp_path / "afile" / "sub")])
         assert_fatal(outcome, "cannot write")
 
+    def test_unwritable_manifest_is_fatal(self, runner, http_base, tmp_path):
+        # A lone-surrogate escape loads from JSON but is not UTF-8 text.
+        config = {"request_delay_s": 0, "platforms": [
+            {"platform": "bluesky", "url": f"{http_base}/tos/bluesky"}]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        manifest = tmp_path / "corpus" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text('{"entries": [], "\\ud800": 1}')
+        outcome = runner.invoke(main, [
+            "fetch", "--config", str(config_path),
+            "--corpus", str(manifest.parent)])
+        assert_fatal(outcome,
+                     f"cannot write {manifest}: surrogates not allowed")
+        assert manifest.read_text() == '{"entries": [], "\\ud800": 1}'
+
 
 class TestReview:
     def test_export_and_apply(self, analyzed, runner, tmp_path):
@@ -600,6 +616,13 @@ FAIL_CLOSED_CASES = {
         _manifest_edit(lambda manifest: {**manifest, "entries": [
             {**manifest["entries"][0], "payload_path": "payloads"}]}),
         1, "cannot read payload"),
+    # Not a path open() takes; the other entries reach the pool sizing.
+    **{f"payload_path_has_{name}": (
+        _manifest_edit(lambda manifest, bad=bad: {**manifest, "entries": [
+            {**manifest["entries"][0], "payload_path": bad},
+            *manifest["entries"][1:]]}),
+        1, "invalid path") for name, bad in (("nul", "a\x00b"),
+                                             ("surrogate", "a\ud800"))},
 }
 
 
@@ -627,13 +650,34 @@ class TestFailClosed:
             "analyze", "--corpus", str(tmp_path), "--out", str(out)])
         assert_fatal(outcome, f"cannot write {out}")
 
-    @pytest.mark.parametrize("command", ["export", "apply"])
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    def test_unwritable_record_leaves_out_untouched(self, runner, tmp_path,
+                                                    monkeypatch, pool):
+        # A record is encoded where it is made, in a worker for a pool.
+        if pool:
+            monkeypatch.setattr(tosaudit.pipeline, "POOL_MIN_PAYLOAD_BYTES", 0)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = _manifest_edit(lambda manifest: {**manifest, "entries": [
+            {**manifest["entries"][0], "platform": "x\ud800"},
+            *manifest["entries"][1:]]})(tmp_path, None)
+        out = tmp_path / "r.json"
+        out.write_bytes(b"earlier output")
+        outcome = runner.invoke(main, argv)
+        assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
+        assert out.read_bytes() == b"earlier output"
+        assert not (tmp_path / "r.json.tmp").exists()
+
+    @pytest.mark.parametrize("command", ["export", "apply", "apply_last_key"])
     def test_lone_surrogate_leaves_out_untouched(self, analyzed, runner,
                                                  tmp_path, command):
         # "\ud800" is valid JSON and loads, but UTF-8 cannot encode it.
+        # In a key that sorts after "results" it fails the write after
+        # the records are in out.tmp.
         def edit(payload):
             if command == "apply":
                 payload["results"][0]["source_digest"] = "\ud800"
+            elif command == "apply_last_key":
+                payload["zz"] = "\ud800"
             else:
                 finding = next(
                     f for r in payload["results"]
@@ -652,6 +696,7 @@ class TestFailClosed:
         assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
         assert len(outcome.stderr) < len(str(out)) + 100
         assert out.read_bytes() == b"earlier output"
+        assert not (tmp_path / "out.tmp").exists()
 
 
 _JSON_VALUES = st.recursive(

@@ -14,7 +14,7 @@ from tosaudit.corpus import (
     manifest_to_dict, new_manifest, read_payload, save_manifest,
     store_snapshot,
 )
-from tosaudit.errors import CorpusError, FetchError
+from tosaudit.errors import CorpusError, FetchError, TosAuditError
 
 # sha-256 of the ASCII bytes "hello", a widely published reference value
 HELLO_SHA256 = (
@@ -163,6 +163,21 @@ class TestStoreSnapshot:
         with pytest.raises(CorpusError,
                            match="retrieved_at regresses for platform 'demo'"):
             store_snapshot(manifest, stale, b"changed", str(tmp_path))
+
+    def test_unwritable_manifest_text_leaves_manifest(self, tmp_path):
+        # "\ud800" is valid JSON and loads, but UTF-8 cannot encode it.
+        store_snapshot(new_manifest(), make_entry(), b"hello", str(tmp_path))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(
+            {**json.loads(path.read_text()), "\ud800": 1}))
+        before = path.read_bytes()
+        with pytest.raises(TosAuditError, match=(
+                f"cannot write {path}: surrogates not allowed")):
+            store_snapshot(load_manifest(str(path)),
+                           make_entry("other", b"other"), b"other",
+                           str(tmp_path))
+        assert path.read_bytes() == before
+        assert not (tmp_path / "manifest.json.tmp").exists()
 
 
 class TestReadAndVerify:

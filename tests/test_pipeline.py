@@ -31,6 +31,12 @@ def store_text(root, platform, text, media_kind="plain_text"):
     corpus.store_snapshot(manifest, entry, payload, str(root))
 
 
+def run_decoded(corpus_dir, **kwargs):
+    """run_pipeline's (records, failures), with the records decoded."""
+    records, failures = run_pipeline(str(corpus_dir), **kwargs)
+    return [json.loads(r) for r in records], failures
+
+
 def document_of(corpus_dir, platform):
     """The Document analyze_entry builds for one platform of a corpus."""
     manifest = corpus.load_manifest(str(corpus_dir / "manifest.json"))
@@ -41,10 +47,9 @@ def document_of(corpus_dir, platform):
 
 
 class TestFullRun:
-    def test_thirteen_results_no_failures(self, pipeline_run):
-        results, failures = pipeline_run
-        assert failures == []
-        assert [r["platform"] for r in results] == \
+    def test_thirteen_results_no_failures(self, run_payload):
+        assert run_payload["failures"] == []
+        assert [r["platform"] for r in run_payload["results"]] == \
             list(fixture_docs.PLATFORMS)
 
     def test_auto_counts_match_expected(self, results_by_platform):
@@ -55,9 +60,8 @@ class TestFullRun:
         }
         assert got == fixture_docs.EXPECTED_AUTO
 
-    def test_post_equals_auto_before_review(self, pipeline_run):
-        results, _ = pipeline_run
-        for r in results:
+    def test_post_equals_auto_before_review(self, run_payload):
+        for r in run_payload["results"]:
             auto = r["specificity"]["auto"]
             post = r["specificity"]["post_review"]
             assert post["counts"] == auto["counts"]
@@ -65,9 +69,8 @@ class TestFullRun:
             assert auto["scores"]["stage"] == "auto"
             assert post["scores"]["stage"] == "post_review"
 
-    def test_interface_attached_everywhere(self, pipeline_run):
-        results, _ = pipeline_run
-        for r in results:
+    def test_interface_attached_everywhere(self, run_payload):
+        for r in run_payload["results"]:
             assert r["interface"] is not None
             assert r["interface"]["explicit_denial"] == 1
             assert r["interface"]["reversibility_cue"] == 1
@@ -87,9 +90,8 @@ class TestFullRun:
             assert results_by_platform[entry.platform]["source_digest"] == \
                 entry.content_digest
 
-    def test_coverage_keys(self, pipeline_run):
-        results, _ = pipeline_run
-        for r in results:
+    def test_coverage_keys(self, run_payload):
+        for r in run_payload["results"]:
             coverage = r["specificity"]["coverage"]
             assert set(coverage) == \
                 {"data_type", "entity", "retention", "sharing"}
@@ -108,7 +110,7 @@ class TestFailureModes:
     def test_degenerate_document_is_failure(self, tmp_path):
         store_text(tmp_path, "blank", "   \n\n \t ")
         store_text(tmp_path, "fine", "This document is fine. It has words.")
-        results, failures = run_pipeline(str(tmp_path))
+        results, failures = run_decoded(tmp_path)
         assert [r["platform"] for r in results] == ["fine"]
         assert failures == [("blank", "degenerate document")]
 
@@ -119,7 +121,7 @@ class TestFailureModes:
             evidence=[interface_assess.EvidenceRecord(
                 metric="explicit_denial", excerpt="not in the document")])
         store_assessment(str(tmp_path / pipeline.ASSESSMENTS_DIR), assessment)
-        results, failures = run_pipeline(str(tmp_path))
+        results, failures = run_decoded(tmp_path)
         assert len(results) == 1
         assert results[0]["interface"] is None
         assert len(failures) == 1
@@ -140,7 +142,7 @@ class TestFailureModes:
         adir = tmp_path / pipeline.ASSESSMENTS_DIR
         adir.mkdir()
         (adir / "demo.json").write_bytes(content)
-        results, failures = run_pipeline(str(tmp_path))
+        results, failures = run_decoded(tmp_path)
         assert [r["platform"] for r in results] == ["demo", "fine"]
         assert results[0]["interface"] is None
         assert len(failures) == 1
@@ -166,8 +168,7 @@ class TestFailureModes:
         (lexdir / "vague_terms.json").write_text(json.dumps({
             "terms": [{"canonical": "gizmos",
                        "category": "scope_ambiguity", "variants": []}]}))
-        results, failures = run_pipeline(str(tmp_path),
-                                         lexicons_dir=str(lexdir))
+        results, failures = run_decoded(tmp_path, lexicons_dir=str(lexdir))
         assert failures == []
         clarity = results[0]["clarity"]
         # only the single custom term is scanned for
@@ -190,8 +191,8 @@ class TestFailureModes:
         (lexdir / "sharing.json").write_text(json.dumps(shipped))
 
         def sharing_sentences(lexicons_dir):
-            results, failures = run_pipeline(str(tmp_path),
-                                              lexicons_dir=lexicons_dir)
+            results, failures = run_decoded(tmp_path,
+                                            lexicons_dir=lexicons_dir)
             assert failures == []
             return [f["sentence_index"]
                     for f in results[0]["specificity"]["findings"]
@@ -202,12 +203,11 @@ class TestFailureModes:
 
 
 class TestDeterminismAndOptions:
-    def test_two_runs_byte_identical(self, fixture_corpus):
-        first = run_pipeline(str(fixture_corpus))
-        second = run_pipeline(str(fixture_corpus))
-        blob_a = canonical_json(results_payload(*first))
-        blob_b = canonical_json(results_payload(*second))
-        assert blob_a == blob_b
+    def test_two_runs_byte_identical(self, fixture_corpus, tmp_path):
+        for name in ("a", "b"):
+            save_results(results_payload(*run_pipeline(str(fixture_corpus))),
+                         str(tmp_path / name))
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     @pytest.mark.parametrize("platform", ["reddit", "youtube"])
     def test_each_document_normalized_once(self, fixture_corpus, platform,
@@ -220,8 +220,8 @@ class TestDeterminismAndOptions:
         assert len(calls) == 1
 
     def test_classic_lensear_changes_score(self, fixture_corpus):
-        modern = run_pipeline(str(fixture_corpus))[0]
-        classic = run_pipeline(str(fixture_corpus), classic_lensear=True)[0]
+        modern = run_decoded(fixture_corpus)[0]
+        classic = run_decoded(fixture_corpus, classic_lensear=True)[0]
         assert modern[0]["readability"]["scores"]["lensear"] != \
             classic[0]["readability"]["scores"]["lensear"]
 
@@ -257,9 +257,15 @@ def pooled_run(forced_pool, monkeypatch, tmp_path):
 
 
 class TestPool:
-    def test_same_bytes_as_golden(self, fixture_corpus, pooled_run):
-        blob = canonical_json(results_payload(*pooled_run(fixture_corpus)))
-        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == \
+    def test_same_bytes_as_golden(self, fixture_corpus, pooled_run,
+                                  pipeline_run, tmp_path):
+        # Workers send each record to the parent as its encoded bytes.
+        pooled = pooled_run(fixture_corpus)
+        assert all(type(record) is bytes for record in pooled[0])
+        assert pooled == pipeline_run
+        path = tmp_path / "results.json"
+        save_results(results_payload(*pooled), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             RESULTS_SHA256
 
     def test_same_failures_as_serial(self, tmp_path, pooled_run):
@@ -273,9 +279,7 @@ class TestPool:
         assert [p for p, _ in serial[1]] == ["bluesky", "reddit"]
         assert serial[1][1][1] == \
             "payload digest mismatch for platform 'reddit'"
-        assert pooled[1] == serial[1]
-        assert canonical_json(results_payload(*pooled)) == \
-            canonical_json(results_payload(*serial))
+        assert pooled == serial
 
     def test_dead_worker_fails_the_run(self, fixture_corpus, forced_pool,
                                        monkeypatch):
@@ -315,11 +319,11 @@ class TestPool:
 
 
 class TestResultsFile:
-    def test_save_and_load_round_trip(self, pipeline_run, tmp_path):
-        payload = results_payload(*pipeline_run)
+    def test_save_and_load_round_trip(self, pipeline_run, run_payload,
+                                      tmp_path):
         path = str(tmp_path / "results.json")
-        save_results(payload, path)
-        assert load_results(path) == payload
+        save_results(results_payload(*pipeline_run), path)
+        assert load_results(path) == run_payload
 
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(TosAuditError, match="results not found"):
@@ -344,8 +348,8 @@ class TestResultsFile:
 
 
 class TestReviewOverResults:
-    def test_export_counts_reviewable_findings(self, pipeline_run, tmp_path):
-        payload = results_payload(*pipeline_run)
+    def test_export_counts_reviewable_findings(self, run_payload, tmp_path):
+        payload = run_payload
         out = str(tmp_path / "review.jsonl")
         count = export_review_from_results(payload, out)
         expected = sum(
@@ -356,9 +360,9 @@ class TestReviewOverResults:
         expected += 1
         assert count == expected == 42
 
-    def test_apply_rejection_updates_post_scores(self, pipeline_run,
+    def test_apply_rejection_updates_post_scores(self, run_payload,
                                                  tmp_path):
-        payload = results_payload(*pipeline_run)
+        payload = run_payload
         out = str(tmp_path / "review.jsonl")
         export_review_from_results(payload, out)
         lines = open(out).read().splitlines()
@@ -371,7 +375,7 @@ class TestReviewOverResults:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
         revised = apply_review_to_results(payload, out)
-        for result in revised["results"]:
+        for result in map(json.loads, revised["results"]):
             spec = result["specificity"]
             if result["platform"] == "bluesky":
                 assert spec["auto"]["counts"]["ss"] == 5
@@ -381,27 +385,28 @@ class TestReviewOverResults:
                 assert spec["auto"]["counts"] == \
                     spec["post_review"]["counts"]
 
-    def test_apply_leaves_the_run_records_unchanged(self, pipeline_run,
+    def test_apply_leaves_the_run_records_unchanged(self, run_payload,
                                                     tmp_path):
-        records, failures = pipeline_run
-        before = canonical_json(records)
-        payload = results_payload(records, failures)
+        payload = run_payload
+        records = payload["results"]
+        before = canonical_json(payload)
         out = tmp_path / "review.jsonl"
         export_review_from_results(payload, str(out))
         header, *lines = out.read_text(encoding="utf-8").splitlines()
         out.write_text("\n".join([header] + [
             json.dumps({**json.loads(line), "human_label": "rejected"})
             for line in lines]) + "\n", encoding="utf-8")
-        revised = apply_review_to_results(payload, str(out))
+        revised = [json.loads(r) for r in
+                   apply_review_to_results(payload, str(out))["results"]]
         assert payload["results"] is records
-        assert canonical_json(records) == before
+        assert canonical_json(payload) == before
         assert all(r["specificity"]["post_review"]["counts"]["ss"] == 0
-                   for r in revised["results"])
+                   for r in revised)
         assert any(r["specificity"]["auto"]["counts"]["ss"] > 0
-                   for r in revised["results"])
+                   for r in revised)
 
-    def test_unknown_platform_raises(self, pipeline_run, tmp_path):
-        payload = results_payload(*pipeline_run)
+    def test_unknown_platform_raises(self, run_payload, tmp_path):
+        payload = run_payload
         out = tmp_path / "review.jsonl"
         header = {"record_type": "header", "format": "tosaudit-review",
                   "version": 1, "finding_count": 1}

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from tosaudit.errors import TosAuditError
-from tosaudit.pipeline import results_payload
 from tosaudit.readability import METRICS
 from tosaudit.report import (
     FIGURE_KINDS, FORMATS, TABLE_KINDS, emit_figure_data, render_figure_svg,
@@ -255,21 +254,21 @@ class TestFileOutputs:
 
 
 class TestAgainstPipelineResults:
-    def test_all_kinds_and_formats_render(self, pipeline_run):
-        results = results_payload(*pipeline_run)["results"]
+    def test_all_kinds_and_formats_render(self, run_payload):
+        results = run_payload["results"]
         for kind in TABLE_KINDS:
             for fmt in FORMATS:
                 out = render_table(results, kind, fmt)
                 assert "bluesky" in out
 
-    def test_reading_time_keys_cover_reader_groups(self, pipeline_run):
-        results = results_payload(*pipeline_run)["results"]
+    def test_reading_time_keys_cover_reader_groups(self, run_payload):
+        results = run_payload["results"]
         records = emit_figure_data(results, "reading_time")
         for record in records:
             assert set(record["minutes"]) == {"120", "128", "183", "238"}
 
-    def test_all_figures_render(self, pipeline_run):
-        results = results_payload(*pipeline_run)["results"]
+    def test_all_figures_render(self, run_payload):
+        results = run_payload["results"]
         for kind in FIGURE_KINDS:
             records = emit_figure_data(results, kind)
             assert len(records) == 13

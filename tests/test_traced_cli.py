@@ -2,7 +2,7 @@
 
 perfbench/traced_cli.py wraps tosaudit functions and methods by their
 module attribute names, so renaming or removing one breaks
-`perfbench/run.py --trace 1`. Both tests run it in a fresh interpreter,
+`perfbench/run.py --trace 1`. The tests run it in a fresh interpreter,
 as the benchmark does.
 """
 
@@ -40,13 +40,33 @@ def test_install_finds_every_wrapped_attribute():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_traced_analyze_records_each_layer(fixture_corpus, tmp_path):
+def traced(tmp_path, *cli_args):
+    """(span names, counters) of one traced CLI run that succeeded."""
     spans_path = tmp_path / "spans.json"
     proc = subprocess.run(
-        [sys.executable, str(TRACED_CLI), str(spans_path), "op-0", "analyze",
-         "--corpus", str(fixture_corpus), "--out", str(tmp_path / "r.json")],
+        [sys.executable, str(TRACED_CLI), str(spans_path), "op-0", *cli_args],
         env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
-    names = {span[0] for span in spans}
+    trace = json.loads(spans_path.read_text(encoding="utf-8"))
+    return {span[0] for span in trace["spans"]}, trace["counters"]
+
+
+def test_traced_analyze_records_each_layer(fixture_corpus, tmp_path):
+    names, _ = traced(tmp_path, "analyze", "--corpus", str(fixture_corpus),
+                      "--out", str(tmp_path / "r.json"))
     assert ANALYZE_SPANS <= names, ANALYZE_SPANS - names
+
+
+def test_traced_review_records_each_step(fixture_corpus, tmp_path):
+    results, review, revised = (
+        str(tmp_path / name) for name in ("r.json", "review.jsonl", "v.json"))
+    traced(tmp_path, "analyze", "--corpus", str(fixture_corpus),
+           "--out", results)
+    names, _ = traced(tmp_path, "review", "export", "--results", results,
+                      "--out", review)
+    assert {"pipeline.load_results", "pipeline.review_export"} <= names
+    names, counters = traced(tmp_path, "review", "apply", "--results",
+                             results, "--review", review, "--out", revised)
+    assert {"pipeline.load_results", "pipeline.review_apply",
+            "pipeline.save_results"} <= names
+    assert counters["pipeline.results_bytes"] == os.path.getsize(revised)
