@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 per-document failures or validation
 findings, 2 usage errors and every TosAuditError (a bad input file).
+
+Each command imports the modules it runs, so the review commands load
+no text-analysis layer and only `report` loads the report writers.
 """
 
 import os
@@ -9,9 +12,14 @@ import sys
 
 import click
 
-from . import corpus as corpus_mod
-from . import inputs, interface_assess, pipeline, report
+from . import inputs
 from .errors import TosAuditError
+
+# report's TABLE_KINDS, FORMATS and FIGURE_KINDS, for click to check
+# before report is imported; a test keeps them equal.
+TABLE_KINDS = ("readability", "clarity", "specificity", "interface")
+FIGURE_KINDS = ("words_vs_sentences", "reading_time", "clarity_bubble")
+FORMATS = ("csv", "md", "json")
 
 
 def _echo(message, err=False):
@@ -34,7 +42,8 @@ class _Main(click.Group):
 
 def _use_results(results_path, use):
     """Call use(payload) on a results file; a wrong shape inside is fatal."""
-    payload = pipeline.load_results(results_path)
+    from . import results
+    payload = results.load_results(results_path)
     try:
         return use(payload)
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
@@ -56,8 +65,9 @@ def main():
               help="Corpus directory to store snapshots in.")
 def fetch(config_path, platform, corpus_dir):
     """Fetch configured ToS pages into the snapshot corpus."""
-    config = corpus_mod.load_corpus_config(config_path)
-    outcomes = corpus_mod.fetch_all(config, corpus_dir, platform=platform)
+    from . import corpus
+    config = corpus.load_corpus_config(config_path)
+    outcomes = corpus.fetch_all(config, corpus_dir, platform=platform)
     errors = 0
     for name, status, detail in outcomes:
         _echo(f"{name}: {status} {detail}")
@@ -78,6 +88,7 @@ def fetch(config_path, platform, corpus_dir):
               help="Apply the traditional Lensear halving adjustment.")
 def analyze(corpus_dir, lexicons_dir, out_path, classic_lensear):
     """Run the full analysis pipeline over a corpus."""
+    from . import pipeline
     # Fail before the run, without creating or truncating --out.
     out_dir = os.path.dirname(out_path) or "."
     if not os.path.isdir(out_dir):
@@ -110,8 +121,9 @@ def review():
               help="Also export data-type and entity findings.")
 def review_export(results_path, out_path, include_dt_en):
     """Write reviewable findings to a JSONL file."""
+    from . import results
     count = _use_results(results_path, lambda payload: (
-        pipeline.export_review_from_results(
+        results.export_review_from_results(
             payload, out_path, include_dt_en=include_dt_en)))
     click.echo(f"exported {count} finding(s) -> {out_path}")
 
@@ -122,12 +134,14 @@ def review_export(results_path, out_path, include_dt_en):
 @click.option("--out", "out_path", required=True)
 def review_apply(results_path, review_path, out_path):
     """Apply reviewed labels and recompute post-review scores."""
+    from . import results
+
     def apply(payload):
         with inputs.encoding_for(out_path):  # revised records are encoded
-            return pipeline.apply_review_to_results(payload, review_path)
+            return results.apply_review_to_results(payload, review_path)
 
     revised = _use_results(results_path, apply)
-    pipeline.save_results(revised, out_path)
+    results.save_results(revised, out_path)
     click.echo(f"applied review -> {out_path}")
 
 
@@ -140,6 +154,7 @@ def assess():
 @click.option("--file", "file_path", required=True)
 def assess_validate(file_path):
     """Check an assessment file against the schema."""
+    from . import interface_assess
     assessment = interface_assess.load_assessment(file_path)
     errors = interface_assess.validate_assessment(assessment)
     if errors:
@@ -157,12 +172,13 @@ def report_group():
 @report_group.command("table")
 @click.option("--results", "results_path", required=True)
 @click.option("--kind", required=True,
-              type=click.Choice(report.TABLE_KINDS))
+              type=click.Choice(TABLE_KINDS))
 @click.option("--format", "fmt", required=True,
-              type=click.Choice(report.FORMATS))
+              type=click.Choice(FORMATS))
 @click.option("--out", "out_path", required=True)
 def report_table(results_path, kind, fmt, out_path):
     """Write one cross-platform table."""
+    from . import report
     _use_results(results_path, lambda payload: report.write_table(
         payload["results"], kind, fmt, out_path))
     click.echo(f"wrote {kind} table -> {out_path}")
@@ -171,12 +187,13 @@ def report_table(results_path, kind, fmt, out_path):
 @report_group.command("figure")
 @click.option("--results", "results_path", required=True)
 @click.option("--kind", required=True,
-              type=click.Choice(report.FIGURE_KINDS))
+              type=click.Choice(FIGURE_KINDS))
 @click.option("--out", "out_path", required=True)
 @click.option("--svg", "svg_path", default=None,
               help="Also render the figure as an SVG file.")
 def report_figure(results_path, kind, out_path, svg_path):
     """Write one figure's data file (and optionally an SVG)."""
+    from . import report
     _use_results(results_path, lambda payload: report.write_figure(
         payload["results"], kind, out_path, svg_path=svg_path))
     click.echo(f"wrote {kind} figure data -> {out_path}")

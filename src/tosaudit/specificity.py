@@ -11,10 +11,10 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from . import inputs
 from .errors import LexiconError, ReviewError, TosAuditError
-from .matching import LexiconIndex
 
 DETECTORS = ("data_type", "entity", "retention", "sharing")
 RETENTION_LABELS = ("explicit", "vague")
@@ -384,6 +384,7 @@ def analyze_document(doc, lex, views=None):
     here.
     """
     if views is None:
+        from .matching import LexiconIndex  # review needs no matcher
         index = LexiconIndex()
         index_lexicons(index, lex)
         views = map(index.scan, doc.sentences)
@@ -511,17 +512,40 @@ def finding_to_dict(f):
     }
 
 
+def _text(d, key):
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"finding {key} is not a string: {value!r}")
+    return value
+
+
+def _optional_text(d, key):
+    value = d.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"finding {key} is not a string or null: {value!r}")
+    return value or None
+
+
 def finding_from_dict(d):
+    """The finding of a finding_to_dict dict, from a results file.
+
+    A field of the wrong type raises TypeError, an unknown detector
+    ValueError: export_review writes no line apply would reject.
+    """
     span = d["evidence_span"]
+    detector = d["detector"]
+    if detector not in DETECTORS:
+        raise ValueError(f"finding detector is not one of {DETECTORS}: "
+                         f"{detector!r}")
     return SentenceFinding(
-        platform=d["platform"],
+        platform=_text(d, "platform"),
         sentence_index=int(d["sentence_index"]),
-        detector=d["detector"],
-        auto_label=d["auto_label"],
+        detector=detector,
+        auto_label=_text(d, "auto_label"),
         evidence_span=(int(span["start"]), int(span["end"])),
-        sentence_text=d["sentence_text"],
-        human_label=d.get("human_label") or None,
-        reviewer_note=d.get("reviewer_note") or None,
+        sentence_text=_text(d, "sentence_text"),
+        human_label=_optional_text(d, "human_label"),
+        reviewer_note=_optional_text(d, "reviewer_note"),
     )
 
 
@@ -529,11 +553,32 @@ def _review_sort_key(f):
     return (f.platform, f.sentence_index, f.evidence_span[0], f.detector)
 
 
+# One review line: finding_to_dict's keys in sorted order, with the
+# separators json.JSONEncoder(sort_keys=True, ensure_ascii=False) writes.
+# Building an encoder per line cost three times as much as this.
+_REVIEW_LINE = (
+    '{"auto_label": %s, "detector": %s, '
+    '"evidence_span": {"end": %d, "start": %d}, "human_label": %s, '
+    '"platform": %s, "reviewer_note": %s, "sentence_index": %d, '
+    '"sentence_text": %s}\n')
+
+
+def _review_line(f):
+    """finding_to_dict(f) as one JSONL line; f's text fields must be str."""
+    return _REVIEW_LINE % (
+        encode_basestring(f.auto_label), encode_basestring(f.detector),
+        f.evidence_span[1], f.evidence_span[0],
+        encode_basestring(f.human_label or ""), encode_basestring(f.platform),
+        encode_basestring(f.reviewer_note or ""), f.sentence_index,
+        encode_basestring(f.sentence_text))
+
+
 def export_review(findings, path, include_dt_en=False):
     """Write findings awaiting review as JSONL with a header record.
 
     Retention and sharing findings are always exported; data-type and
-    entity findings only when include_dt_en is set.
+    entity findings only when include_dt_en is set. Each line is written
+    as it is made.
     """
     wanted = ("retention", "sharing")
     if include_dt_en:
@@ -546,9 +591,9 @@ def export_review(findings, path, include_dt_en=False):
         "version": REVIEW_VERSION,
         "finding_count": len(records),
     }
-    dicts = itertools.chain([header], map(finding_to_dict, records))
-    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-    inputs.write_atomic(path, (encode(d) + "\n" for d in dicts))
+    header_line = json.dumps(header, sort_keys=True, ensure_ascii=False)
+    inputs.write_atomic(path, itertools.chain(
+        [header_line + "\n"], map(_review_line, records)))
     return len(records)
 
 

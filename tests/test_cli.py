@@ -698,6 +698,34 @@ class TestFailClosed:
         assert out.read_bytes() == b"earlier output"
         assert not (tmp_path / "out.tmp").exists()
 
+    @pytest.mark.parametrize("command", ["export", "apply"])
+    @pytest.mark.parametrize("field, value", [
+        ("detector", 5), ("detector", "bogus"), ("sentence_text", 5),
+        ("human_label", []), ("reviewer_note", {}), ("platform", None),
+    ])
+    def test_malformed_finding_leaves_out_untouched(
+            self, analyzed, runner, tmp_path, command, field, value):
+        # Export must reject what apply rejects, before writing a line.
+        def edit(payload):
+            finding = next(
+                f for r in payload["results"]
+                for f in r["specificity"]["findings"]
+                if f["detector"] == "sharing")
+            finding[field] = value
+            return payload
+
+        results = _results_with(analyzed[1], tmp_path, edit)
+        out = tmp_path / "out"
+        out.write_bytes(b"earlier output")
+        argv = (_export(results, out) if command == "export" else [
+            "review", "apply", "--results", str(results),
+            "--review", str(_review_file(tmp_path)), "--out", str(out)])
+        outcome = runner.invoke(main, argv)
+        assert_fatal(outcome, f"malformed results file {results}: ")
+        assert f"finding {field}" in outcome.stderr
+        assert out.read_bytes() == b"earlier output"
+        assert not (tmp_path / "out.tmp").exists()
+
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -841,6 +869,35 @@ def _env_with_src():
     return env
 
 
+# Every name `tosaudit` re-exports, by the submodule that defines it, and
+# the submodules reachable as attributes of the package.
+PACKAGE_EXPORTS = {
+    "clarity": ["ClarityReport", "VagueLexicon", "VagueTerm", "density_pct",
+                "load_vague_lexicon", "scan_vague_terms"],
+    "corpus": ["CorpusManifest", "SnapshotEntry", "fetch_snapshot",
+               "load_manifest", "save_manifest", "store_snapshot"],
+    "errors": ["AssessmentError", "CorpusError", "DegenerateDocumentError",
+               "ExtractionError", "FetchError", "LexiconError", "ReviewError",
+               "TosAuditError"],
+    "interface_assess": ["EvidenceRecord", "InterfaceAssessment",
+                         "load_cue_lexicon", "suggest_evidence",
+                         "validate_assessment"],
+    "pipeline": ["PlatformResult", "run_pipeline"],
+    "readability": ["FluencyEstimate", "ReadabilityBand",
+                    "ReadabilityProfile", "ReaderGroup", "classify_band",
+                    "compute_readability_profile", "estimate_reading_time",
+                    "load_reader_groups"],
+    "specificity": ["SentenceFinding", "SpecificityCounts",
+                    "SpecificityLexicons", "SpecificityScores",
+                    "aggregate_counts", "analyze_document",
+                    "classify_retention", "classify_sharing",
+                    "detect_data_types", "detect_entities", "export_review",
+                    "load_specificity_lexicons", "map_scores"],
+    "textprep": ["DocStats", "Document", "Sentence", "build_document",
+                 "compute_doc_stats", "count_syllables", "extract_text",
+                 "segment_sentences", "tokenize_words"],
+}
+
 class TestEntryPoint:
     def test_help(self, runner):
         outcome = runner.invoke(main, ["--help"])
@@ -895,6 +952,67 @@ class TestEntryPoint:
         assert "analyzed 13 platform(s), 0 failure(s)" in completed.stdout
         loaded = json.loads(completed.stdout.splitlines()[-1])
         assert loaded == [False, False]
+
+    @pytest.mark.parametrize("command", ["analyze", "export", "apply"])
+    def test_command_loads_only_its_layers(self, analyzed, tmp_path,
+                                           command):
+        """A fresh process of each command imports only what it runs.
+
+        analyze loads no report writer; the review commands load none of
+        the text-analysis layers either.
+        """
+        corpus_dir, results_path = analyzed
+        argv = {
+            "analyze": ["analyze", "--corpus", str(corpus_dir),
+                        "--out", str(tmp_path / "r.json")],
+            "export": _export(results_path, tmp_path / "review.jsonl"),
+            "apply": _apply(results_path, _review_file(tmp_path), tmp_path),
+        }[command]
+        unwanted = ["tosaudit.report", "tosaudit.svg", "csv"]
+        if command != "analyze":
+            unwanted += [f"tosaudit.{name}" for name in (
+                "htmltext", "textprep", "matching", "clarity", "readability",
+                "interface_assess", "corpus")]
+        probe = (
+            "import json, sys\n"
+            "import tosaudit.cli\n"
+            "tosaudit.cli.main(sys.argv[2:], standalone_mode=False)\n"
+            "print(json.dumps([m for m in json.loads(sys.argv[1])\n"
+            "                  if m in sys.modules]))\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(unwanted), *argv],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout.splitlines()[-1]) == []
+
+    def test_package_names_load_on_first_use(self):
+        """`import tosaudit` loads no submodule; each submodule and each
+        name the package re-exports still resolves as an attribute."""
+        probe = (
+            "import json, sys\n"
+            "import tosaudit\n"
+            "loaded = [m for m in sys.modules if m.startswith('tosaudit.')]\n"
+            "wrong = []\n"
+            "for module, names in json.loads(sys.argv[1]).items():\n"
+            "    if getattr(tosaudit, module) is not sys.modules.get(\n"
+            "            f'tosaudit.{module}'):\n"
+            "        wrong.append(module)\n"
+            "    for name in names:\n"
+            "        exec(f'from tosaudit import {name} as value')\n"
+            "        if value is not getattr(\n"
+            "                sys.modules[f'tosaudit.{module}'], name):\n"
+            "            wrong.append(name)\n"
+            "print(json.dumps([loaded, wrong]))\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(PACKAGE_EXPORTS)],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == [[], []]
+
+    def test_report_choices_match_report(self):
+        from tosaudit import cli, report
+        assert (cli.TABLE_KINDS, cli.FORMATS, cli.FIGURE_KINDS) == (
+            report.TABLE_KINDS, report.FORMATS, report.FIGURE_KINDS)
 
     def test_console_script_installed(self):
         """The packaging gives a working `tosaudit` console script.

@@ -24,7 +24,7 @@ APPLY_SHA256 = (
 
 UPDATE_RULE = (
     "the {} bytes of the fixture corpus changed. Only a declared format "
-    "change (such as results schema 2, ROADMAP item 4) may update this "
+    "change (such as results schema 2, ROADMAP item 2) may update this "
     "digest; a speedup or a refactor must leave the bytes as they are.")
 
 

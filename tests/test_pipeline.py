@@ -1,20 +1,24 @@
 import hashlib
 import json
 import os
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fixture_docs
 from conftest import build_fixture_corpus, store_assessment
 from test_golden import RESULTS_SHA256
 from tosaudit import corpus, interface_assess, pipeline, specificity, textprep
 from tosaudit.errors import ReviewError, TosAuditError
+from tosaudit.inputs import canonical_json
 from tosaudit.pipeline import (
-    apply_review_to_results, canonical_json, export_review_from_results,
+    apply_review_to_results, export_review_from_results,
     analyze_entry, load_results, results_payload, run_pipeline, save_results,
 )
+from tosaudit.results import _specificity_block, encode_record
 
 
 def store_text(root, platform, text, media_kind="plain_text"):
@@ -418,6 +422,88 @@ class TestReviewOverResults:
         with pytest.raises(ReviewError,
                            match="platform 'atlantis'"):
             apply_review_to_results(payload, str(out))
+
+
+# Text UTF-8 can hold (no lone surrogates), with characters JSON escapes
+# or passes through unescaped drawn often.
+_HOSTILE = st.sampled_from(['"', "\\", "\x00\x1f", "\u2028\u2029", "\u202e",
+                            "\ufeff", "\U0010ffff", "e\u0301", ""]) | st.text(
+    st.characters(exclude_categories=("Cs",)), max_size=6)
+_AUTO_LABELS = {
+    "data_type": _HOSTILE, "entity": _HOSTILE,
+    "retention": st.sampled_from(specificity.RETENTION_LABELS),
+    "sharing": st.sampled_from(specificity.SHARING_LABELS),
+}
+
+
+@st.composite
+def review_payloads(draw):
+    """Results records of unreviewed findings with hostile text."""
+    records = []
+    platforms = draw(st.lists(_HOSTILE, min_size=1, max_size=3, unique=True))
+    for platform in platforms:
+        findings = draw(st.lists(st.sampled_from(specificity.DETECTORS).flatmap(
+            lambda detector: st.builds(
+                specificity.SentenceFinding, platform=st.just(platform),
+                sentence_index=st.integers(0, 9), detector=st.just(detector),
+                auto_label=_AUTO_LABELS[detector],
+                evidence_span=st.tuples(st.integers(0, 5), st.integers(5, 9)),
+                sentence_text=_HOSTILE)), max_size=6))
+        sentence_count = draw(st.integers(0, 9))
+        scored = specificity.score_findings(findings, sentence_count)
+        records.append({
+            "platform": platform, "doc_stats": {"sentence_count": sentence_count},
+            "readability": {}, "fluency": {}, "clarity": {},
+            "specificity": _specificity_block(findings, scored)})
+    return records
+
+
+class TestReviewRoundTripProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(records=review_payloads(), edits=st.lists(
+        st.sampled_from(["", "rejected"]), min_size=20, max_size=20),
+        note=_HOSTILE)
+    def test_review_round_trip(self, records, edits, note):
+        """An unedited review changes nothing and post_review == auto;
+        any review applied twice gives the bytes of applying it once."""
+        with tempfile.TemporaryDirectory() as tmp:
+            def path(name):
+                return os.path.join(tmp, name)
+
+            save_results(results_payload(
+                [encode_record(r) for r in records], []), path("base.json"))
+            payload = load_results(path("base.json"))
+            export_review_from_results(payload, path("review.jsonl"),
+                                       include_dt_en=True)
+            save_results(apply_review_to_results(
+                payload, path("review.jsonl")), path("unedited.json"))
+            unedited = load_results(path("unedited.json"))
+
+            # Not splitlines: it also splits at U+2028 inside a string.
+            with open(path("review.jsonl"), encoding="utf-8") as fh:
+                header, *lines = fh.read().rstrip("\n").split("\n")
+            edited = [json.dumps({**json.loads(line), "human_label": label,
+                                  "reviewer_note": note}, ensure_ascii=False)
+                      for line, label in zip(lines, edits)]
+            with open(path("edited.jsonl"), "w", encoding="utf-8") as fh:
+                fh.write("\n".join([header] + edited) + "\n")
+            save_results(apply_review_to_results(
+                payload, path("edited.jsonl")), path("once.json"))
+            save_results(apply_review_to_results(
+                load_results(path("once.json")), path("edited.jsonl")),
+                path("twice.json"))
+            with open(path("once.json"), "rb") as once, \
+                    open(path("twice.json"), "rb") as twice:
+                assert twice.read() == once.read()
+
+        for before, after in zip(payload["results"], unedited["results"],
+                                 strict=True):
+            spec, revised = before["specificity"], after["specificity"]
+            assert revised["findings"] == spec["findings"]
+            assert revised["auto"] == spec["auto"]
+            assert revised["post_review"]["counts"] == spec["auto"]["counts"]
+            assert {**revised["post_review"]["scores"], "stage": "auto"} == \
+                spec["auto"]["scores"]
 
 
 class TestFixtureCorpusRebuild:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import re
+import tempfile
 import time
 from pathlib import Path
 
@@ -388,6 +389,67 @@ class TestFindingSerialization:
         assert data["human_label"] == ""
         back = finding_from_dict(data)
         assert back.human_label is None
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("platform", None, TypeError),
+        ("detector", 5, ValueError),
+        ("detector", "bogus", ValueError),
+        ("auto_label", 1, TypeError),
+        ("sentence_text", 5, TypeError),
+        ("human_label", [], TypeError),
+        ("reviewer_note", 7, TypeError),
+    ])
+    def test_wrong_type_raises(self, field, value, error):
+        data = finding_to_dict(make_finding("sharing", "generic"))
+        with pytest.raises(error, match=f"finding {field}"):
+            finding_from_dict({**data, field: value})
+
+    @pytest.mark.parametrize("field", ["human_label", "reviewer_note"])
+    def test_label_and_note_may_be_null_or_absent(self, field):
+        data = finding_to_dict(make_finding("sharing", "generic"))
+        assert getattr(finding_from_dict({**data, field: None}), field) is None
+        del data[field]
+        assert getattr(finding_from_dict(data), field) is None
+
+
+# Text of any code points, lone surrogates included, with the
+# characters JSON escapes or passes through unescaped drawn often.
+_ANY_TEXT = st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
+                     "\ud800", "\udfff"])
+    | st.text(st.characters(exclude_categories=()), max_size=4),
+    max_size=3).map("".join)
+_BIG_INTS = st.integers(-10**300, 10**300)
+_ANY_FINDING = st.builds(
+    SentenceFinding, platform=_ANY_TEXT, sentence_index=_BIG_INTS,
+    detector=st.sampled_from(specificity.DETECTORS), auto_label=_ANY_TEXT,
+    evidence_span=st.tuples(_BIG_INTS, _BIG_INTS), sentence_text=_ANY_TEXT,
+    human_label=st.none() | _ANY_TEXT, reviewer_note=st.none() | _ANY_TEXT)
+_ORACLE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
+def _encodable(finding):
+    return all(not isinstance(v, str) or not re.search("[\ud800-\udfff]", v)
+               for v in dataclasses.astuple(finding))
+
+
+class TestExportLines:
+    @settings(max_examples=100, deadline=None)
+    @given(findings=st.lists(_ANY_FINDING, max_size=4))
+    def test_lines_match_json_encoder(self, findings):
+        expected = [_ORACLE(finding_to_dict(f)) + "\n" for f in findings]
+        assert list(map(specificity._review_line, findings)) == expected
+        # A lone surrogate cannot be written as UTF-8; the rest are
+        # written in review order, one oracle line each.
+        findings = sorted(filter(_encodable, findings),
+                          key=specificity._review_sort_key)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/review.jsonl"
+            export_review(findings, path, include_dt_en=True)
+            with open(path, encoding="utf-8", newline="") as fh:
+                lines = fh.readlines()
+        assert lines[1:] == [
+            _ORACLE(finding_to_dict(f)) + "\n" for f in findings]
 
 
 class TestReviewRoundTrip:
