@@ -6,11 +6,12 @@ alphabetical order, and serialization is canonical, so re-runs over a
 frozen corpus are byte-identical. A large corpus is analyzed in a pool
 of forked processes, one per usable CPU; a small one in this process.
 
-Each platform's record is encoded to its results-file bytes by
-results.encode_record in the worker that analyzed it. The results file,
-its loader and the review round trip over it live in the results
-module, which loads none of the text-analysis layers; their names are
-bound here too, as the same function objects.
+Each platform's record is encoded to its one-line results-file bytes
+by results.encode_record, with the C JSON encoder, in the worker that
+analyzed it. The results file, its loader and the review round trip
+over it live in the results module, which loads none of the
+text-analysis layers; their names are bound here too, as the same
+function objects.
 """
 
 import os

