@@ -9,8 +9,6 @@ The names in _EXPORTS, and the submodules that hold them, are loaded
 on first use (PEP 562), so a command imports only the layers it runs.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # Each submodule `import tosaudit` once loaded eagerly, with the names
@@ -59,12 +57,20 @@ _MODULE_OF = {name: module
               for module, names in _EXPORTS.items() for name in names}
 
 
+def _submodule(name):
+    # The builtin __import__, unlike importlib.import_module, goes
+    # through the C import path that `python -X importtime` reports on;
+    # the import binds the submodule in this package's globals.
+    __import__(f"{__name__}.{name}")
+    return globals()[name]
+
+
 def __getattr__(name):
     if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = getattr(_submodule(module), name)
     globals()[name] = value
     return value

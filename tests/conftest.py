@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import threading
@@ -7,8 +9,36 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import fixture_docs
-from tosaudit import corpus, inputs, interface_assess, pipeline
+from tosaudit import cli, corpus, inputs, interface_assess, pipeline
 from tosaudit.errors import AssessmentError
+
+
+class CliRun:
+    """What one CLI run printed, and its exit code."""
+
+    def __init__(self, exit_code, stdout, stderr):
+        self.exit_code, self.stdout, self.stderr = exit_code, stdout, stderr
+
+
+def run_cli(argv):
+    """Run `tosaudit.cli.main(argv)` in this process; returns a CliRun.
+
+    stdout and stderr are strict UTF-8 streams, as in a real process, so
+    a line they cannot encode raises here. So does any exception other
+    than SystemExit, which gives the exit code.
+    """
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+                for _ in range(2))
+    exit_code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code
+    out.flush()
+    err.flush()
+    return CliRun(exit_code, out.buffer.getvalue().decode("utf-8"),
+                  err.buffer.getvalue().decode("utf-8"))
 
 
 def store_assessment(dir_path, assessment, overwrite=False):

@@ -13,11 +13,9 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import build_fixture_corpus
+from conftest import build_fixture_corpus, run_cli
 from tosaudit import clarity, readability, report, textprep
-from tosaudit.cli import main as cli_main
 from tosaudit.interface_assess import (
     EvidenceRecord, InterfaceAssessment, assessment_to_dict,
     validate_assessment,
@@ -571,19 +569,18 @@ def test_criterion_8_interface_schema():
 def test_criterion_9_end_to_end_determinism(tmp_path):
     mismatches = []
     corpus_dir = build_fixture_corpus(tmp_path / "corpus")
-    runner = CliRunner()
     elapsed = []
     outputs = []
     for n in (1, 2):
         out = tmp_path / f"results-{n}.json"
         run_start = time.perf_counter()
-        outcome = runner.invoke(cli_main, [
+        outcome = run_cli([
             "analyze", "--corpus", str(corpus_dir), "--out", str(out)])
         elapsed.append(time.perf_counter() - run_start)
         if outcome.exit_code != 0:
             mismatches.append(
                 f"analyze run {n} exited {outcome.exit_code}: "
-                f"{outcome.output}")
+                f"{outcome.stderr}")
         else:
             outputs.append(out.read_bytes())
     if len(outputs) == 2 and outputs[0] != outputs[1]:

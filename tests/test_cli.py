@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import json
 import os
@@ -8,15 +9,13 @@ import sys
 import tomllib
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fixture_docs
 import tosaudit
-from conftest import build_fixture_corpus
-from tosaudit.cli import main
+from conftest import build_fixture_corpus, run_cli
+from tosaudit import cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,53 +31,46 @@ sys.exit(entry_point.load()())
 """
 
 
-@pytest.fixture(scope="module")
-def runner():
-    return CliRunner()
-
-
 def assert_fatal(outcome, message):
     """Exit 2 with `error: ...` on stderr, not an uncaught exception."""
-    assert outcome.exit_code == 2, outcome.output
-    assert isinstance(outcome.exception, SystemExit)
-    assert "Traceback" not in outcome.stderr
+    assert outcome.exit_code == 2, outcome.stderr
     assert outcome.stderr.startswith("error: ")
     assert message in outcome.stderr
 
 
 @pytest.fixture(scope="module")
-def analyzed(tmp_path_factory, runner):
+def analyzed(tmp_path_factory):
     """A corpus analyzed once via the CLI; returns (corpus_dir, results_path)."""
     root = tmp_path_factory.mktemp("cli")
     corpus_dir = build_fixture_corpus(root / "corpus")
     results_path = root / "results.json"
-    outcome = runner.invoke(main, [
+    outcome = run_cli([
         "analyze", "--corpus", str(corpus_dir), "--out", str(results_path)])
-    assert outcome.exit_code == 0, outcome.output
+    assert outcome.exit_code == 0, outcome.stderr
     return corpus_dir, results_path
 
 
 class TestAnalyze:
-    def test_success_message(self, analyzed, runner):
+    def test_success_message(self, analyzed, tmp_path, monkeypatch):
         corpus_dir, _ = analyzed
-        with runner.isolated_filesystem():
-            outcome = runner.invoke(main, [
-                "analyze", "--corpus", str(corpus_dir),
-                "--out", "results.json"])
-            assert outcome.exit_code == 0
-            assert "analyzed 13 platform(s), 0 failure(s)" in outcome.output
-            payload = json.load(open("results.json"))
+        monkeypatch.chdir(tmp_path)
+        outcome = run_cli([
+            "analyze", "--corpus", str(corpus_dir), "--out", "results.json"])
+        assert outcome.exit_code == 0
+        assert outcome.stdout == (
+            "analyzed 13 platform(s), 0 failure(s) -> results.json\n")
+        payload = json.load(open("results.json"))
         assert len(payload["results"]) == 13
         assert payload["failures"] == []
 
-    def test_missing_manifest_is_fatal(self, runner, tmp_path):
-        outcome = runner.invoke(main, [
+    def test_missing_manifest_is_fatal(self, tmp_path):
+        outcome = run_cli([
             "analyze", "--corpus", str(tmp_path),
             "--out", str(tmp_path / "r.json")])
         assert outcome.exit_code == 2
-        assert "error: manifest not found" in outcome.output
+        assert "error: manifest not found" in outcome.stderr
 
-    def test_document_failure_exits_one(self, runner, tmp_path):
+    def test_document_failure_exits_one(self, tmp_path):
         from tosaudit import corpus
         payload = b"   \n \t "
         entry = corpus.SnapshotEntry(
@@ -88,11 +80,11 @@ class TestAnalyze:
             payload_path="", media_kind="plain_text")
         corpus.store_snapshot(corpus.new_manifest(), entry, payload,
                               str(tmp_path))
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "analyze", "--corpus", str(tmp_path),
             "--out", str(tmp_path / "r.json")])
         assert outcome.exit_code == 1
-        assert "failed blank: degenerate document" in outcome.output
+        assert "failed blank: degenerate document" in outcome.stderr
         # the results file is still written, with the failure recorded
         saved = json.load(open(tmp_path / "r.json"))
         assert saved["failures"] == [
@@ -106,11 +98,11 @@ class TestAnalyze:
          "unsupported selector: 'div > p' for 'youtube'"),
     ], ids=["malformed", "not_an_object", "rule_not_list_or_object",
             "unsupported_selector"])
-    def test_bad_extraction_config_is_fatal(self, runner, tmp_path,
+    def test_bad_extraction_config_is_fatal(self, tmp_path,
                                             content, message):
         corpus_dir = build_fixture_corpus(tmp_path / "corpus")
         (corpus_dir / "extraction_config.json").write_text(content)
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "analyze", "--corpus", str(corpus_dir),
             "--out", str(tmp_path / "r.json")])
         assert_fatal(outcome, message)
@@ -123,21 +115,21 @@ class TestAnalyze:
            "variants": ["third  party"]}],
          "duplicate lexicon phrase: 'third  party'"),
     ], ids=["no_word_tokens", "tokenizes_like_another"])
-    def test_bad_lexicon_phrase_is_fatal(self, runner, tmp_path, terms,
+    def test_bad_lexicon_phrase_is_fatal(self, tmp_path, terms,
                                          message):
         corpus_dir = build_fixture_corpus(tmp_path / "corpus")
         lexdir = tmp_path / "lex"
         lexdir.mkdir()
         (lexdir / "vague_terms.json").write_text(
             json.dumps({"version": 1, "terms": terms}))
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "analyze", "--corpus", str(corpus_dir), "--lexicons", str(lexdir),
             "--out", str(tmp_path / "r.json")])
         assert_fatal(outcome, message)
 
 
 class TestFetch:
-    def test_fetch_with_config(self, runner, http_base, tmp_path):
+    def test_fetch_with_config(self, http_base, tmp_path):
         config = {
             "request_delay_s": 0,
             "platforms": [
@@ -148,14 +140,14 @@ class TestFetch:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         corpus_dir = tmp_path / "corpus"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "fetch", "--config", str(config_path),
             "--corpus", str(corpus_dir)])
-        assert outcome.exit_code == 0, outcome.output
-        assert outcome.output.count(": stored") == 13
+        assert outcome.exit_code == 0, outcome.stderr
+        assert outcome.stdout.count(": stored") == 13
         assert (corpus_dir / "manifest.json").exists()
 
-    def test_fetch_error_exits_one(self, runner, http_base, tmp_path):
+    def test_fetch_error_exits_one(self, http_base, tmp_path):
         config = {
             "request_delay_s": 0,
             "platforms": [
@@ -163,57 +155,57 @@ class TestFetch:
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "fetch", "--config", str(config_path),
             "--corpus", str(tmp_path / "corpus")])
         assert outcome.exit_code == 1
-        assert "ghost: error" in outcome.output
+        assert "ghost: error" in outcome.stdout
 
-    def test_lone_surrogate_in_url_is_an_error_line(self, runner, tmp_path):
+    def test_lone_surrogate_in_url_is_an_error_line(self, tmp_path):
         # "\ud800" is valid JSON; the URL fails before any request is made.
         config_path = tmp_path / "config.json"
         config_path.write_text(
             '{"request_delay_s": 0, "platforms": [{"platform": "x", '
             '"url": "http://127.0.0.1:9/t?x=\\ud800"}]}')
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "fetch", "--config", str(config_path),
             "--corpus", str(tmp_path / "corpus")])
-        assert outcome.exit_code == 1, outcome.output
+        assert outcome.exit_code == 1, outcome.stderr
         assert ("x: error invalid url for http://127.0.0.1:9/t?x=\\ud800"
-                in outcome.output)
+                in outcome.stdout)
 
-    def test_missing_config_is_fatal(self, runner, tmp_path):
-        outcome = runner.invoke(main, [
+    def test_missing_config_is_fatal(self, tmp_path):
+        outcome = run_cli([
             "fetch", "--config", str(tmp_path / "nope.json"),
             "--corpus", str(tmp_path / "corpus")])
         assert outcome.exit_code == 2
-        assert "error: corpus config not found" in outcome.output
+        assert "error: corpus config not found" in outcome.stderr
 
-    def test_platform_entry_without_platform_is_fatal(self, runner,
+    def test_platform_entry_without_platform_is_fatal(self,
                                                       http_base, tmp_path):
         # The shape an earlier README showed: "name" instead of "platform".
         config = {"request_delay_s": 0, "platforms": [
             {"name": "example", "url": f"{http_base}/tos/reddit"}]}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "fetch", "--config", str(config_path),
             "--corpus", str(tmp_path / "corpus")])
         assert_fatal(outcome, "corpus config platforms[0]")
         assert not (tmp_path / "corpus").exists()
 
-    def test_unwritable_corpus_is_fatal(self, runner, http_base, tmp_path):
+    def test_unwritable_corpus_is_fatal(self, http_base, tmp_path):
         config = {"request_delay_s": 0, "platforms": [
             {"platform": "bluesky", "url": f"{http_base}/tos/bluesky"}]}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         (tmp_path / "afile").write_text("")
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "fetch", "--config", str(config_path),
             "--corpus", str(tmp_path / "afile" / "sub")])
         assert_fatal(outcome, "cannot write")
 
-    def test_unwritable_manifest_is_fatal(self, runner, http_base, tmp_path):
+    def test_unwritable_manifest_is_fatal(self, http_base, tmp_path):
         # A lone-surrogate escape loads from JSON but is not UTF-8 text.
         config = {"request_delay_s": 0, "platforms": [
             {"platform": "bluesky", "url": f"{http_base}/tos/bluesky"}]}
@@ -222,7 +214,7 @@ class TestFetch:
         manifest = tmp_path / "corpus" / "manifest.json"
         manifest.parent.mkdir()
         manifest.write_text('{"entries": [], "\\ud800": 1}')
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "fetch", "--config", str(config_path),
             "--corpus", str(manifest.parent)])
         assert_fatal(outcome,
@@ -231,14 +223,14 @@ class TestFetch:
 
 
 class TestReview:
-    def test_export_and_apply(self, analyzed, runner, tmp_path):
+    def test_export_and_apply(self, analyzed, tmp_path):
         _, results_path = analyzed
         review_path = tmp_path / "review.jsonl"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "review", "export", "--results", str(results_path),
             "--out", str(review_path)])
         assert outcome.exit_code == 0
-        assert "exported 42 finding(s)" in outcome.output
+        assert "exported 42 finding(s)" in outcome.stdout
 
         lines = review_path.read_text().splitlines()
         records = [json.loads(line) for line in lines[1:]]
@@ -250,18 +242,18 @@ class TestReview:
             [lines[0]] + [json.dumps(r) for r in records]) + "\n")
 
         out_path = tmp_path / "revised.json"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "review", "apply", "--results", str(results_path),
             "--review", str(review_path), "--out", str(out_path)])
         assert outcome.exit_code == 0
-        assert "applied review" in outcome.output
+        assert "applied review" in outcome.stdout
         revised = json.load(open(out_path))
         reddit = next(r for r in revised["results"]
                       if r["platform"] == "reddit")
         assert reddit["specificity"]["auto"]["counts"]["ss"] == 2
         assert reddit["specificity"]["post_review"]["counts"]["ss"] == 0
 
-    def test_apply_unmatched_platform_is_fatal(self, analyzed, runner,
+    def test_apply_unmatched_platform_is_fatal(self, analyzed,
                                                tmp_path):
         _, results_path = analyzed
         review_path = tmp_path / "review.jsonl"
@@ -273,24 +265,24 @@ class TestReview:
                   "human_label": "rejected"}
         review_path.write_text(
             json.dumps(header) + "\n" + json.dumps(record) + "\n")
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "review", "apply", "--results", str(results_path),
             "--review", str(review_path),
             "--out", str(tmp_path / "revised.json")])
         assert outcome.exit_code == 2
-        assert "unmatched review record" in outcome.output
+        assert "unmatched review record" in outcome.stderr
 
-    def test_empty_review_is_noop(self, analyzed, runner, tmp_path):
+    def test_empty_review_is_noop(self, analyzed, tmp_path):
         _, results_path = analyzed
         review_path = tmp_path / "review.jsonl"
         review_path.write_text(json.dumps(
             {"record_type": "header", "format": "tosaudit-review",
              "version": 1, "finding_count": 0}) + "\n")
         out_path = tmp_path / "revised.json"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "review", "apply", "--results", str(results_path),
             "--review", str(review_path), "--out", str(out_path)])
-        assert outcome.exit_code == 0, outcome.output
+        assert outcome.exit_code == 0, outcome.stderr
         assert out_path.read_bytes() == results_path.read_bytes()
 
     def test_apply_keeps_deep_nesting(self, analyzed, tmp_path):
@@ -330,52 +322,52 @@ class TestReview:
         finally:
             sys.setrecursionlimit(limit)
 
-    def test_export_missing_results_is_fatal(self, runner, tmp_path):
-        outcome = runner.invoke(main, [
+    def test_export_missing_results_is_fatal(self, tmp_path):
+        outcome = run_cli([
             "review", "export", "--results", str(tmp_path / "nope.json"),
             "--out", str(tmp_path / "review.jsonl")])
         assert outcome.exit_code == 2
-        assert "error: results not found" in outcome.output
+        assert "error: results not found" in outcome.stderr
 
 
 class TestAssess:
-    def test_validate_ok(self, analyzed, runner):
+    def test_validate_ok(self, analyzed):
         corpus_dir, _ = analyzed
         path = corpus_dir / "assessments" / "bluesky.json"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "assess", "validate", "--file", str(path)])
         assert outcome.exit_code == 0
-        assert outcome.output == "ok: bluesky\n"
+        assert outcome.stdout == "ok: bluesky\n"
 
-    def test_validate_invalid(self, runner, tmp_path):
+    def test_validate_invalid(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
             {"platform": "demo", "explicit_denial": 9, "evidence": []}))
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "assess", "validate", "--file", str(path)])
         assert outcome.exit_code == 1
         assert "invalid: explicit_denial: score 9 out of range 0..2" \
-            in outcome.output
+            in outcome.stderr
 
-    def test_validate_malformed_is_fatal(self, runner, tmp_path):
+    def test_validate_malformed_is_fatal(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{broken")
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "assess", "validate", "--file", str(path)])
         assert outcome.exit_code == 2
-        assert "error: malformed assessment file" in outcome.output
+        assert "error: malformed assessment file" in outcome.stderr
 
-    def test_validate_missing_file_is_fatal(self, runner, tmp_path):
-        outcome = runner.invoke(main, [
+    def test_validate_missing_file_is_fatal(self, tmp_path):
+        outcome = run_cli([
             "assess", "validate", "--file", str(tmp_path / "absent.json")])
         assert_fatal(outcome, "assessment not found")
 
 
 class TestReport:
-    def test_table(self, analyzed, runner, tmp_path):
+    def test_table(self, analyzed, tmp_path):
         _, results_path = analyzed
         out = tmp_path / "clarity.csv"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "report", "table", "--results", str(results_path),
             "--kind", "clarity", "--format", "csv", "--out", str(out)])
         assert outcome.exit_code == 0
@@ -383,11 +375,11 @@ class TestReport:
         assert lines[0].startswith("platform,word_count")
         assert len(lines) == 14
 
-    def test_figure_with_svg(self, analyzed, runner, tmp_path):
+    def test_figure_with_svg(self, analyzed, tmp_path):
         _, results_path = analyzed
         out = tmp_path / "fig.json"
         svg = tmp_path / "fig.svg"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "report", "figure", "--results", str(results_path),
             "--kind", "words_vs_sentences", "--out", str(out),
             "--svg", str(svg)])
@@ -396,22 +388,25 @@ class TestReport:
         assert len(records) == 13
         assert svg.read_text().startswith("<svg")
 
-    def test_bad_kind_rejected_by_click(self, analyzed, runner, tmp_path):
+    def test_bad_kind_is_a_usage_error(self, analyzed, tmp_path):
         _, results_path = analyzed
-        outcome = runner.invoke(main, [
+        out = tmp_path / "x.csv"
+        outcome = run_cli([
             "report", "table", "--results", str(results_path),
-            "--kind", "mystery", "--format", "csv",
-            "--out", str(tmp_path / "x.csv")])
+            "--kind", "mystery", "--format", "csv", "--out", str(out)])
         assert outcome.exit_code == 2
-        assert "Invalid value" in outcome.output
+        assert outcome.stderr.startswith("usage: tosaudit report table ")
+        assert "argument --kind: invalid choice: 'mystery'" in outcome.stderr
+        assert outcome.stdout == ""
+        assert not out.exists()
 
-    def test_missing_results_is_fatal(self, runner, tmp_path):
-        outcome = runner.invoke(main, [
+    def test_missing_results_is_fatal(self, tmp_path):
+        outcome = run_cli([
             "report", "table", "--results", str(tmp_path / "nope.json"),
             "--kind", "clarity", "--format", "csv",
             "--out", str(tmp_path / "x.csv")])
         assert outcome.exit_code == 2
-        assert "error: results not found" in outcome.output
+        assert "error: results not found" in outcome.stderr
 
 
 _SHIPPED = Path(tosaudit.__file__).parent / "data"
@@ -634,30 +629,28 @@ FAIL_CLOSED_CASES = {
 
 class TestFailClosed:
     @pytest.mark.parametrize("case", FAIL_CLOSED_CASES)
-    def test_bad_input(self, analyzed, runner, tmp_path, case):
+    def test_bad_input(self, analyzed, tmp_path, case):
         build, code, message = FAIL_CLOSED_CASES[case]
-        outcome = runner.invoke(main, build(tmp_path, analyzed[1]))
+        outcome = run_cli(build(tmp_path, analyzed[1]))
         if code == 2:
             assert_fatal(outcome, message)
         else:
-            assert outcome.exit_code == code, outcome.output
-            assert outcome.exception is None or isinstance(
-                outcome.exception, SystemExit)
+            assert outcome.exit_code == code, outcome.stderr
             assert message in outcome.stderr
 
-    def test_analyze_out_checked_before_the_run(self, runner, tmp_path,
+    def test_analyze_out_checked_before_the_run(self, tmp_path,
                                                 monkeypatch):
         def run_pipeline(*args, **kwargs):
             raise AssertionError("the run started")
 
         monkeypatch.setattr(tosaudit.pipeline, "run_pipeline", run_pipeline)
         out = tmp_path / "missing" / "r.json"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "analyze", "--corpus", str(tmp_path), "--out", str(out)])
         assert_fatal(outcome, f"cannot write {out}")
 
     @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
-    def test_unwritable_record_leaves_out_untouched(self, runner, tmp_path,
+    def test_unwritable_record_leaves_out_untouched(self, tmp_path,
                                                     monkeypatch, pool):
         # A record is encoded where it is made, in a worker for a pool.
         if pool:
@@ -668,13 +661,13 @@ class TestFailClosed:
             *manifest["entries"][1:]]})(tmp_path, None)
         out = tmp_path / "r.json"
         out.write_bytes(b"earlier output")
-        outcome = runner.invoke(main, argv)
+        outcome = run_cli(argv)
         assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
         assert out.read_bytes() == b"earlier output"
         assert not (tmp_path / "r.json.tmp").exists()
 
     @pytest.mark.parametrize("command", ["export", "apply", "apply_last_key"])
-    def test_lone_surrogate_leaves_out_untouched(self, analyzed, runner,
+    def test_lone_surrogate_leaves_out_untouched(self, analyzed,
                                                  tmp_path, command):
         # "\ud800" is valid JSON and loads, but UTF-8 cannot encode it.
         # In a key that sorts after "results" it fails the write after
@@ -698,7 +691,7 @@ class TestFailClosed:
         argv = (_export(results, out) if command == "export" else [
             "review", "apply", "--results", str(results),
             "--review", str(_review_file(tmp_path)), "--out", str(out)])
-        outcome = runner.invoke(main, argv)
+        outcome = run_cli(argv)
         assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
         assert len(outcome.stderr) < len(str(out)) + 100
         assert out.read_bytes() == b"earlier output"
@@ -710,7 +703,7 @@ class TestFailClosed:
         ("human_label", []), ("reviewer_note", {}), ("platform", None),
     ])
     def test_malformed_finding_leaves_out_untouched(
-            self, analyzed, runner, tmp_path, command, field, value):
+            self, analyzed, tmp_path, command, field, value):
         # Export must reject what apply rejects, before writing a line.
         def edit(payload):
             finding = next(
@@ -726,7 +719,7 @@ class TestFailClosed:
         argv = (_export(results, out) if command == "export" else [
             "review", "apply", "--results", str(results),
             "--review", str(_review_file(tmp_path)), "--out", str(out)])
-        outcome = runner.invoke(main, argv)
+        outcome = run_cli(argv)
         assert_fatal(outcome, f"malformed results file {results}: ")
         assert f"finding {field}" in outcome.stderr
         assert out.read_bytes() == b"earlier output"
@@ -746,22 +739,82 @@ class TestFailClosed:
     ], ids=["cut_short", "version_99", "version_string", "count_negative",
             "count_string", "count_bool", "count_null", "count_float"])
     def test_bad_review_header_leaves_out_untouched(
-            self, analyzed, runner, tmp_path, edit, message):
+            self, analyzed, tmp_path, edit, message):
         review = tmp_path / "review.jsonl"
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             *_export(analyzed[1], review), "--include-dt-en"])
-        assert outcome.exit_code == 0, outcome.output
+        assert outcome.exit_code == 0, outcome.stderr
         header, *lines = review.read_text(encoding="utf-8").splitlines()
         header, kept = edit(json.loads(header), lines)
         review.write_text("\n".join([json.dumps(header)] + kept) + "\n",
                           encoding="utf-8")
         out = tmp_path / "out"
         out.write_bytes(b"earlier output")
-        outcome = runner.invoke(main, [
+        outcome = run_cli([
             "review", "apply", "--results", str(analyzed[1]),
             "--review", str(review), "--out", str(out)])
         assert_fatal(outcome, message.format(count=len(lines)))
         assert out.read_bytes() == b"earlier output"
+
+
+def _not_utf8(path):
+    """path/\\xff as a str, the way Python decodes such a name."""
+    return os.fsdecode(os.fsencode(path) + b"/\xff")
+
+
+def _surrogate_platform_manifest(tmp_path, corpus_dir):
+    argv = _manifest_edit(lambda manifest: {**manifest, "entries": [
+        {**manifest["entries"][0], "platform": "x\udcff"},
+        *manifest["entries"][1:]]})(tmp_path, None)
+    return argv, 2, "stderr", (
+        f"error: cannot write {tmp_path / 'r.json'}: "
+        "surrogates not allowed: '\\udcff'\n")
+
+
+def _surrogate_platform_assessment(tmp_path, corpus_dir):
+    path = corpus_dir / "assessments" / "bluesky.json"
+    assessment = {**json.loads(path.read_text()), "platform": "x\udcff"}
+    path = _bytes_file(tmp_path, json.dumps(assessment).encode())
+    return ["assess", "validate", "--file", str(path)], 0, "stdout", (
+        "ok: x\\udcff\n")
+
+
+def _out_dir_not_utf8(tmp_path, corpus_dir):
+    out_dir = _not_utf8(tmp_path)
+    os.mkdir(out_dir)
+    out = os.path.join(out_dir, "r.json")
+    return ["analyze", "--corpus", str(corpus_dir), "--out", out], 0, \
+        "stdout", (f"analyzed 13 platform(s), 0 failure(s) -> {tmp_path}/"
+                   "\\udcff/r.json\n")
+
+
+def _argument_not_utf8(tmp_path, corpus_dir):
+    return ["analyze", "--corpus", str(corpus_dir), "--out",
+            str(tmp_path / "r.json"), _not_utf8(tmp_path)], 2, "stderr", (
+        f"tosaudit: error: unrecognized arguments: {tmp_path}/\\udcff\n")
+
+
+class TestUnencodableText:
+    """Text UTF-8 cannot encode, a lone surrogate from a JSON escape or
+    from a file name that is not UTF-8, is printed as a backslash
+    escape, never a traceback. Fresh processes, with real argv and
+    stdout."""
+
+    @pytest.mark.parametrize("case", [
+        _surrogate_platform_manifest, _surrogate_platform_assessment,
+        _out_dir_not_utf8, _argument_not_utf8,
+    ], ids=["manifest_platform", "assessment_platform", "out_dir",
+            "argument"])
+    def test_escaped(self, fixture_corpus, tmp_path, case):
+        argv, code, stream, line = case(tmp_path, fixture_corpus)
+        completed = subprocess.run(
+            [sys.executable, "-m", "tosaudit.cli", *argv],
+            capture_output=True, env=_env_with_src(), timeout=60)
+        stdout, stderr = (completed.stdout.decode("utf-8"),
+                          completed.stderr.decode("utf-8"))
+        assert completed.returncode == code, stderr
+        assert "Traceback" not in stderr
+        assert {"stdout": stdout, "stderr": stderr}[stream].endswith(line)
 
 
 _JSON_VALUES = st.recursive(
@@ -822,10 +875,9 @@ def _any_bytes(valid, docs=None):
 
 
 def assert_clean_exit(outcome):
-    """Exit 0, 1 or 2, `error: ...` on 2, and no uncaught exception."""
-    assert outcome.exit_code in (0, 1, 2), outcome.output
-    assert outcome.exception is None or isinstance(
-        outcome.exception, SystemExit), repr(outcome.exception)
+    """Exit 0, 1 or 2, and `error: ...` on 2; run_cli raises any uncaught
+    exception."""
+    assert outcome.exit_code in (0, 1, 2), outcome.stderr
     if outcome.exit_code == 2:
         assert outcome.stderr.startswith("error: ")
 
@@ -861,30 +913,29 @@ class TestAnyBytes:
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_results_file(self, analyzed, runner, tmp_path, data):
+    def test_results_file(self, analyzed, tmp_path, data):
         valid = analyzed[1].read_bytes()
         content = data.draw(_any_bytes(valid, [valid]))
         path = _bytes_file(tmp_path, content)
         for argv in (_table(path), _export(path)):
-            assert_clean_exit(runner.invoke(main, argv))
+            assert_clean_exit(run_cli(argv))
 
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_review_file(self, analyzed, runner, tmp_path, data):
+    def test_review_file(self, analyzed, tmp_path, data):
         valid = tmp_path / "valid.jsonl"
         if not valid.exists():
-            runner.invoke(main, _export(analyzed[1], valid))
+            run_cli(_export(analyzed[1], valid))
         lines = valid.read_bytes().splitlines()
         content = data.draw(_any_bytes(b"\n".join(lines), lines))
         path = _bytes_file(tmp_path, content, "review.jsonl")
-        assert_clean_exit(runner.invoke(
-            main, _apply(analyzed[1], path, tmp_path)))
+        assert_clean_exit(run_cli(_apply(analyzed[1], path, tmp_path)))
 
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), name=st.sampled_from(LEXICON_FILES))
-    def test_lexicon_file(self, small_corpus, runner, tmp_path, data, name):
+    def test_lexicon_file(self, small_corpus, tmp_path, data, name):
         valid = (_SHIPPED / name).read_bytes()
         content = data.draw(_any_bytes(
             valid, [valid] if name.endswith(".json") else None))
@@ -892,7 +943,7 @@ class TestAnyBytes:
         shutil.rmtree(lexdir, ignore_errors=True)
         lexdir.mkdir()
         (lexdir / name).write_bytes(content)
-        assert_clean_exit(runner.invoke(main, [
+        assert_clean_exit(run_cli([
             "analyze", "--corpus", str(small_corpus), "--lexicons",
             str(lexdir), "--out", str(tmp_path / "r.json")]))
 
@@ -935,15 +986,36 @@ PACKAGE_EXPORTS = {
                  "segment_sentences", "tokenize_words"],
 }
 
+# The modules a fresh `python -m tosaudit.cli analyze` imports; the CLI
+# module itself runs as __main__.
+ANALYZE_MODULES = {
+    "tosaudit", "tosaudit.clarity", "tosaudit.corpus", "tosaudit.errors",
+    "tosaudit.htmltext", "tosaudit.inputs", "tosaudit.interface_assess",
+    "tosaudit.matching", "tosaudit.pipeline", "tosaudit.readability",
+    "tosaudit.results", "tosaudit.specificity", "tosaudit.textprep",
+}
+
+
 class TestEntryPoint:
-    def test_help(self, runner):
-        outcome = runner.invoke(main, ["--help"])
+    def test_help(self):
+        outcome = run_cli(["--help"])
         assert outcome.exit_code == 0
         for command in ("fetch", "analyze", "review", "assess", "report"):
-            assert command in outcome.output
+            assert command in outcome.stdout
 
-    def test_cold_import_needs_only_click(self):
-        """Importing the CLI loads no third-party module but click.
+    @pytest.mark.parametrize("argv", [[], ["review"], ["assess"], ["report"]],
+                             ids=["top", "review", "assess", "report"])
+    def test_bare_command_prints_usage(self, argv):
+        outcome = run_cli(argv)
+        assert outcome.exit_code == 2
+        assert outcome.stdout == ""
+        assert outcome.stderr.startswith(
+            "usage: " + " ".join(["tosaudit", *argv]) + " ")
+        assert "the following arguments are required: COMMAND" \
+            in outcome.stderr
+
+    def test_cold_import_needs_only_the_stdlib(self):
+        """Importing the CLI loads no third-party module.
 
         Nor does it load http.client (with email and ssl): only fetch
         makes a request, so only fetch pays for importing it. Nor the
@@ -962,12 +1034,28 @@ class TestEntryPoint:
             env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
         third_party, unwanted = json.loads(completed.stdout)
-        assert set(third_party) <= {"click", "tosaudit"}
+        assert set(third_party) <= {"tosaudit"}
         assert unwanted == []
 
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
             project = tomllib.load(handle)["project"]
-        assert project["dependencies"] == ["click>=8.0"]
+        assert project["dependencies"] == []
+
+    def test_importtime_lists_each_module_analyze_loads(self, fixture_corpus,
+                                                        tmp_path):
+        """`-X importtime` reports every submodule the package loads on
+        first use, so none of them shows as its importer's self time."""
+        completed = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "tosaudit.cli",
+             "analyze", "--corpus", str(fixture_corpus),
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        listed = {line.rsplit("|", 1)[1].strip()
+                  for line in completed.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {m for m in listed if m.split(".")[0] == "tosaudit"} \
+            == ANALYZE_MODULES
 
     def test_small_analyze_loads_no_multiprocessing(self, tmp_path):
         """Below the pool's size floor, analyze runs without multiprocessing.
@@ -979,7 +1067,7 @@ class TestEntryPoint:
             "import json, sys\n"
             "import tosaudit.cli\n"
             "imported = 'multiprocessing' in sys.modules\n"
-            "tosaudit.cli.main(sys.argv[1:], standalone_mode=False)\n"
+            "tosaudit.cli.main(sys.argv[1:])\n"
             "print(json.dumps([imported, 'multiprocessing' in sys.modules]))\n")
         completed = subprocess.run(
             [sys.executable, "-c", probe, "analyze", "--corpus",
@@ -1013,7 +1101,7 @@ class TestEntryPoint:
         probe = (
             "import json, sys\n"
             "import tosaudit.cli\n"
-            "tosaudit.cli.main(sys.argv[2:], standalone_mode=False)\n"
+            "tosaudit.cli.main(sys.argv[2:])\n"
             "print(json.dumps([m for m in json.loads(sys.argv[1])\n"
             "                  if m in sys.modules]))\n")
         completed = subprocess.run(
@@ -1047,7 +1135,7 @@ class TestEntryPoint:
         assert json.loads(completed.stdout) == [[], []]
 
     def test_report_choices_match_report(self):
-        from tosaudit import cli, report
+        from tosaudit import report
         assert (cli.TABLE_KINDS, cli.FORMATS, cli.FIGURE_KINDS) == (
             report.TABLE_KINDS, report.FORMATS, report.FIGURE_KINDS)
 
@@ -1063,7 +1151,7 @@ class TestEntryPoint:
 
         entry_point = importlib.metadata.EntryPoint(
             name="tosaudit", value=declared, group="console_scripts")
-        assert entry_point.load() is main
+        assert entry_point.load() is cli.main
 
         completed = subprocess.run(
             [sys.executable, "-c", _CONSOLE_WRAPPER, declared, "--help"],
@@ -1090,18 +1178,60 @@ def readme_command_lines():
             for line in block.splitlines() if line.startswith("tosaudit ")]
 
 
+def _subcommands(parser):
+    """Name -> parser of each subcommand of an argparse parser."""
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
+
+
+def _command_paths(parser, path=()):
+    """The words naming each command and command group, top level first."""
+    yield list(path)
+    for name, sub in _subcommands(parser).items():
+        yield from _command_paths(sub, path + (name,))
+
+
+def readme_commands():
+    """(command path, its parser, the options given) per README line."""
+    commands = []
+    for words in readme_command_lines():
+        parser, path, args = cli._parser("tosaudit"), [], words[1:]
+        while subcommands := _subcommands(parser):
+            assert args and args[0] in subcommands, words
+            path.append(args.pop(0))
+            parser = subcommands[path[-1]]
+        commands.append(
+            (path, parser, [a for a in args if a.startswith("-")]))
+    return commands
+
+
 class TestReadme:
     def test_commands_match_cli(self):
-        lines = readme_command_lines()
-        used = set()
-        for words in lines:
-            command, args = main, words[1:]
-            while isinstance(command, click.Group):
-                assert args and args[0] in command.commands, words
-                name = args.pop(0)
-                used.add(name)
-                command = command.commands[name]
-            options = {o for p in command.params for o in p.opts} | {"--help"}
-            unknown = [a for a in args if a.startswith("-") and a not in options]
-            assert not unknown, f"{' '.join(words)}: unknown {unknown}"
-        assert set(main.commands) <= used
+        commands = readme_commands()
+        for path, parser, options in commands:
+            known = {o for a in parser._actions for o in a.option_strings}
+            unknown = [o for o in options if o not in known]
+            assert not unknown, f"{' '.join(path)}: unknown {unknown}"
+        used = {name for path, _, _ in commands for name in path}
+        for path in _command_paths(cli._parser("tosaudit")):
+            assert set(path) <= used, path
+
+    @pytest.mark.parametrize("command", _command_paths(cli._parser("tosaudit")),
+                             ids=lambda command: "-".join(command) or "top")
+    def test_help_lists_readme_options(self, command):
+        """`--help` in a fresh interpreter exits 0 and names each
+        subcommand and each option that the README's lines use."""
+        completed = subprocess.run(
+            [sys.executable, "-m", "tosaudit.cli", *command, "--help"],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.startswith(
+            "usage: " + " ".join(["tosaudit", *command]) + " ")
+        depth = len(command)
+        expected = set()
+        for path, _, options in readme_commands():
+            if path[:depth] == command:
+                expected |= {path[depth]} if len(path) > depth else {*options}
+        assert expected
+        missing = [word for word in expected if word not in completed.stdout]
+        assert not missing, missing

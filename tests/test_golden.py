@@ -12,10 +12,8 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import build_fixture_corpus
-from tosaudit.cli import main
+from conftest import build_fixture_corpus, run_cli
 
 RESULTS_SHA256 = (
     "724782d9ecf8aa7b7bcccac6dedabf14e12e2e941d071e071003dd75bbbbf505")
@@ -62,24 +60,23 @@ def golden_files(tmp_path_factory):
     results = root / "results.json"
     review = root / "review.jsonl"
     revised = root / "revised.json"
-    runner = CliRunner()
-    outcome = runner.invoke(main, [
+    outcome = run_cli([
         "analyze", "--corpus", str(corpus_dir), "--out", str(results)])
-    assert outcome.exit_code == 0, outcome.output
-    outcome = runner.invoke(main, [
+    assert outcome.exit_code == 0, outcome.stderr
+    outcome = run_cli([
         "review", "export", "--results", str(results),
         "--out", str(review), "--include-dt-en"])
-    assert outcome.exit_code == 0, outcome.output
+    assert outcome.exit_code == 0, outcome.stderr
     export_bytes = review.read_bytes()
     header, *lines = export_bytes.decode("utf-8").splitlines()
     records = _review_edits([json.loads(line) for line in lines])
     review.write_text("\n".join(
         [header] + [json.dumps(r, sort_keys=True) for r in records]) + "\n",
         encoding="utf-8")
-    outcome = runner.invoke(main, [
+    outcome = run_cli([
         "review", "apply", "--results", str(results),
         "--review", str(review), "--out", str(revised)])
-    assert outcome.exit_code == 0, outcome.output
+    assert outcome.exit_code == 0, outcome.stderr
     return {"results": results.read_bytes(), "export": export_bytes,
             "apply": revised.read_bytes()}
 
