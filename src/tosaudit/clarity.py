@@ -6,7 +6,7 @@ longest-match-wins, and never crosses a sentence boundary. A
 multi-word match counts as one occurrence.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import inputs
 from .errors import LexiconError
@@ -15,15 +15,13 @@ from .matching import LexiconIndex
 CATEGORIES = ("uncertainty", "actor_ambiguity", "scope_ambiguity", "other")
 
 
-@dataclass(frozen=True)
-class VagueTerm:
+class VagueTerm(NamedTuple):
     canonical: str
     variants: tuple
     category: str
 
 
-@dataclass(frozen=True)
-class VagueLexicon:
+class VagueLexicon(NamedTuple):
     terms: tuple
     version: str
 
@@ -31,15 +29,14 @@ class VagueLexicon:
         return {t.canonical: t.category for t in self.terms}
 
 
-@dataclass
-class ClarityReport:
+class ClarityReport(NamedTuple):
     platform: str
     word_count: int
     vague_count: int
     density_pct: float
     unique_terms: int
-    per_term_counts: dict = field(default_factory=dict)
-    matches: list = field(default_factory=list)
+    per_term_counts: dict
+    matches: list
 
 
 def load_vague_lexicon(path=None):

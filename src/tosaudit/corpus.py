@@ -10,8 +10,7 @@ payload stays on disk for longitudinal diffs.
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from typing import NamedTuple
 from urllib.parse import quote, urlparse
 
 from . import inputs
@@ -28,23 +27,21 @@ _ENTRY_FIELDS = ("platform", "source_url", "retrieved_at", "content_digest",
 MAX_SECONDS = 86400
 
 
-@dataclass
-class SnapshotEntry:
+class SnapshotEntry(NamedTuple):
     platform: str
     source_url: str
     retrieved_at: str
     content_digest: str
     payload_path: str
     media_kind: str
-    extra: dict = field(default_factory=dict)
+    extra: dict = None
 
 
-@dataclass
-class CorpusManifest:
-    entries: list = field(default_factory=list)
+class CorpusManifest(NamedTuple):
+    entries: tuple = ()
     created_at: str = ""
     schema_version: int = SCHEMA_VERSION
-    extra: dict = field(default_factory=dict)
+    extra: dict = None
 
     def entry_for(self, platform):
         for entry in self.entries:
@@ -58,6 +55,8 @@ def digest_bytes(payload):
 
 
 def utc_now_iso():
+    # Imported here: only fetch and a new manifest stamp a time.
+    from datetime import datetime, timezone
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -68,7 +67,8 @@ def new_manifest():
 def fetch_snapshot(url, timeout=30, platform=None, user_agent=None):
     """Fetch a URL, following redirects; returns (SnapshotEntry, payload).
 
-    The entry's payload_path is empty until store_snapshot assigns it.
+    The entry's payload_path is empty; store_snapshot stores a copy
+    of the entry with it set.
     """
     # Imported here: http.client pulls in email and ssl, which no other
     # command needs.
@@ -128,9 +128,10 @@ def store_snapshot(manifest, entry, payload, corpus_dir):
     """Persist a snapshot; returns (manifest, stored).
 
     stored is False when this (platform, digest) pair is already in
-    the manifest, which makes re-runs no-ops. A new digest for an
-    existing platform replaces that platform's manifest entry; the
-    superseded payload file is left untouched on disk.
+    the manifest, which makes re-runs no-ops, and manifest is the one
+    given. Otherwise manifest is a new one, without any earlier entry
+    for the platform and with a copy of entry, payload_path set, last.
+    The superseded payload file is left untouched on disk.
     """
     if digest_bytes(payload) != entry.content_digest:
         raise CorpusError("digest mismatch")
@@ -141,24 +142,22 @@ def store_snapshot(manifest, entry, payload, corpus_dir):
         if entry.retrieved_at < current.retrieved_at:
             raise CorpusError(
                 f"retrieved_at regresses for platform {entry.platform!r}")
-    entry.payload_path = payload_relpath(entry)
+    entry = entry._replace(payload_path=payload_relpath(entry))
     inputs.write_atomic(os.path.join(corpus_dir, entry.payload_path),
                         [payload], make_parents=True)
-    if current is not None:
-        manifest.entries = [e for e in manifest.entries
-                            if e.platform != entry.platform]
-    manifest.entries.append(entry)
+    others = tuple(e for e in manifest.entries if e.platform != entry.platform)
+    manifest = manifest._replace(entries=others + (entry,))
     save_manifest(manifest, os.path.join(corpus_dir, MANIFEST_NAME))
     return manifest, True
 
 
 def manifest_to_dict(manifest):
-    d = dict(manifest.extra)
+    d = dict(manifest.extra or {})
     d["schema_version"] = manifest.schema_version
     d["created_at"] = manifest.created_at
     d["entries"] = []
     for entry in manifest.entries:
-        ed = dict(entry.extra)
+        ed = dict(entry.extra or {})
         for name in _ENTRY_FIELDS:
             ed[name] = getattr(entry, name)
         d["entries"].append(ed)
@@ -189,7 +188,7 @@ def manifest_from_dict(data):
             raise CorpusError(f"duplicate platform in manifest: {entry.platform}")
         seen.add(entry.platform)
     return CorpusManifest(
-        entries=entries,
+        entries=tuple(entries),
         created_at=data.get("created_at", ""),
         schema_version=schema_version,
         extra=extra,

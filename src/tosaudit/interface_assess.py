@@ -6,7 +6,7 @@ candidate evidentiary sentences from cue phrases. It never scores
 anything itself.
 """
 
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import inputs
 from .errors import AssessmentError, LexiconError
@@ -23,22 +23,20 @@ METRIC_RANGES = {
 METRICS = tuple(METRIC_RANGES)
 
 
-@dataclass
-class EvidenceRecord:
+class EvidenceRecord(NamedTuple):
     metric: str
     excerpt: str
     sentence_index: int = -1
 
 
-@dataclass
-class InterfaceAssessment:
+class InterfaceAssessment(NamedTuple):
     platform: str
     unticked_checkbox: int = 0
     review_before_consent: int = 0
     separate_consent_steps: int = 0
     explicit_denial: int = 0
     reversibility_cue: int = 0
-    evidence: list = field(default_factory=list)
+    evidence: tuple = ()
     assessor: str = ""
     assessed_at: str = ""
 
@@ -84,7 +82,8 @@ def validate_assessment(assessment, doc=None):
 
 
 def assessment_to_dict(assessment):
-    return asdict(assessment)
+    return {**assessment._asdict(),
+            "evidence": [ev._asdict() for ev in assessment.evidence]}
 
 
 def assessment_from_dict(data):
@@ -101,6 +100,7 @@ def assessment_from_dict(data):
             ],
             assessor=data.get("assessor", ""),
             assessed_at=data.get("assessed_at", ""),
+            **{metric: data[metric] for metric in METRICS if metric in data},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise AssessmentError(f"malformed assessment: {exc}") from None
@@ -108,9 +108,6 @@ def assessment_from_dict(data):
                for ev in assessment.evidence):
         raise AssessmentError(
             "malformed assessment: evidence metric and excerpt must be strings")
-    for metric in METRICS:
-        if metric in data:
-            setattr(assessment, metric, data[metric])
     return assessment
 
 

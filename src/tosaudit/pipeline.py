@@ -15,7 +15,7 @@ function objects.
 """
 
 import os
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import clarity as clarity_mod
 from . import corpus as corpus_mod
@@ -42,8 +42,7 @@ ASSESSMENTS_DIR = "assessments"
 POOL_MIN_PAYLOAD_BYTES = 400_000
 
 
-@dataclass
-class PlatformResult:
+class PlatformResult(NamedTuple):
     platform: str
     source_digest: str
     document: object
@@ -64,9 +63,9 @@ def result_to_dict(result):
     return {
         "platform": result.platform,
         "source_digest": result.source_digest,
-        "doc_stats": asdict(result.document.stats),
+        "doc_stats": result.document.stats._asdict(),
         "readability": {
-            "scores": asdict(result.profile),
+            "scores": result.profile._asdict(),
             "bands": dict(result.bands),
         },
         "fluency": result.fluency,
@@ -126,7 +125,8 @@ def analyze_entry(entry, payload, ctx):
         estimate = readability_mod.estimate_reading_time(
             doc.stats.word_count, group)
         fluency[group.name] = {"wpm_low": group.wpm_low,
-                               "wpm_high": group.wpm_high, **asdict(estimate)}
+                               "wpm_high": group.wpm_high,
+                               **estimate._asdict()}
     # One scan per sentence serves both clarity and specificity.
     views = list(map(ctx.index.scan, doc.sentences))
     clarity_report = clarity_mod.scan_vague_terms(
@@ -143,26 +143,28 @@ def analyze_entry(entry, payload, ctx):
         fluency=fluency,
         clarity=clarity_report,
         findings=findings,
-        **vars(scored),
+        **scored._asdict(),
     )
 
 
-def _attach_interface(result, corpus_dir):
-    """Load and validate this platform's assessment, if present."""
+def _load_interface(result, corpus_dir):
+    """(assessment or None, problem or None) of this platform.
+
+    The assessment is loaded only if present and returned only if valid.
+    """
     path = os.path.join(corpus_dir, ASSESSMENTS_DIR,
                         f"{result.platform}.json")
     if not os.path.exists(path):
-        return None
+        return None, None
     try:
         assessment = interface_assess.load_assessment(path)
     except AssessmentError as exc:
-        return str(exc)
+        return None, str(exc)
     errors = interface_assess.validate_assessment(
         assessment, doc=result.document)
     if errors:
-        return "; ".join(errors)
-    result.interface = assessment
-    return None
+        return None, "; ".join(errors)
+    return assessment, None
 
 
 def _entry_outcome(ctx, corpus_dir, entry):
@@ -172,7 +174,8 @@ def _entry_outcome(ctx, corpus_dir, entry):
         result = analyze_entry(entry, payload, ctx)
     except TosAuditError as exc:
         return None, str(exc)
-    problem = _attach_interface(result, corpus_dir)
+    interface, problem = _load_interface(result, corpus_dir)
+    result = result._replace(interface=interface)
     return (encode_record(result_to_dict(result)),
             f"invalid assessment: {problem}" if problem else None)
 

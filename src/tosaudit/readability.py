@@ -7,7 +7,7 @@ reader groups.
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import inputs
 from .errors import DegenerateDocumentError, LexiconError
@@ -27,8 +27,7 @@ MODERATE = "moderate"
 HARD = "hard"
 
 
-@dataclass(frozen=True)
-class ReadabilityProfile:
+class ReadabilityProfile(NamedTuple):
     flesch_reading_ease: float
     gunning_fog: float
     flesch_kincaid_grade: float
@@ -38,21 +37,18 @@ class ReadabilityProfile:
     ari: float
 
 
-@dataclass(frozen=True)
-class ReadabilityBand:
+class ReadabilityBand(NamedTuple):
     metric: str
     band: str
 
 
-@dataclass(frozen=True)
-class ReaderGroup:
+class ReaderGroup(NamedTuple):
     name: str
     wpm_low: float
     wpm_high: float
 
 
-@dataclass(frozen=True)
-class FluencyEstimate:
+class FluencyEstimate(NamedTuple):
     minutes_low: float
     minutes_high: float
 

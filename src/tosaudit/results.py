@@ -11,7 +11,6 @@ Only the specificity layer is loaded here, so `review export` and
 """
 
 import json
-from dataclasses import asdict
 
 from . import inputs
 from . import specificity as specificity_mod
@@ -33,12 +32,12 @@ def _specificity_block(findings, scored):
     return {
         "findings": [specificity_mod.finding_to_dict(f) for f in findings],
         "auto": {
-            "counts": asdict(scored.auto_counts),
-            "scores": asdict(scored.auto_scores),
+            "counts": scored.auto_counts._asdict(),
+            "scores": scored.auto_scores._asdict(),
         },
         "post_review": {
-            "counts": asdict(scored.post_counts),
-            "scores": asdict(scored.post_scores),
+            "counts": scored.post_counts._asdict(),
+            "scores": scored.post_scores._asdict(),
         },
         "coverage": dict(scored.coverage),
     }

@@ -10,8 +10,8 @@ or reject findings, yielding auto and post-review score pairs.
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from . import inputs
 from .errors import LexiconError, ReviewError, TosAuditError
@@ -35,24 +35,25 @@ _IRREGULAR_VERB_FORMS = {"keep": ("kept",)}
 RETENTION_PROXIMITY_TOKENS = 10
 
 
-@dataclass
 class SpecificityLexicons:
     """The four pattern-family lexicons, with the corporate-name pattern
     and the descriptor and duration-unit sets compiled from them."""
 
-    data_types: dict
-    known_entities: tuple
-    corporate_suffixes: tuple
-    retention_verbs: tuple
-    vague_retention_phrases: tuple
-    duration_units: tuple
-    sharing_verbs: tuple
-    specific_purpose_cues: tuple
-    generic_purpose_cues: tuple
-    negation_cues: tuple
-    generic_descriptors: tuple = ()
-
-    def __post_init__(self):
+    def __init__(self, data_types, known_entities, corporate_suffixes,
+                 retention_verbs, vague_retention_phrases, duration_units,
+                 sharing_verbs, specific_purpose_cues, generic_purpose_cues,
+                 negation_cues, generic_descriptors=()):
+        self.data_types = data_types
+        self.known_entities = known_entities
+        self.corporate_suffixes = corporate_suffixes
+        self.retention_verbs = retention_verbs
+        self.vague_retention_phrases = vague_retention_phrases
+        self.duration_units = duration_units
+        self.sharing_verbs = sharing_verbs
+        self.specific_purpose_cues = specific_purpose_cues
+        self.generic_purpose_cues = generic_purpose_cues
+        self.negation_cues = negation_cues
+        self.generic_descriptors = generic_descriptors
         name_part = r"[A-Z][A-Za-z0-9&'’.-]*"
         suffix_alt = "|".join(sorted(
             (re.escape(s) for s in self.corporate_suffixes),
@@ -80,8 +81,7 @@ class SpecificityLexicons:
                 if m["bare"] is None]
 
 
-@dataclass
-class SentenceFinding:
+class SentenceFinding(NamedTuple):
     platform: str
     sentence_index: int
     detector: str
@@ -95,8 +95,7 @@ class SentenceFinding:
         return self.human_label or self.auto_label
 
 
-@dataclass(frozen=True)
-class SpecificityCounts:
+class SpecificityCounts(NamedTuple):
     dt: int = 0
     en: int = 0
     re_explicit: int = 0
@@ -105,8 +104,7 @@ class SpecificityCounts:
     ss: int = 0
 
 
-@dataclass(frozen=True)
-class SpecificityScores:
+class SpecificityScores(NamedTuple):
     dt_s: int
     en_s: int
     r_s: int
@@ -115,8 +113,7 @@ class SpecificityScores:
     stage: str
 
 
-@dataclass(frozen=True)
-class FindingScores:
+class FindingScores(NamedTuple):
     auto_counts: SpecificityCounts
     auto_scores: SpecificityScores
     post_counts: SpecificityCounts
@@ -646,34 +643,40 @@ def _allowed_labels(detector):
 
 
 def apply_review_records(findings, records):
-    """Apply parsed review records onto findings in place."""
+    """Apply parsed review records onto a list of findings.
+
+    A finding whose record holds a human label or note is replaced, at
+    its position in the list, by a copy that carries them.
+    """
     index = {}
-    for f in findings:
+    for i, f in enumerate(findings):
         key = (f.platform, f.sentence_index, f.detector,
                f.evidence_span[0], f.evidence_span[1])
-        index[key] = f
+        index[key] = i
     for rec in records:
         try:
             span = rec["evidence_span"]
             key = (rec["platform"], int(rec["sentence_index"]),
                    rec["detector"], int(span["start"]), int(span["end"]))
-            finding = index.get(key)
+            position = index.get(key)
             label = (rec.get("human_label") or "").strip()
             note = (rec.get("reviewer_note") or "").strip()
         except (LookupError, TypeError, ValueError, ArithmeticError,
                 AttributeError):
             raise ReviewError(f"malformed review record: {rec!r}") from None
-        if finding is None:
+        if position is None:
             raise ReviewError(
                 "unmatched review record: "
                 f"{rec['platform']}/{rec['sentence_index']}/{rec['detector']}")
+        finding = findings[position]
         if label:
             allowed = _allowed_labels(finding.detector)
             if allowed is not None and label not in allowed:
                 raise ReviewError(
                     f"illegal label value {label!r} for "
                     f"{finding.detector} finding")
-            finding.human_label = label
-        if note:
-            finding.reviewer_note = note
+        if label or note:
+            findings[position] = finding._replace(
+                human_label=label or finding.human_label,
+                reviewer_note=note or finding.reviewer_note)
     return findings

@@ -8,7 +8,7 @@ always yields identical counts.
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import inputs
 from .errors import ExtractionError, LexiconError
@@ -33,8 +33,7 @@ _OPENING_QUOTES = "\"'“‘"
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One sentence with its word tokens and span in the document text."""
 
     index: int
@@ -43,8 +42,7 @@ class Sentence:
     char_span: tuple
 
 
-@dataclass(frozen=True)
-class DocStats:
+class DocStats(NamedTuple):
     word_count: int = 0
     sentence_count: int = 0
     syllable_count: int = 0
@@ -59,12 +57,11 @@ class DocStats:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     platform: str
     text: str
-    sentences: tuple = field(default_factory=tuple)
-    stats: DocStats = field(default_factory=DocStats)
+    sentences: tuple = ()
+    stats: DocStats = DocStats()
 
 
 def normalize_text(text):

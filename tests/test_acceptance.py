@@ -543,14 +543,12 @@ def test_criterion_8_interface_schema():
         if errors:
             mismatches.append(f"{a.platform} rejected: {errors}")
 
-    out_of_range = _reference_assessment("BlueSky")
-    out_of_range.explicit_denial = 3
+    out_of_range = _reference_assessment("BlueSky")._replace(explicit_denial=3)
     if not any("out of range" in e
                for e in validate_assessment(out_of_range)):
         mismatches.append("score 3 for a 0..2 metric was not rejected")
 
-    no_evidence = _reference_assessment("BlueSky")
-    no_evidence.evidence = []
+    no_evidence = _reference_assessment("BlueSky")._replace(evidence=[])
     if not any("without evidence" in e
                for e in validate_assessment(no_evidence)):
         mismatches.append("evidence-free nonzero score was not rejected")

@@ -1084,7 +1084,9 @@ class TestEntryPoint:
         """A fresh process of each command imports only what it runs.
 
         analyze loads no report writer; the review commands load none of
-        the text-analysis layers either.
+        the text-analysis layers either. No command loads dataclasses or
+        inspect, which the records do not need, or datetime, which only
+        stamps fetched snapshots.
         """
         corpus_dir, results_path = analyzed
         argv = {
@@ -1093,7 +1095,8 @@ class TestEntryPoint:
             "export": _export(results_path, tmp_path / "review.jsonl"),
             "apply": _apply(results_path, _review_file(tmp_path), tmp_path),
         }[command]
-        unwanted = ["tosaudit.report", "tosaudit.svg", "csv"]
+        unwanted = ["tosaudit.report", "tosaudit.svg", "csv", "dataclasses",
+                    "inspect", "datetime"]
         if command != "analyze":
             unwanted += [f"tosaudit.{name}" for name in (
                 "htmltext", "textprep", "matching", "clarity", "readability",

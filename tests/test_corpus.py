@@ -93,9 +93,11 @@ class TestManifestSerialization:
             manifest_from_dict({"entries": [entry, dict(entry)]})
 
     def test_save_and_load(self, tmp_path):
-        manifest = CorpusManifest(created_at="2025-01-01T00:00:00Z")
-        manifest.entries.append(make_entry())
-        manifest.entries[0].payload_path = "payloads/demo/x.txt"
+        # A loaded manifest holds {} where a new one's extra is None.
+        manifest = CorpusManifest(
+            entries=(make_entry()._replace(
+                payload_path="payloads/demo/x.txt", extra={}),),
+            created_at="2025-01-01T00:00:00Z", extra={})
         path = str(tmp_path / "manifest.json")
         save_manifest(manifest, path)
         assert load_manifest(path) == manifest
@@ -118,6 +120,7 @@ class TestStoreSnapshot:
         manifest, stored = store_snapshot(
             manifest, entry, b"hello", str(tmp_path))
         assert stored
+        entry = manifest.entry_for("demo")
         assert entry.payload_path == f"payloads/demo/{HELLO_SHA256}.txt"
         assert (tmp_path / entry.payload_path).read_bytes() == b"hello"
         assert (tmp_path / "manifest.json").exists()
@@ -137,14 +140,15 @@ class TestStoreSnapshot:
         manifest = new_manifest()
         first = make_entry()
         manifest, _ = store_snapshot(manifest, first, b"hello", str(tmp_path))
+        first = manifest.entry_for("demo")
         second = make_entry(payload=b"changed",
                             retrieved_at="2025-06-01T00:00:00Z")
         manifest, stored = store_snapshot(
             manifest, second, b"changed", str(tmp_path))
         assert stored
         assert len(manifest.entries) == 1
-        assert manifest.entry_for("demo").content_digest == \
-            digest_bytes(b"changed")
+        second = manifest.entry_for("demo")
+        assert second.content_digest == digest_bytes(b"changed")
         assert (tmp_path / first.payload_path).read_bytes() == b"hello"
         assert (tmp_path / second.payload_path).read_bytes() == b"changed"
 
@@ -185,7 +189,7 @@ class TestReadAndVerify:
         manifest = new_manifest()
         entry = make_entry()
         manifest, _ = store_snapshot(manifest, entry, b"hello", str(tmp_path))
-        return manifest, entry
+        return manifest, manifest.entry_for("demo")
 
     def test_read_payload(self, tmp_path):
         manifest, entry = self.build(tmp_path)
@@ -199,7 +203,7 @@ class TestReadAndVerify:
 
     def test_unreadable_payload_raises(self, tmp_path):
         manifest, entry = self.build(tmp_path)
-        entry.payload_path = "payloads"
+        entry = entry._replace(payload_path="payloads")
         with pytest.raises(CorpusError, match="cannot read payload"):
             read_payload(str(tmp_path), entry)
 

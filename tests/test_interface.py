@@ -49,8 +49,7 @@ class TestValidate:
         assert validate_assessment(make_valid(), doc) == []
 
     def test_missing_platform(self):
-        a = make_valid()
-        a.platform = ""
+        a = make_valid()._replace(platform="")
         assert "missing platform" in validate_assessment(a)
 
     def test_all_zero_needs_no_evidence(self):
@@ -59,9 +58,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_above_range_rejected(self, metric):
-        a = InterfaceAssessment(platform="demo")
         hi = METRIC_RANGES[metric][1]
-        setattr(a, metric, hi + 1)
+        a = InterfaceAssessment(platform="demo", **{metric: hi + 1})
         errors = validate_assessment(a)
         assert f"{metric}: score {hi + 1} out of range 0..{hi}" in errors
 
@@ -105,7 +103,8 @@ class TestValidate:
     def test_excerpt_must_be_substring_of_doc(self):
         doc = textprep.build_document("demo", DOC_TEXT)
         a = make_valid()
-        a.evidence[0].excerpt = "This sentence never appears."
+        a.evidence[0] = a.evidence[0]._replace(
+            excerpt="This sentence never appears.")
         errors = validate_assessment(a, doc)
         assert errors == [
             "evidence[0]: excerpt is not a verbatim substring of the document"
@@ -113,7 +112,8 @@ class TestValidate:
 
     def test_substring_unchecked_without_doc(self):
         a = make_valid()
-        a.evidence[0].excerpt = "This sentence never appears."
+        a.evidence[0] = a.evidence[0]._replace(
+            excerpt="This sentence never appears.")
         assert validate_assessment(a) == []
 
     def test_multiple_errors_accumulate(self):
@@ -169,8 +169,7 @@ class TestStorage:
 
     def test_store_overwrite_flag(self, tmp_path):
         store_assessment(str(tmp_path), make_valid())
-        a = make_valid()
-        a.explicit_denial = 2
+        a = make_valid()._replace(explicit_denial=2)
         store_assessment(str(tmp_path), a, overwrite=True)
         assert load_assessment(str(tmp_path / "demo.json")) == a
 

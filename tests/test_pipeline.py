@@ -1,17 +1,21 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fixture_docs
 from conftest import build_fixture_corpus, store_assessment
 from test_golden import RESULTS_SHA256
-from tosaudit import corpus, interface_assess, pipeline, specificity, textprep
+from tosaudit import (
+    clarity, corpus, interface_assess, pipeline, specificity, textprep,
+)
 from tosaudit.errors import ReviewError, TosAuditError
 from tosaudit.inputs import canonical_json
 from tosaudit.pipeline import (
@@ -206,6 +210,52 @@ class TestFailureModes:
         assert sharing_sentences(str(lexdir)) == [0]
 
 
+# Plain-text shapes that made a text layer quadratic before, or could:
+# one long sentence, one-word sentences, abbreviation runs (_split_points),
+# a multi-word vague term (LexiconIndex), capitalized runs (the
+# corporate-name pattern) and number-and-unit runs (_duration_ranges).
+# Each maps to its unit, the words of one unit and whether each unit is a
+# sentence of its own (else the whole text is one sentence).
+_SCALING_SHAPES = {
+    "no_terminator": ("we may share your email address with partners ", 8,
+                      False),
+    "one_word_sentences": ("Data. ", 1, True),
+    "eg_runs": ("e.g. ", 2, False),
+    "third_party_runs": ("third party ", 2, False),
+    "capitalized_runs": ("LIABLE FOR ANY DAMAGES ", 4, False),
+    "number_unit_runs": ("we keep it for 30 days ", 6, False),
+}
+# One bound for every shape: at 1 MB each takes 0.5-3 s on 2 CPUs (Python
+# 3.11), and a quadratic layer takes minutes or more. The child is killed
+# at the bound, so such a layer fails the test instead of stalling it.
+SCALING_BOUND_S = 30
+_SCALING_PROBE = """
+import json, sys
+from tosaudit import corpus, pipeline
+payload = sys.argv[1].encode("utf-8") * int(sys.argv[2])
+entry = corpus.SnapshotEntry("shape", "", "", corpus.digest_bytes(payload),
+                             "", "plain_text")
+stats = pipeline.analyze_entry(
+    entry, payload, pipeline.PipelineContext()).document.stats
+print(json.dumps([stats.word_count, stats.sentence_count]))
+"""
+
+
+class TestPlainTextScaling:
+    @pytest.mark.parametrize("shape", list(_SCALING_SHAPES))
+    def test_one_megabyte_within_bound(self, shape):
+        unit, words, unit_is_sentence = _SCALING_SHAPES[shape]
+        repeats = 1_000_000 // len(unit)
+        src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-c", _SCALING_PROBE, unit, str(repeats)],
+            capture_output=True, text=True, timeout=SCALING_BOUND_S,
+            env={**os.environ, "PYTHONPATH": src_dir})
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == [
+            words * repeats, repeats if unit_is_sentence else 1]
+
+
 class TestDeterminismAndOptions:
     def test_two_runs_byte_identical(self, fixture_corpus, tmp_path):
         for name in ("a", "b"):
@@ -230,16 +280,22 @@ class TestDeterminismAndOptions:
             classic[0]["readability"]["scores"]["lensear"]
 
 
-@pytest.fixture
-def forced_pool(monkeypatch):
+def force_pool(monkeypatch):
     """run_pipeline uses a pool of 2 workers for any corpus, on any host."""
     monkeypatch.setattr(pipeline, "POOL_MIN_PAYLOAD_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture
-def pooled_run(forced_pool, monkeypatch, tmp_path):
-    """run_pipeline on the pool; it checks that workers did every entry."""
+def forced_pool(monkeypatch):
+    force_pool(monkeypatch)
+
+
+@pytest.fixture
+def pooled_run(monkeypatch, tmp_path):
+    """run_pipeline on a pool of 2 workers; it checks that workers did
+    every entry. The pool is forced only inside the call, so a plain
+    run_pipeline in the same test runs serially."""
     pids = tmp_path / "pids"
     entry_outcome = pipeline._entry_outcome
 
@@ -248,16 +304,74 @@ def pooled_run(forced_pool, monkeypatch, tmp_path):
             fh.write(f"{os.getpid()}\n")
         return entry_outcome(*args)
 
-    monkeypatch.setattr(pipeline, "_entry_outcome", recorded)
-
     def run(corpus_dir, **kwargs):
-        outcome = run_pipeline(str(corpus_dir), **kwargs)
+        with monkeypatch.context() as forced:
+            force_pool(forced)
+            forced.setattr(pipeline, "_entry_outcome", recorded)
+            outcome = run_pipeline(str(corpus_dir), **kwargs)
         workers = pids.read_text(encoding="utf-8").split()
         pids.unlink()
         assert str(os.getpid()) not in workers
         return outcome
 
     return run
+
+
+# Shipped lexicon phrases, so every detector and the vague-term scan
+# fire, and filler that names durations, suffixes and capitalized runs.
+_SPEC_LEX = specificity.load_specificity_lexicons()
+_LEXICON_PHRASES = sorted({
+    *(t.canonical for t in clarity.load_vague_lexicon().terms),
+    *(p for phrases in _SPEC_LEX.data_types.values() for p in phrases),
+    *_SPEC_LEX.known_entities, *_SPEC_LEX.retention_verbs,
+    *_SPEC_LEX.vague_retention_phrases, *_SPEC_LEX.sharing_verbs,
+    *_SPEC_LEX.specific_purpose_cues, *_SPEC_LEX.generic_purpose_cues,
+    *_SPEC_LEX.negation_cues})
+_FILLER = ["we", "you", "the", "service", "may", "and", "for", "30", "days",
+           "thirty-day", "Acme", "Inc.", "e.g.", "your", "terms", "it"]
+_WORDS = st.tuples(
+    st.sampled_from(_LEXICON_PHRASES) | st.sampled_from(_FILLER),
+    st.sampled_from([str, str.upper, str.capitalize])).map(
+        lambda pair: pair[1](pair[0]))
+_GENERATED_SENTENCES = st.tuples(
+    st.lists(_WORDS, min_size=1, max_size=12),
+    st.sampled_from([".", ".", "!", "?", ";", ""])).map(
+        lambda parts: " ".join(parts[0]) + parts[1])
+
+
+@st.composite
+def generated_corpora(draw, root):
+    """A corpus written into a fresh directory under root; returns it.
+
+    Each of 2-4 platforms (a pool of 2 needs two) gets a plain-text or
+    an HTML payload of 0-6 generated sentences (none makes an empty
+    document, a failure), and one platform gets an assessment whose
+    excerpt may not be in its text.
+    """
+    corpus_dir = Path(tempfile.mkdtemp(dir=root))
+    platforms = draw(st.lists(st.sampled_from(["alpha", "beta", "gamma",
+                                               "delta"]),
+                              min_size=2, max_size=4, unique=True))
+    texts = {}
+    for platform in platforms:
+        sentences = draw(st.lists(_GENERATED_SENTENCES, max_size=6))
+        texts[platform] = sentences
+        if draw(st.booleans()):
+            store_text(corpus_dir, platform, "<html><body><nav>Home</nav>"
+                       + "".join(f"<p>{s}</p>\n" for s in sentences)
+                       + "</body></html>", media_kind="html")
+        else:
+            store_text(corpus_dir, platform, draw(st.sampled_from(
+                [" ", "\n\n"])).join(sentences))
+    platform = draw(st.sampled_from(platforms))
+    excerpt = draw(st.sampled_from(texts[platform] + ["not in the text"]))
+    store_assessment(str(corpus_dir / pipeline.ASSESSMENTS_DIR),
+                     interface_assess.InterfaceAssessment(
+                         platform=platform, explicit_denial=draw(
+                             st.integers(0, 2)),
+                         evidence=[interface_assess.EvidenceRecord(
+                             metric="explicit_denial", excerpt=excerpt)]))
+    return corpus_dir
 
 
 class TestPool:
@@ -284,6 +398,15 @@ class TestPool:
         assert serial[1][1][1] == \
             "payload digest mismatch for platform 'reddit'"
         assert pooled == serial
+
+    # Each example writes its own corpus directory under tmp_path.
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_corpus_same_as_serial(self, tmp_path, pooled_run,
+                                             data):
+        root = data.draw(generated_corpora(tmp_path))
+        assert pooled_run(root) == run_pipeline(str(root))
 
     def test_dead_worker_fails_the_run(self, fixture_corpus, forced_pool,
                                        monkeypatch):
@@ -448,7 +571,9 @@ def review_payloads(draw):
                 sentence_index=st.integers(0, 9), detector=st.just(detector),
                 auto_label=_AUTO_LABELS[detector],
                 evidence_span=st.tuples(st.integers(0, 5), st.integers(5, 9)),
-                sentence_text=_HOSTILE)), max_size=6))
+                # builds draws every field of a NamedTuple, defaults too.
+                sentence_text=_HOSTILE, human_label=st.none(),
+                reviewer_note=st.none())), max_size=6))
         sentence_count = draw(st.integers(0, 9))
         scored = specificity.score_findings(findings, sentence_count)
         records.append({

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import re
 import tempfile
@@ -13,7 +12,8 @@ from tosaudit import specificity, textprep
 from tosaudit.errors import LexiconError, ReviewError, TosAuditError
 from tosaudit.matching import LexiconIndex
 from tosaudit.specificity import (
-    SentenceFinding, SpecificityCounts, aggregate_counts, analyze_document,
+    SentenceFinding, SpecificityCounts, SpecificityLexicons, aggregate_counts,
+    analyze_document,
     apply_review_records, classify_retention, classify_sharing,
     detect_data_types, detect_entities, export_review,
     finding_from_dict, finding_to_dict, index_lexicons, inflect_verb,
@@ -309,14 +309,14 @@ class TestAggregateCounts:
             aggregate_counts(findings)
 
     def test_rejected_dropped_only_under_review(self):
-        finding = make_finding("sharing", "specific")
-        finding.human_label = "rejected"
+        finding = make_finding("sharing", "specific")._replace(
+            human_label="rejected")
         assert aggregate_counts([finding], use_review=True).ss == 0
         assert aggregate_counts([finding], use_review=False).ss == 1
 
     def test_human_relabel_overrides(self):
-        finding = make_finding("sharing", "generic")
-        finding.human_label = "specific"
+        finding = make_finding("sharing", "generic")._replace(
+            human_label="specific")
         counts = aggregate_counts([finding], use_review=True)
         assert counts.ss == 1 and counts.sg == 0
 
@@ -377,9 +377,8 @@ class TestCoverage:
 
 class TestFindingSerialization:
     def test_round_trip(self):
-        finding = make_finding("retention", "explicit", span=(3, 9))
-        finding.human_label = "vague"
-        finding.reviewer_note = "duration is conditional"
+        finding = make_finding("retention", "explicit", span=(3, 9))._replace(
+            human_label="vague", reviewer_note="duration is conditional")
         data = finding_to_dict(finding)
         back = finding_from_dict(data)
         assert back == finding
@@ -430,7 +429,7 @@ _ORACLE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 def _encodable(finding):
     return all(not isinstance(v, str) or not re.search("[\ud800-\udfff]", v)
-               for v in dataclasses.astuple(finding))
+               for v in finding)
 
 
 class TestExportLines:
@@ -576,7 +575,7 @@ class TestReviewRoundTrip:
 
     def test_reviewer_note_preserved(self):
         finding = make_finding("sharing", "specific")
-        apply_review_records([finding], [{
+        (finding,) = apply_review_records([finding], [{
             "platform": "p", "sentence_index": 0, "detector": "sharing",
             "evidence_span": {"start": 0, "end": 4},
             "human_label": "", "reviewer_note": "checked against page",
@@ -664,8 +663,7 @@ class TestEmptyReview:
         assert scored.post_counts == scored.auto_counts
         assert (scored.auto_scores.stage, scored.post_scores.stage) == (
             "auto", "post_review")
-        assert dataclasses.replace(scored.post_scores, stage="auto") == \
-            scored.auto_scores
+        assert scored.post_scores._replace(stage="auto") == scored.auto_scores
 
 
 def reference_duration_ranges(folded_tokens, units):
@@ -737,7 +735,12 @@ class TestCorporateNames:
     @given(text=_ENTITY_TEXT)
     def test_matches_reference(self, lex, suffixes, text):
         if suffixes is not None:
-            lex = dataclasses.replace(lex, corporate_suffixes=suffixes)
+            lex = SpecificityLexicons(
+                lex.data_types, lex.known_entities, suffixes,
+                lex.retention_verbs, lex.vague_retention_phrases,
+                lex.duration_units, lex.sharing_verbs,
+                lex.specific_purpose_cues, lex.generic_purpose_cues,
+                lex.negation_cues, lex.generic_descriptors)
         old = reference_suffix_re(lex)
         assert [m.span() for m in lex.corporate_names(text)] == \
             [m.span() for m in old.finditer(text)]
