@@ -25,9 +25,6 @@ class VagueLexicon(NamedTuple):
     terms: tuple
     version: str
 
-    def categories(self):
-        return {t.canonical: t.category for t in self.terms}
-
 
 class ClarityReport(NamedTuple):
     platform: str

@@ -47,12 +47,17 @@ class InterfaceAssessment(NamedTuple):
 def validate_assessment(assessment, doc=None):
     """All schema violations in one pass; empty list means valid.
 
-    With doc given, evidence excerpts must also be verbatim substrings
-    of the document text.
+    With doc given, the platform must also be the document's, and
+    evidence excerpts verbatim substrings of the document text.
     """
     errors = []
-    if not assessment.platform:
+    if not isinstance(assessment.platform, str):
+        errors.append("platform is not a string")
+    elif not assessment.platform:
         errors.append("missing platform")
+    if doc is not None and assessment.platform != doc.platform:
+        errors.append(f"platform {assessment.platform!r} is not the "
+                      f"document's {doc.platform!r}")
     for metric, (lo, hi) in METRIC_RANGES.items():
         value = assessment.score(metric)
         if not isinstance(value, int) or isinstance(value, bool):

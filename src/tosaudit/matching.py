@@ -13,8 +13,9 @@ lexicons with a phrase starting there and those phrases' lengths,
 longest first; a case-sensitive lexicon then compares raw tokens. One
 pass over a sentence's TokenView builds a phrase key only where some
 phrase can start and keeps a next free token per lexicon, so lexicons
-never block each other and each gets what its own PhraseMatcher would
+never block each other and each gets what a scan of it alone would
 find. A sentence with no first token of any lexicon costs one set test.
+PhraseMatcher is one lexicon of such an index.
 """
 
 from .errors import LexiconError
@@ -36,23 +37,19 @@ def _duplicate(phrase):
 
 
 class PhraseMatcher:
-    """Maps token sequences to payloads and finds them in text."""
+    """One lexicon of phrases, found in text by a LexiconIndex."""
 
     def __init__(self, fold_case=True):
         self._fold_case = fold_case
-        self._table = {}
-        self._first = {}
+        self._index = LexiconIndex()
+        self._size = 0
 
     def add(self, phrase, payload):
-        key = _phrase_key(phrase, self._fold_case)
-        if key in self._table:
-            raise _duplicate(phrase)
-        self._table[key] = payload
-        lengths = set(self._first.get(key[0], ())) | {len(key)}
-        self._first[key[0]] = tuple(sorted(lengths, reverse=True))
+        self._index.add(None, phrase, payload, self._fold_case)
+        self._size += 1
 
     def __len__(self):
-        return len(self._table)
+        return self._size
 
     def find(self, view):
         """All matches as (char_start, char_end, payload, surface).
@@ -61,26 +58,11 @@ class PhraseMatcher:
         """
         if isinstance(view, str):
             view = TokenView(view)
-        tokens = view.folded if self._fold_case else view.tokens
-        first = self._first
-        if first.keys().isdisjoint(tokens):
-            return []
-        table = self._table
-        n = len(tokens)
+        view = self._index.scan(view)
         out = []
-        i = 0
-        while i < n:
-            step = 1
-            for length in first.get(tokens[i], ()):
-                if i + length <= n:
-                    key = tuple(tokens[i:i + length])
-                    if key in table:
-                        start, end = view.span(i, i + length - 1)
-                        out.append(
-                            (start, end, table[key], view.text[start:end]))
-                        step = length
-                        break
-            i += step
+        for first, last, payload in view.hits.get(None, ()):
+            start, end = view.span(first, last)
+            out.append((start, end, payload, view.text[start:end]))
         return out
 
 
@@ -115,8 +97,9 @@ class LexiconIndex:
         self._first[first] = tuple(entries.values())
 
     def scan(self, sentence):
-        """A TokenView of a Sentence whose hits map each lexicon with a
-        match to its (first_token, last_token, payload) matches."""
+        """A new TokenView of a Sentence (or TokenView) whose hits map
+        each lexicon with a match to its (first_token, last_token,
+        payload) matches."""
         view = TokenView(sentence.text, sentence.tokens)
         folded = view.folded
         first = self._first

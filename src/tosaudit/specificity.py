@@ -437,16 +437,15 @@ def aggregate_counts(findings, use_review=True):
     )
 
 
-def sentence_coverage(findings, sentence_count, use_review=True):
-    """Diagnostic: fraction of sentences with >=1 finding per detector."""
+def sentence_coverage(findings, sentence_count):
+    """Diagnostic: fraction of sentences per detector with a finding
+    that review did not reject."""
     if sentence_count <= 0:
         return {d: 0.0 for d in DETECTORS}
     hit = {d: set() for d in DETECTORS}
     for f in findings:
-        label = f.effective_label() if use_review else f.auto_label
-        if use_review and label == REJECTED:
-            continue
-        hit[f.detector].add(f.sentence_index)
+        if f.effective_label() != REJECTED:
+            hit[f.detector].add(f.sentence_index)
     return {d: len(s) / sentence_count for d, s in hit.items()}
 
 

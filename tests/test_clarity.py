@@ -33,7 +33,7 @@ class TestLexiconLoading:
         assert len(lexicon.terms) == 30
 
     def test_all_categories_known(self, lexicon):
-        assert set(lexicon.categories().values()) <= set(clarity.CATEGORIES)
+        assert {t.category for t in lexicon.terms} <= set(clarity.CATEGORIES)
 
     def test_custom_file_with_term_list(self, tmp_path):
         path = tmp_path / "lex.json"

@@ -90,6 +90,25 @@ class TestAnalyze:
         assert saved["failures"] == [
             {"platform": "blank", "error": "degenerate document"}]
 
+    def test_assessment_for_another_platform_exits_one(self, tmp_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        path = corpus_dir / "assessments" / "bluesky.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**data, "platform": "someone-else"}),
+                        encoding="utf-8")
+        outcome = run_cli([
+            "analyze", "--corpus", str(corpus_dir),
+            "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 1
+        message = ("invalid assessment: platform 'someone-else' is not "
+                   "the document's 'bluesky'")
+        assert f"failed bluesky: {message}" in outcome.stderr
+        saved = json.load(open(tmp_path / "r.json"))
+        assert saved["failures"] == [
+            {"platform": "bluesky", "error": message}]
+        bluesky, = (r for r in saved["results"] if r["platform"] == "bluesky")
+        assert bluesky["interface"] is None
+
     @pytest.mark.parametrize("content, message", [
         ("{broken", "malformed extraction config"),
         ('["main"]', "extraction_config.json is not a JSON object"),
@@ -348,6 +367,14 @@ class TestAssess:
         assert outcome.exit_code == 1
         assert "invalid: explicit_denial: score 9 out of range 0..2" \
             in outcome.stderr
+
+    def test_validate_platform_not_a_string(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"platform": 5}))
+        outcome = run_cli([
+            "assess", "validate", "--file", str(path)])
+        assert outcome.exit_code == 1
+        assert outcome.stderr == "invalid: platform is not a string\n"
 
     def test_validate_malformed_is_fatal(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -957,35 +984,6 @@ def _env_with_src():
     return env
 
 
-# Every name `tosaudit` re-exports, by the submodule that defines it, and
-# the submodules reachable as attributes of the package.
-PACKAGE_EXPORTS = {
-    "clarity": ["ClarityReport", "VagueLexicon", "VagueTerm", "density_pct",
-                "load_vague_lexicon", "scan_vague_terms"],
-    "corpus": ["CorpusManifest", "SnapshotEntry", "fetch_snapshot",
-               "load_manifest", "save_manifest", "store_snapshot"],
-    "errors": ["AssessmentError", "CorpusError", "DegenerateDocumentError",
-               "ExtractionError", "FetchError", "LexiconError", "ReviewError",
-               "TosAuditError"],
-    "interface_assess": ["EvidenceRecord", "InterfaceAssessment",
-                         "load_cue_lexicon", "suggest_evidence",
-                         "validate_assessment"],
-    "pipeline": ["PlatformResult", "run_pipeline"],
-    "readability": ["FluencyEstimate", "ReadabilityBand",
-                    "ReadabilityProfile", "ReaderGroup", "classify_band",
-                    "compute_readability_profile", "estimate_reading_time",
-                    "load_reader_groups"],
-    "specificity": ["SentenceFinding", "SpecificityCounts",
-                    "SpecificityLexicons", "SpecificityScores",
-                    "aggregate_counts", "analyze_document",
-                    "classify_retention", "classify_sharing",
-                    "detect_data_types", "detect_entities", "export_review",
-                    "load_specificity_lexicons", "map_scores"],
-    "textprep": ["DocStats", "Document", "Sentence", "build_document",
-                 "compute_doc_stats", "count_syllables", "extract_text",
-                 "segment_sentences", "tokenize_words"],
-}
-
 # The modules a fresh `python -m tosaudit.cli analyze` imports; the CLI
 # module itself runs as __main__.
 ANALYZE_MODULES = {
@@ -1113,29 +1111,25 @@ class TestEntryPoint:
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout.splitlines()[-1]) == []
 
-    def test_package_names_load_on_first_use(self):
-        """`import tosaudit` loads no submodule; each submodule and each
-        name the package re-exports still resolves as an attribute."""
+    def test_package_imports_no_submodule(self):
+        """`import tosaudit` loads no `tosaudit.*` module, and the package
+        namespace holds no analysis name: each is imported from its
+        submodule."""
         probe = (
             "import json, sys\n"
             "import tosaudit\n"
-            "loaded = [m for m in sys.modules if m.startswith('tosaudit.')]\n"
-            "wrong = []\n"
-            "for module, names in json.loads(sys.argv[1]).items():\n"
-            "    if getattr(tosaudit, module) is not sys.modules.get(\n"
-            "            f'tosaudit.{module}'):\n"
-            "        wrong.append(module)\n"
-            "    for name in names:\n"
-            "        exec(f'from tosaudit import {name} as value')\n"
-            "        if value is not getattr(\n"
-            "                sys.modules[f'tosaudit.{module}'], name):\n"
-            "            wrong.append(name)\n"
-            "print(json.dumps([loaded, wrong]))\n")
+            "print(json.dumps([\n"
+            "    [m for m in sys.modules if m.startswith('tosaudit.')],\n"
+            "    sorted(vars(tosaudit))]))\n")
         completed = subprocess.run(
-            [sys.executable, "-c", probe, json.dumps(PACKAGE_EXPORTS)],
+            [sys.executable, "-c", probe],
             capture_output=True, text=True, env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
-        assert json.loads(completed.stdout) == [[], []]
+        loaded, names = json.loads(completed.stdout)
+        assert loaded == []
+        assert names == [
+            "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+            "__name__", "__package__", "__path__", "__spec__", "__version__"]
 
     def test_report_choices_match_report(self):
         from tosaudit import report
@@ -1218,6 +1212,18 @@ class TestReadme:
         used = {name for path, _, _ in commands for name in path}
         for path in _command_paths(cli._parser("tosaudit")):
             assert set(path) <= used, path
+
+    def test_library_example_runs(self, tmp_path):
+        """README's library quick start runs in a fresh interpreter on
+        a fixture document saved as terms.txt."""
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block, = re.findall(r"```python\n(.*?)```", text, re.S)
+        (tmp_path / "terms.txt").write_text(
+            fixture_docs.DOCS["reddit"][1], encoding="utf-8")
+        completed = subprocess.run(
+            [sys.executable, "-c", block], cwd=tmp_path,
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
 
     @pytest.mark.parametrize("command", _command_paths(cli._parser("tosaudit")),
                              ids=lambda command: "-".join(command) or "top")

@@ -52,6 +52,16 @@ class TestValidate:
         a = make_valid()._replace(platform="")
         assert "missing platform" in validate_assessment(a)
 
+    @pytest.mark.parametrize("platform", [5, None, ["demo"]])
+    def test_platform_must_be_a_string(self, platform):
+        a = make_valid()._replace(platform=platform)
+        assert validate_assessment(a) == ["platform is not a string"]
+
+    def test_platform_must_be_the_documents(self):
+        doc = textprep.build_document("other", DOC_TEXT)
+        assert validate_assessment(make_valid(), doc) == [
+            "platform 'demo' is not the document's 'other'"]
+
     def test_all_zero_needs_no_evidence(self):
         a = InterfaceAssessment(platform="demo")
         assert validate_assessment(a) == []

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -137,6 +138,21 @@ class TestFailureModes:
         assert platform == "demo"
         assert message.startswith("invalid assessment:")
         assert "verbatim substring" in message
+
+    @pytest.mark.parametrize("platform", ["someone-else", 5])
+    def test_assessment_for_another_platform_fails(self, tmp_path, platform):
+        build_fixture_corpus(tmp_path)
+        path = tmp_path / pipeline.ASSESSMENTS_DIR / "bluesky.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**data, "platform": platform}),
+                        encoding="utf-8")
+        results, failures = run_decoded(tmp_path)
+        by_platform = {r["platform"]: r for r in results}
+        assert by_platform["bluesky"]["interface"] is None
+        assert by_platform["reddit"]["interface"] is not None
+        assert failures == [("bluesky", "invalid assessment: " + "; ".join(
+            (["platform is not a string"] if platform == 5 else [])
+            + [f"platform {platform!r} is not the document's 'bluesky'"]))]
 
     @pytest.mark.parametrize("content", [
         b"{broken", b"[1, 2]", b"\xff{}",
@@ -583,52 +599,103 @@ def review_payloads(draw):
     return records
 
 
+def assert_review_round_trip(records, failures, edits, note):
+    """An unedited review changes nothing and post_review == auto; a
+    review that labels the findings with edits, in turn, applied twice
+    gives the bytes of applying it once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name):
+            return os.path.join(tmp, name)
+
+        save_results(results_payload(records, failures), path("base.json"))
+        payload = load_results(path("base.json"))
+        export_review_from_results(payload, path("review.jsonl"),
+                                   include_dt_en=True)
+        save_results(apply_review_to_results(
+            payload, path("review.jsonl")), path("unedited.json"))
+        unedited = load_results(path("unedited.json"))
+
+        # Not splitlines: it also splits at U+2028 inside a string.
+        with open(path("review.jsonl"), encoding="utf-8") as fh:
+            header, *lines = fh.read().rstrip("\n").split("\n")
+        edited = [json.dumps({**json.loads(line), "human_label": label,
+                              "reviewer_note": note}, ensure_ascii=False)
+                  for line, label in zip(lines, itertools.cycle(edits))]
+        with open(path("edited.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join([header] + edited) + "\n")
+        save_results(apply_review_to_results(
+            payload, path("edited.jsonl")), path("once.json"))
+        save_results(apply_review_to_results(
+            load_results(path("once.json")), path("edited.jsonl")),
+            path("twice.json"))
+        with open(path("once.json"), "rb") as once, \
+                open(path("twice.json"), "rb") as twice:
+            assert twice.read() == once.read()
+
+    for before, after in zip(payload["results"], unedited["results"],
+                             strict=True):
+        spec, revised = before["specificity"], after["specificity"]
+        assert revised["findings"] == spec["findings"]
+        assert revised["auto"] == spec["auto"]
+        assert revised["post_review"]["counts"] == spec["auto"]["counts"]
+        assert {**revised["post_review"]["scores"], "stage": "auto"} == \
+            spec["auto"]["scores"]
+
+
+_EDITS = st.lists(st.sampled_from(["", "rejected"]), min_size=1, max_size=20)
+
+
 class TestReviewRoundTripProperties:
     @settings(max_examples=50, deadline=None)
-    @given(records=review_payloads(), edits=st.lists(
-        st.sampled_from(["", "rejected"]), min_size=20, max_size=20),
-        note=_HOSTILE)
+    @given(records=review_payloads(), edits=_EDITS, note=_HOSTILE)
     def test_review_round_trip(self, records, edits, note):
-        """An unedited review changes nothing and post_review == auto;
-        any review applied twice gives the bytes of applying it once."""
-        with tempfile.TemporaryDirectory() as tmp:
-            def path(name):
-                return os.path.join(tmp, name)
+        assert_review_round_trip([encode_record(r) for r in records], [],
+                                 edits, note)
 
-            save_results(results_payload(
-                [encode_record(r) for r in records], []), path("base.json"))
-            payload = load_results(path("base.json"))
-            export_review_from_results(payload, path("review.jsonl"),
-                                       include_dt_en=True)
-            save_results(apply_review_to_results(
-                payload, path("review.jsonl")), path("unedited.json"))
-            unedited = load_results(path("unedited.json"))
 
-            # Not splitlines: it also splits at U+2028 inside a string.
-            with open(path("review.jsonl"), encoding="utf-8") as fh:
-                header, *lines = fh.read().rstrip("\n").split("\n")
-            edited = [json.dumps({**json.loads(line), "human_label": label,
-                                  "reviewer_note": note}, ensure_ascii=False)
-                      for line, label in zip(lines, edits)]
-            with open(path("edited.jsonl"), "w", encoding="utf-8") as fh:
-                fh.write("\n".join([header] + edited) + "\n")
-            save_results(apply_review_to_results(
-                payload, path("edited.jsonl")), path("once.json"))
-            save_results(apply_review_to_results(
-                load_results(path("once.json")), path("edited.jsonl")),
-                path("twice.json"))
-            with open(path("once.json"), "rb") as once, \
-                    open(path("twice.json"), "rb") as twice:
-                assert twice.read() == once.read()
+def rewrite_manifest(corpus_dir, change):
+    """Save the corpus's manifest with its entries passed through change."""
+    path = str(corpus_dir / corpus.MANIFEST_NAME)
+    manifest = corpus.load_manifest(path)
+    corpus.save_manifest(
+        manifest._replace(entries=tuple(change(manifest.entries))), path)
 
-        for before, after in zip(payload["results"], unedited["results"],
-                                 strict=True):
-            spec, revised = before["specificity"], after["specificity"]
-            assert revised["findings"] == spec["findings"]
-            assert revised["auto"] == spec["auto"]
-            assert revised["post_review"]["counts"] == spec["auto"]["counts"]
-            assert {**revised["post_review"]["scores"], "stage": "auto"} == \
-                spec["auto"]["scores"]
+
+# Each example writes its own corpus directory under tmp_path.
+_TMP_PATH_OK = [HealthCheck.function_scoped_fixture]
+
+
+class TestGeneratedCorpusProperties:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=_TMP_PATH_OK)
+    @given(data=st.data())
+    def test_entry_order_does_not_matter(self, tmp_path, data):
+        root = data.draw(generated_corpora(tmp_path))
+        forward = run_pipeline(str(root))
+        rewrite_manifest(root, reversed)
+        assert run_pipeline(str(root)) == forward
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=_TMP_PATH_OK)
+    @given(data=st.data())
+    def test_dropping_a_platform_keeps_the_others(self, tmp_path, data):
+        root = data.draw(generated_corpora(tmp_path))
+        records, failures = run_pipeline(str(root))
+        entries = corpus.load_manifest(
+            str(root / corpus.MANIFEST_NAME)).entries
+        dropped = data.draw(st.sampled_from([e.platform for e in entries]))
+        rewrite_manifest(root, lambda entries: [
+            e for e in entries if e.platform != dropped])
+        assert run_pipeline(str(root)) == (
+            [r for r in records if json.loads(r)["platform"] != dropped],
+            [f for f in failures if f[0] != dropped])
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=_TMP_PATH_OK)
+    @given(data=st.data(), edits=_EDITS, note=_HOSTILE)
+    def test_review_round_trip(self, tmp_path, data, edits, note):
+        root = data.draw(generated_corpora(tmp_path))
+        assert_review_round_trip(*run_pipeline(str(root)), edits, note)
 
 
 class TestFixtureCorpusRebuild:
