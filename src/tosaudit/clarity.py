@@ -23,11 +23,9 @@ class VagueTerm(NamedTuple):
 
 class VagueLexicon(NamedTuple):
     terms: tuple
-    version: str
 
 
 class ClarityReport(NamedTuple):
-    platform: str
     word_count: int
     vague_count: int
     density_pct: float
@@ -44,12 +42,7 @@ def load_vague_lexicon(path=None):
     """
     data = inputs.read_json(path or inputs.shipped("vague_terms.json"),
                             LexiconError, "lexicon", top=object)
-    if isinstance(data, dict):
-        version = str(data.get("version", ""))
-        raw_terms = data.get("terms")
-    else:
-        version = ""
-        raw_terms = data
+    raw_terms = data.get("terms") if isinstance(data, dict) else data
     if not isinstance(raw_terms, list) or not raw_terms:
         raise LexiconError("lexicon has no terms")
 
@@ -79,7 +72,7 @@ def load_vague_lexicon(path=None):
             seen.add(folded)
         terms.append(VagueTerm(
             canonical=canonical, variants=variants, category=category))
-    return VagueLexicon(terms=tuple(terms), version=version)
+    return VagueLexicon(terms=tuple(terms))
 
 
 def density_pct(vague_count, word_count):
@@ -122,7 +115,6 @@ def scan_vague_terms(doc, lex, views=None):
     word_count = doc.stats.word_count
     density = density_pct(vague_count, word_count)
     return ClarityReport(
-        platform=doc.platform,
         word_count=word_count,
         vague_count=vague_count,
         density_pct=density,

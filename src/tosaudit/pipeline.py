@@ -8,9 +8,9 @@ of forked processes, one per usable CPU; a small one in this process.
 
 Each platform's record is encoded to its one-line results-file bytes
 by results.encode_record, with the C JSON encoder, in the worker that
-analyzed it. The results file, its loader and the review round trip
-over it live in the results module, which loads none of the
-text-analysis layers; their names are bound here too, as the same
+analyzed it. The results and review files and the review round trip
+live in the results module, which loads none of the text-analysis
+layers; its results-file functions are bound here too, as the same
 function objects.
 """
 
@@ -51,11 +51,7 @@ class PlatformResult(NamedTuple):
     fluency: dict
     clarity: object
     findings: list
-    auto_counts: object
-    auto_scores: object
-    post_counts: object
-    post_scores: object
-    coverage: dict
+    scores: specificity_mod.FindingScores
     interface: object = None
 
 
@@ -66,21 +62,11 @@ def result_to_dict(result):
         "doc_stats": result.document.stats._asdict(),
         "readability": {
             "scores": result.profile._asdict(),
-            "bands": dict(result.bands),
+            "bands": result.bands,
         },
         "fluency": result.fluency,
-        "clarity": {
-            "word_count": result.clarity.word_count,
-            "vague_count": result.clarity.vague_count,
-            "density_pct": result.clarity.density_pct,
-            "unique_terms": result.clarity.unique_terms,
-            "per_term_counts": dict(result.clarity.per_term_counts),
-            "matches": [
-                [idx, [span[0], span[1]], canonical]
-                for idx, span, canonical in result.clarity.matches
-            ],
-        },
-        "specificity": _specificity_block(result.findings, result),
+        "clarity": result.clarity._asdict(),
+        "specificity": _specificity_block(result.findings, result.scores),
         "interface": (interface_assess.assessment_to_dict(result.interface)
                       if result.interface is not None else None),
     }
@@ -132,8 +118,6 @@ def analyze_entry(entry, payload, ctx):
     clarity_report = clarity_mod.scan_vague_terms(
         doc, ctx.vague_lexicon, views)
     findings = specificity_mod.analyze_document(doc, ctx.spec_lexicons, views)
-    scored = specificity_mod.score_findings(
-        findings, doc.stats.sentence_count)
     return PlatformResult(
         platform=entry.platform,
         source_digest=entry.content_digest,
@@ -143,7 +127,8 @@ def analyze_entry(entry, payload, ctx):
         fluency=fluency,
         clarity=clarity_report,
         findings=findings,
-        **scored._asdict(),
+        scores=specificity_mod.score_findings(
+            findings, doc.stats.sentence_count),
     )
 
 

@@ -1,45 +1,112 @@
-"""The results file, and the human review round trip over it.
+"""The results and review files, and the review round trip over them.
 
 A results file is one JSON object with sorted keys whose "results" list
 holds the platform records, one record to a line. Each record is
 encoded to its line by the C JSON encoder where it is built, in the
 analyze worker or in `review apply`, and the file is streamed from
-those bytes; no whole-file text is built.
+those bytes; no whole-file text is built. A review file is JSONL: a
+header record, then one finding per line.
 
 Only the specificity layer is loaded here, so `review export` and
 `review apply` import none of the text-analysis layers.
 """
 
+import itertools
 import json
+from json.encoder import encode_basestring
 
 from . import inputs
 from . import specificity as specificity_mod
 from .errors import ReviewError, TosAuditError
+from .specificity import DETECTORS, REJECTED, SentenceFinding
 
 RESULTS_SCHEMA_VERSION = 1
+REVIEW_FORMAT = "tosaudit-review"
+REVIEW_VERSION = 1
 
 # Default separators and no indent, so CPython's C encoder runs; it is
 # never changed after import.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
+# The labels a reviewer may give a finding of each detector; data-type
+# and entity findings take any label.
+_REVIEW_LABELS = {
+    "retention": frozenset(specificity_mod.RETENTION_LABELS + (REJECTED,)),
+    "sharing": frozenset(specificity_mod.SHARING_LABELS + (REJECTED,)),
+}
 
-def _specificity_block(findings, scored):
-    """Results-file specificity block from findings and their scores.
 
-    scored is a specificity.FindingScores or a pipeline.PlatformResult
-    (same fields).
-    """
+def finding_to_dict(f):
     return {
-        "findings": [specificity_mod.finding_to_dict(f) for f in findings],
+        "platform": f.platform,
+        "sentence_index": f.sentence_index,
+        "detector": f.detector,
+        "auto_label": f.auto_label,
+        "evidence_span": {"start": f.evidence_span[0], "end": f.evidence_span[1]},
+        "sentence_text": f.sentence_text,
+        "human_label": f.human_label or "",
+        "reviewer_note": f.reviewer_note or "",
+    }
+
+
+def _text(d, key):
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"finding {key} is not a string: {value!r}")
+    return value
+
+
+def _optional_text(d, key):
+    value = d.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"finding {key} is not a string or null: {value!r}")
+    return value or None
+
+
+def _integer(value, name):
+    if type(value) is not int:  # JSON true, 3.9 and "9" are not indices
+        raise TypeError(f"finding {name} is not an integer: {value!r}")
+    return value
+
+
+def finding_from_dict(d):
+    """The finding of a finding_to_dict dict, from a results file.
+
+    A field of the wrong type raises TypeError, an unknown detector
+    ValueError: export_review writes no line apply would reject.
+    """
+    span = d["evidence_span"]
+    detector = d["detector"]
+    if detector not in DETECTORS:
+        raise ValueError(f"finding detector is not one of {DETECTORS}: "
+                         f"{detector!r}")
+    return SentenceFinding(
+        platform=_text(d, "platform"),
+        sentence_index=_integer(d["sentence_index"], "sentence_index"),
+        detector=detector,
+        auto_label=_text(d, "auto_label"),
+        evidence_span=(_integer(span["start"], "evidence_span.start"),
+                       _integer(span["end"], "evidence_span.end")),
+        sentence_text=_text(d, "sentence_text"),
+        human_label=_optional_text(d, "human_label"),
+        reviewer_note=_optional_text(d, "reviewer_note"),
+    )
+
+
+def _specificity_block(findings, scores):
+    """Results-file specificity block from findings and their
+    specificity.FindingScores."""
+    return {
+        "findings": [finding_to_dict(f) for f in findings],
         "auto": {
-            "counts": scored.auto_counts._asdict(),
-            "scores": scored.auto_scores._asdict(),
+            "counts": scores.auto_counts._asdict(),
+            "scores": scores.auto_scores._asdict(),
         },
         "post_review": {
-            "counts": scored.post_counts._asdict(),
-            "scores": scored.post_scores._asdict(),
+            "counts": scores.post_counts._asdict(),
+            "scores": scores.post_scores._asdict(),
         },
-        "coverage": dict(scored.coverage),
+        "coverage": scores.coverage,
     }
 
 
@@ -106,13 +173,142 @@ def load_results(path):
     return payload
 
 
+def _review_sort_key(f):
+    return (f.platform, f.sentence_index, f.evidence_span[0], f.detector)
+
+
+# One review line: finding_to_dict's keys in sorted order, with the
+# separators _ENCODER writes. Encoding each line's dict cost three times
+# as much as this.
+_REVIEW_LINE = (
+    '{"auto_label": %s, "detector": %s, '
+    '"evidence_span": {"end": %d, "start": %d}, "human_label": %s, '
+    '"platform": %s, "reviewer_note": %s, "sentence_index": %d, '
+    '"sentence_text": %s}\n')
+
+
+def _review_line(f):
+    """finding_to_dict(f) as one JSONL line; f's text fields must be str."""
+    return _REVIEW_LINE % (
+        encode_basestring(f.auto_label), encode_basestring(f.detector),
+        f.evidence_span[1], f.evidence_span[0],
+        encode_basestring(f.human_label or ""), encode_basestring(f.platform),
+        encode_basestring(f.reviewer_note or ""), f.sentence_index,
+        encode_basestring(f.sentence_text))
+
+
+def export_review(findings, path, include_dt_en=False):
+    """Write findings awaiting review as JSONL with a header record.
+
+    Retention and sharing findings are always exported; data-type and
+    entity findings only when include_dt_en is set. Each line is written
+    as it is made.
+    """
+    wanted = ("retention", "sharing")
+    if include_dt_en:
+        wanted = DETECTORS
+    records = sorted(
+        (f for f in findings if f.detector in wanted), key=_review_sort_key)
+    header = {
+        "record_type": "header",
+        "format": REVIEW_FORMAT,
+        "version": REVIEW_VERSION,
+        "finding_count": len(records),
+    }
+    inputs.write_atomic(path, itertools.chain(
+        [_ENCODER.encode(header) + "\n"], map(_review_line, records)))
+    return len(records)
+
+
+def parse_review_file(path):
+    """Read a review JSONL file; returns the finding records.
+
+    The header must name REVIEW_FORMAT and REVIEW_VERSION, and its
+    finding_count must equal the number of records, so a file cut short
+    is rejected, not applied.
+    """
+    records = []
+    lines = inputs.read_lines(path, ReviewError, "review")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ReviewError(f"line {lineno}: malformed record: {exc}") from None
+        if not isinstance(record, dict):
+            raise ReviewError(f"line {lineno}: record is not a JSON object")
+        records.append(record)
+    if not records:
+        raise ReviewError("empty review file (missing header record)")
+    header = records.pop(0)
+    if header.get("record_type") != "header":
+        raise ReviewError("first record is not a header record")
+    if header.get("format") != REVIEW_FORMAT:
+        raise ReviewError(f"unknown review format: {header.get('format')!r}")
+    version = header.get("version")
+    if type(version) is not int or version != REVIEW_VERSION:
+        raise ReviewError(f"unsupported review version {version!r}")
+    count = header.get("finding_count")
+    if type(count) is not int or count < 0:
+        raise ReviewError(f"malformed review header: finding_count {count!r} "
+                          f"is not a non-negative integer")
+    if count != len(records):
+        raise ReviewError(f"review file holds {len(records)} records but its "
+                          f"header says finding_count {count}; is it cut short?")
+    return records
+
+
+def apply_review_records(findings, records):
+    """Apply parsed review records onto a list of findings.
+
+    A finding whose record holds a human label or note is replaced, at
+    its position in the list, by a copy that carries them.
+    """
+    index = {}
+    for i, f in enumerate(findings):
+        key = (f.platform, f.sentence_index, f.detector,
+               f.evidence_span[0], f.evidence_span[1])
+        index[key] = i
+    for rec in records:
+        try:
+            span = rec["evidence_span"]
+            key = (rec["platform"],
+                   _integer(rec["sentence_index"], "sentence_index"),
+                   rec["detector"],
+                   _integer(span["start"], "evidence_span.start"),
+                   _integer(span["end"], "evidence_span.end"))
+            position = index.get(key)
+            label = (rec.get("human_label") or "").strip()
+            note = (rec.get("reviewer_note") or "").strip()
+        except (LookupError, TypeError, ValueError, ArithmeticError,
+                AttributeError):
+            raise ReviewError(f"malformed review record: {rec!r}") from None
+        if position is None:
+            raise ReviewError(
+                "unmatched review record: "
+                f"{rec['platform']}/{rec['sentence_index']}/{rec['detector']}")
+        finding = findings[position]
+        if label:
+            allowed = _REVIEW_LABELS.get(finding.detector)
+            if allowed is not None and label not in allowed:
+                raise ReviewError(
+                    f"illegal label value {label!r} for "
+                    f"{finding.detector} finding")
+        if label or note:
+            findings[position] = finding._replace(
+                human_label=label or finding.human_label,
+                reviewer_note=note or finding.reviewer_note)
+    return findings
+
+
 def export_review_from_results(payload, out_path, include_dt_en=False):
     """Export all reviewable findings in a results file to JSONL."""
-    findings = [specificity_mod.finding_from_dict(d)
+    findings = [finding_from_dict(d)
                 for result in payload["results"]
                 for d in result["specificity"]["findings"]]
-    return specificity_mod.export_review(
-        findings, out_path, include_dt_en=include_dt_en)
+    return export_review(findings, out_path, include_dt_en=include_dt_en)
 
 
 def apply_review_to_results(payload, review_path):
@@ -124,7 +320,7 @@ def apply_review_to_results(payload, review_path):
     are encode_record bytes, each encoded as it is revised; payload and
     its records are left as they were.
     """
-    records = specificity_mod.parse_review_file(review_path)
+    records = parse_review_file(review_path)
     by_platform = {}
     for rec in records:
         if not isinstance(rec.get("platform"), str):
@@ -136,12 +332,11 @@ def apply_review_to_results(payload, review_path):
             raise ReviewError(f"unmatched review record: platform {platform!r}")
     revised = []
     for result in payload["results"]:
-        findings = [specificity_mod.finding_from_dict(d)
+        findings = [finding_from_dict(d)
                     for d in result["specificity"]["findings"]]
-        specificity_mod.apply_review_records(
-            findings, by_platform.get(result["platform"], []))
-        scored = specificity_mod.score_findings(
+        apply_review_records(findings, by_platform.get(result["platform"], []))
+        scores = specificity_mod.score_findings(
             findings, result["doc_stats"]["sentence_count"])
         revised.append(encode_record({**result, "specificity": {
-            **result["specificity"], **_specificity_block(findings, scored)}}))
+            **result["specificity"], **_specificity_block(findings, scores)}}))
     return {**payload, "results": revised}

@@ -3,26 +3,21 @@
 Sentence-level detectors find named data types, named entities,
 retention statements, and sharing conditions. Findings aggregate to
 document counts, map onto 0..2 sub-scores, and average into a
-composite. A JSONL review round-trip lets a human confirm, relabel,
-or reject findings, yielding auto and post-review score pairs.
+composite. Human labels, carried in by a review file (see `results`),
+override automatic ones in the post-review counts and scores, which
+are kept beside the automatic ones.
 """
 
-import itertools
-import json
 import re
-from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from . import inputs
-from .errors import LexiconError, ReviewError, TosAuditError
+from .errors import LexiconError, TosAuditError
 
 DETECTORS = ("data_type", "entity", "retention", "sharing")
 RETENTION_LABELS = ("explicit", "vague")
 SHARING_LABELS = ("specific", "generic", "negated")
 REJECTED = "rejected"
-
-REVIEW_FORMAT = "tosaudit-review"
-REVIEW_VERSION = 1
 
 _SPELLED_NUMBERS = frozenset(
     "one two three four five six seven eight nine ten eleven twelve "
@@ -493,189 +488,3 @@ def score_findings(findings, sentence_count):
         post_scores=map_scores(post_counts, "post_review"),
         coverage=sentence_coverage(findings, sentence_count),
     )
-
-
-def finding_to_dict(f):
-    return {
-        "platform": f.platform,
-        "sentence_index": f.sentence_index,
-        "detector": f.detector,
-        "auto_label": f.auto_label,
-        "evidence_span": {"start": f.evidence_span[0], "end": f.evidence_span[1]},
-        "sentence_text": f.sentence_text,
-        "human_label": f.human_label or "",
-        "reviewer_note": f.reviewer_note or "",
-    }
-
-
-def _text(d, key):
-    value = d[key]
-    if not isinstance(value, str):
-        raise TypeError(f"finding {key} is not a string: {value!r}")
-    return value
-
-
-def _optional_text(d, key):
-    value = d.get(key)
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"finding {key} is not a string or null: {value!r}")
-    return value or None
-
-
-def finding_from_dict(d):
-    """The finding of a finding_to_dict dict, from a results file.
-
-    A field of the wrong type raises TypeError, an unknown detector
-    ValueError: export_review writes no line apply would reject.
-    """
-    span = d["evidence_span"]
-    detector = d["detector"]
-    if detector not in DETECTORS:
-        raise ValueError(f"finding detector is not one of {DETECTORS}: "
-                         f"{detector!r}")
-    return SentenceFinding(
-        platform=_text(d, "platform"),
-        sentence_index=int(d["sentence_index"]),
-        detector=detector,
-        auto_label=_text(d, "auto_label"),
-        evidence_span=(int(span["start"]), int(span["end"])),
-        sentence_text=_text(d, "sentence_text"),
-        human_label=_optional_text(d, "human_label"),
-        reviewer_note=_optional_text(d, "reviewer_note"),
-    )
-
-
-def _review_sort_key(f):
-    return (f.platform, f.sentence_index, f.evidence_span[0], f.detector)
-
-
-# One review line: finding_to_dict's keys in sorted order, with the
-# separators json.JSONEncoder(sort_keys=True, ensure_ascii=False) writes.
-# Building an encoder per line cost three times as much as this.
-_REVIEW_LINE = (
-    '{"auto_label": %s, "detector": %s, '
-    '"evidence_span": {"end": %d, "start": %d}, "human_label": %s, '
-    '"platform": %s, "reviewer_note": %s, "sentence_index": %d, '
-    '"sentence_text": %s}\n')
-
-
-def _review_line(f):
-    """finding_to_dict(f) as one JSONL line; f's text fields must be str."""
-    return _REVIEW_LINE % (
-        encode_basestring(f.auto_label), encode_basestring(f.detector),
-        f.evidence_span[1], f.evidence_span[0],
-        encode_basestring(f.human_label or ""), encode_basestring(f.platform),
-        encode_basestring(f.reviewer_note or ""), f.sentence_index,
-        encode_basestring(f.sentence_text))
-
-
-def export_review(findings, path, include_dt_en=False):
-    """Write findings awaiting review as JSONL with a header record.
-
-    Retention and sharing findings are always exported; data-type and
-    entity findings only when include_dt_en is set. Each line is written
-    as it is made.
-    """
-    wanted = ("retention", "sharing")
-    if include_dt_en:
-        wanted = DETECTORS
-    records = sorted(
-        (f for f in findings if f.detector in wanted), key=_review_sort_key)
-    header = {
-        "record_type": "header",
-        "format": REVIEW_FORMAT,
-        "version": REVIEW_VERSION,
-        "finding_count": len(records),
-    }
-    header_line = json.dumps(header, sort_keys=True, ensure_ascii=False)
-    inputs.write_atomic(path, itertools.chain(
-        [header_line + "\n"], map(_review_line, records)))
-    return len(records)
-
-
-def parse_review_file(path):
-    """Read a review JSONL file; returns the finding records.
-
-    The header must name REVIEW_FORMAT and REVIEW_VERSION, and its
-    finding_count must equal the number of records, so a file cut short
-    is rejected, not applied.
-    """
-    records = []
-    lines = inputs.read_lines(path, ReviewError, "review")
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise ReviewError(f"line {lineno}: malformed record: {exc}") from None
-        if not isinstance(record, dict):
-            raise ReviewError(f"line {lineno}: record is not a JSON object")
-        records.append(record)
-    if not records:
-        raise ReviewError("empty review file (missing header record)")
-    header = records.pop(0)
-    if header.get("record_type") != "header":
-        raise ReviewError("first record is not a header record")
-    if header.get("format") != REVIEW_FORMAT:
-        raise ReviewError(f"unknown review format: {header.get('format')!r}")
-    version = header.get("version")
-    if type(version) is not int or version != REVIEW_VERSION:
-        raise ReviewError(f"unsupported review version {version!r}")
-    count = header.get("finding_count")
-    if type(count) is not int or count < 0:
-        raise ReviewError(f"malformed review header: finding_count {count!r} "
-                          f"is not a non-negative integer")
-    if count != len(records):
-        raise ReviewError(f"review file holds {len(records)} records but its "
-                          f"header says finding_count {count}; is it cut short?")
-    return records
-
-
-def _allowed_labels(detector):
-    if detector == "retention":
-        return set(RETENTION_LABELS) | {REJECTED}
-    if detector == "sharing":
-        return set(SHARING_LABELS) | {REJECTED}
-    return None  # open label sets for data_type / entity
-
-
-def apply_review_records(findings, records):
-    """Apply parsed review records onto a list of findings.
-
-    A finding whose record holds a human label or note is replaced, at
-    its position in the list, by a copy that carries them.
-    """
-    index = {}
-    for i, f in enumerate(findings):
-        key = (f.platform, f.sentence_index, f.detector,
-               f.evidence_span[0], f.evidence_span[1])
-        index[key] = i
-    for rec in records:
-        try:
-            span = rec["evidence_span"]
-            key = (rec["platform"], int(rec["sentence_index"]),
-                   rec["detector"], int(span["start"]), int(span["end"]))
-            position = index.get(key)
-            label = (rec.get("human_label") or "").strip()
-            note = (rec.get("reviewer_note") or "").strip()
-        except (LookupError, TypeError, ValueError, ArithmeticError,
-                AttributeError):
-            raise ReviewError(f"malformed review record: {rec!r}") from None
-        if position is None:
-            raise ReviewError(
-                "unmatched review record: "
-                f"{rec['platform']}/{rec['sentence_index']}/{rec['detector']}")
-        finding = findings[position]
-        if label:
-            allowed = _allowed_labels(finding.detector)
-            if allowed is not None and label not in allowed:
-                raise ReviewError(
-                    f"illegal label value {label!r} for "
-                    f"{finding.detector} finding")
-        if label or note:
-            findings[position] = finding._replace(
-                human_label=label or finding.human_label,
-                reviewer_note=note or finding.reviewer_note)
-    return findings

@@ -728,6 +728,9 @@ class TestFailClosed:
     @pytest.mark.parametrize("field, value", [
         ("detector", 5), ("detector", "bogus"), ("sentence_text", 5),
         ("human_label", []), ("reviewer_note", {}), ("platform", None),
+        ("sentence_index", True), ("sentence_index", 2.0),
+        pytest.param("evidence_span", {"start": 0, "end": "9"},
+                     id="evidence_span-end_str"),
     ])
     def test_malformed_finding_leaves_out_untouched(
             self, analyzed, tmp_path, command, field, value):
@@ -751,6 +754,29 @@ class TestFailClosed:
         assert f"finding {field}" in outcome.stderr
         assert out.read_bytes() == b"earlier output"
         assert not (tmp_path / "out.tmp").exists()
+
+    @pytest.mark.parametrize("field", ["sentence_index", "start", "end"])
+    @pytest.mark.parametrize("bad", [lambda v: v + 0.9, str, bool],
+                             ids=["float", "str", "bool"])
+    def test_review_record_index_not_an_integer_leaves_out_untouched(
+            self, analyzed, tmp_path, field, bad):
+        # Read with int(), 3.9 and "9" would match finding 3/(4, 9).
+        review = tmp_path / "review.jsonl"
+        outcome = run_cli(_export(analyzed[1], review))
+        assert outcome.exit_code == 0, outcome.stderr
+        header, line, *_ = review.read_text(encoding="utf-8").splitlines()
+        record = {**json.loads(line), "human_label": "rejected"}
+        holder = record if field == "sentence_index" else \
+            record["evidence_span"]
+        holder[field] = bad(holder[field])
+        review = _review_file(tmp_path, json.dumps(record).encode())
+        out = tmp_path / "out"
+        out.write_bytes(b"earlier output")
+        outcome = run_cli([
+            "review", "apply", "--results", str(analyzed[1]),
+            "--review", str(review), "--out", str(out)])
+        assert_fatal(outcome, "malformed review record")
+        assert out.read_bytes() == b"earlier output"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda header, lines: (header, lines[:10]),

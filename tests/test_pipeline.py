@@ -23,7 +23,9 @@ from tosaudit.pipeline import (
     apply_review_to_results, export_review_from_results,
     analyze_entry, load_results, results_payload, run_pipeline, save_results,
 )
-from tosaudit.results import _specificity_block, encode_record
+from tosaudit.results import (
+    _specificity_block, encode_record, finding_from_dict,
+)
 
 
 def store_text(root, platform, text, media_kind="plain_text"):
@@ -689,6 +691,33 @@ class TestGeneratedCorpusProperties:
         assert run_pipeline(str(root)) == (
             [r for r in records if json.loads(r)["platform"] != dropped],
             [f for f in failures if f[0] != dropped])
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=_TMP_PATH_OK)
+    @given(data=st.data())
+    def test_records_agree_with_their_documents(self, tmp_path, data):
+        # Spans lie in their sentences, sentence_text is the segmented
+        # sentence, auto counts are the findings' and coverage a fraction.
+        root = data.draw(generated_corpora(tmp_path))
+        manifest = corpus.load_manifest(str(root / corpus.MANIFEST_NAME))
+        records, _ = run_pipeline(str(root))
+        for record in map(json.loads, records):
+            entry = manifest.entry_for(record["platform"])
+            doc = textprep.build_document(entry.platform, textprep.payload_text(
+                corpus.read_payload(str(root), entry), entry.media_kind))
+            spec = record["specificity"]
+            for f in spec["findings"]:
+                sentence = doc.sentences[f["sentence_index"]]
+                assert f["sentence_text"] == sentence.text
+                span = f["evidence_span"]
+                assert 0 <= span["start"] < span["end"] <= len(sentence.text)
+            for index, (start, end), _ in record["clarity"]["matches"]:
+                first, last = doc.sentences[index].char_span
+                assert first <= start < end <= last <= len(doc.text)
+            findings = list(map(finding_from_dict, spec["findings"]))
+            assert spec["auto"]["counts"] == specificity.aggregate_counts(
+                findings, use_review=False)._asdict()
+            assert all(0 <= v <= 1 for v in spec["coverage"].values())
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=_TMP_PATH_OK)

@@ -8,17 +8,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tosaudit import specificity, textprep
+from tosaudit import results, specificity, textprep
 from tosaudit.errors import LexiconError, ReviewError, TosAuditError
 from tosaudit.matching import LexiconIndex
+from tosaudit.results import (
+    apply_review_records, export_review, finding_from_dict, finding_to_dict,
+    parse_review_file,
+)
 from tosaudit.specificity import (
     SentenceFinding, SpecificityCounts, SpecificityLexicons, aggregate_counts,
-    analyze_document,
-    apply_review_records, classify_retention, classify_sharing,
-    detect_data_types, detect_entities, export_review,
-    finding_from_dict, finding_to_dict, index_lexicons, inflect_verb,
-    load_specificity_lexicons, map_scores, parse_review_file,
-    score_findings, sentence_coverage,
+    analyze_document, classify_retention, classify_sharing,
+    detect_data_types, detect_entities, index_lexicons, inflect_verb,
+    load_specificity_lexicons, map_scores, score_findings, sentence_coverage,
 )
 
 SHIPPED = load_specificity_lexicons()
@@ -437,11 +438,11 @@ class TestExportLines:
     @given(findings=st.lists(_ANY_FINDING, max_size=4))
     def test_lines_match_json_encoder(self, findings):
         expected = [_ORACLE(finding_to_dict(f)) + "\n" for f in findings]
-        assert list(map(specificity._review_line, findings)) == expected
+        assert list(map(results._review_line, findings)) == expected
         # A lone surrogate cannot be written as UTF-8; the rest are
         # written in review order, one oracle line each.
         findings = sorted(filter(_encodable, findings),
-                          key=specificity._review_sort_key)
+                          key=results._review_sort_key)
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/review.jsonl"
             export_review(findings, path, include_dt_en=True)
