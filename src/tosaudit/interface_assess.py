@@ -40,9 +40,6 @@ class InterfaceAssessment(NamedTuple):
     assessor: str = ""
     assessed_at: str = ""
 
-    def score(self, metric):
-        return getattr(self, metric)
-
 
 def validate_assessment(assessment, doc=None):
     """All schema violations in one pass; empty list means valid.
@@ -59,7 +56,7 @@ def validate_assessment(assessment, doc=None):
         errors.append(f"platform {assessment.platform!r} is not the "
                       f"document's {doc.platform!r}")
     for metric, (lo, hi) in METRIC_RANGES.items():
-        value = assessment.score(metric)
+        value = getattr(assessment, metric)
         if not isinstance(value, int) or isinstance(value, bool):
             errors.append(f"{metric}: score must be an integer")
             continue
@@ -79,7 +76,7 @@ def validate_assessment(assessment, doc=None):
                 f"evidence[{i}]: excerpt is not a verbatim substring "
                 "of the document")
     for metric in METRIC_RANGES:
-        value = assessment.score(metric)
+        value = getattr(assessment, metric)
         if isinstance(value, int) and not isinstance(value, bool) \
                 and value > 0 and not evidence_by_metric.get(metric):
             errors.append(f"{metric}: nonzero score without evidence")
@@ -99,7 +96,7 @@ def assessment_from_dict(data):
                 EvidenceRecord(
                     metric=ev["metric"],
                     excerpt=ev["excerpt"],
-                    sentence_index=int(ev.get("sentence_index", -1)),
+                    sentence_index=ev.get("sentence_index", -1),
                 )
                 for ev in data.get("evidence", [])
             ],
@@ -113,6 +110,11 @@ def assessment_from_dict(data):
                for ev in assessment.evidence):
         raise AssessmentError(
             "malformed assessment: evidence metric and excerpt must be strings")
+    for ev in assessment.evidence:
+        if type(ev.sentence_index) is not int:  # not JSON true, 3.9 or "7"
+            raise AssessmentError(
+                "malformed assessment: evidence sentence_index is not an "
+                f"integer: {ev.sentence_index!r}")
     return assessment
 
 

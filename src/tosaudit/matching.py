@@ -82,6 +82,9 @@ class LexiconIndex:
     def add_words(self, lexicon, words):
         """Add lowercase words as one-token phrases, each its own payload."""
         for word in sorted(set(words)):
+            if not WORD_RE.fullmatch(word):
+                raise LexiconError(
+                    f"{lexicon} {word!r} is not one word token")
             self._put(lexicon, (word,), word, True, word)
 
     def _put(self, lexicon, key, payload, fold_case, phrase):

@@ -37,11 +37,6 @@ class ReadabilityProfile(NamedTuple):
     ari: float
 
 
-class ReadabilityBand(NamedTuple):
-    metric: str
-    band: str
-
-
 class ReaderGroup(NamedTuple):
     name: str
     wpm_low: float
@@ -122,12 +117,12 @@ def classify_band(metric, score):
             band = HARD
     else:
         raise ValueError(f"unknown metric: {metric}")
-    return ReadabilityBand(metric=metric, band=band)
+    return band
 
 
 def profile_bands(profile):
     """Band every metric of a profile; returns metric -> band string."""
-    return {m: classify_band(m, getattr(profile, m)).band for m in METRICS}
+    return {m: classify_band(m, getattr(profile, m)) for m in METRICS}
 
 
 def estimate_reading_time(word_count, group):
@@ -169,6 +164,8 @@ def load_reader_groups(path=None):
         )
         if group.wpm_low > group.wpm_high:
             raise LexiconError(f"wpm_low > wpm_high for group {group.name}")
+        if any(g.name == group.name for g in out):
+            raise LexiconError(f"duplicate reader group name {group.name!r}")
         out.append(group)
     if not out:
         raise LexiconError("no reader groups defined")

@@ -264,13 +264,15 @@ def apply_review_records(findings, records):
     """Apply parsed review records onto a list of findings.
 
     A finding whose record holds a human label or note is replaced, at
-    its position in the list, by a copy that carries them.
+    its position in the list, by a copy that carries them. A second
+    record for the same finding is an error, not an override.
     """
     index = {}
     for i, f in enumerate(findings):
         key = (f.platform, f.sentence_index, f.detector,
                f.evidence_span[0], f.evidence_span[1])
         index[key] = i
+    seen = set()
     for rec in records:
         try:
             span = rec["evidence_span"]
@@ -289,6 +291,10 @@ def apply_review_records(findings, records):
             raise ReviewError(
                 "unmatched review record: "
                 f"{rec['platform']}/{rec['sentence_index']}/{rec['detector']}")
+        if position in seen:
+            raise ReviewError(
+                f"duplicate review record: {'/'.join(map(str, key))}")
+        seen.add(position)
         finding = findings[position]
         if label:
             allowed = _REVIEW_LABELS.get(finding.detector)

@@ -260,42 +260,30 @@ def _duration_ranges(view, units):
     return ranges
 
 
-def _finding(sentence, view, platform, detector, label, first, last):
-    return SentenceFinding(
-        platform=platform,
-        sentence_index=sentence.index,
-        detector=detector,
-        auto_label=label,
-        evidence_span=view.span(first, last),
-        sentence_text=sentence.text,
-    )
+def detect_data_types(view, lex):
+    """(phrase, span) for each distinct data-type phrase in the sentence.
 
-
-def detect_data_types(sentence, view, platform=""):
-    """One finding per distinct data-type phrase named in the sentence.
-
-    view is the sentence's view scanned by a LexiconIndex that holds the
-    lexicons (see index_lexicons), as for every detector here.
+    view is the sentence's view scanned by a LexiconIndex that holds lex
+    (see index_lexicons), as for every detector here. Each detector
+    returns (auto_label, (start, end)) pairs; an empty list means none.
     """
-    findings = []
+    pairs = []
     seen = set()
     for first, last, phrase in view.hits.get("data_type", ()):
-        if phrase.lower() in seen:
-            continue
-        seen.add(phrase.lower())
-        findings.append(_finding(
-            sentence, view, platform, "data_type", phrase, first, last))
-    return findings
+        if phrase.lower() not in seen:
+            seen.add(phrase.lower())
+            pairs.append((phrase, view.span(first, last)))
+    return pairs
 
 
-def detect_entities(sentence, view, lex, platform=""):
-    """Findings for curated names and suffix-pattern corporate names.
+def detect_entities(view, lex):
+    """Curated names and suffix-pattern corporate names.
 
     Curated hits nested inside a suffix-pattern span are suppressed so
     "Meta Platforms, Inc." yields one entity, not two. Generic
     descriptors never match.
     """
-    text = sentence.text
+    text = view.text
     candidates = []
     taken = []
     for m in lex.corporate_names(text):
@@ -307,26 +295,19 @@ def detect_entities(sentence, view, lex, platform=""):
             continue
         candidates.append((start, end, text[start:end]))
     candidates.sort()
-    findings = []
+    pairs = []
     seen = set()
     for start, end, surface in candidates:
         folded = surface.lower().rstrip(".")
         if folded in lex.descriptors or folded in seen:
             continue
         seen.add(folded)
-        findings.append(SentenceFinding(
-            platform=platform,
-            sentence_index=sentence.index,
-            detector="entity",
-            auto_label=surface,
-            evidence_span=(start, end),
-            sentence_text=sentence.text,
-        ))
-    return findings
+        pairs.append((surface, (start, end)))
+    return pairs
 
 
-def classify_retention(sentence, view, lex, platform=""):
-    """Label a sentence explicit, vague, or none for retention detail.
+def classify_retention(view, lex):
+    """Label a sentence explicit or vague for retention detail.
 
     Explicit needs a retention verb within RETENTION_PROXIMITY_TOKENS
     tokens of a numeric duration; vague needs a vague retention phrase
@@ -335,37 +316,32 @@ def classify_retention(sentence, view, lex, platform=""):
     verbs = view.hits.get("retention_verb", ())
     vague = view.hits.get("vague_retention")
     if not (verbs or vague):
-        return "none", None
+        return []
     durations = _duration_ranges(view, lex.units)
     for vi, _, _ in verbs:
         for ds, de in durations:
             if min(abs(vi - ds), abs(vi - de)) <= RETENTION_PROXIMITY_TOKENS:
-                return "explicit", _finding(
-                    sentence, view, platform, "retention", "explicit",
-                    min(vi, ds), max(vi, de))
+                return [("explicit", view.span(min(vi, ds), max(vi, de)))]
     if vague and not durations:
         first, last, _ = vague[0]
-        return "vague", _finding(
-            sentence, view, platform, "retention", "vague", first, last)
-    return "none", None
+        return [("vague", view.span(first, last))]
+    return []
 
 
-def classify_sharing(sentence, view, platform=""):
+def classify_sharing(view, lex):
     """Label a sharing-verb sentence specific, generic, or negated.
 
-    Sentences without a sharing verb are none. Negation wins, then a
+    Sentences without a sharing verb get no label. Negation wins, then a
     specific purpose cue, then a generic one; a sentence gets at most
     one sharing finding, under its most specific label.
     """
-    if "sharing_verb" not in view.hits:
-        return "none", None
-    for label in ("negated", "specific", "generic"):
-        cues = view.hits.get(label)
-        if cues:
-            first, last, _ = cues[0]
-            return label, _finding(
-                sentence, view, platform, "sharing", label, first, last)
-    return "none", None
+    if "sharing_verb" in view.hits:
+        for label in ("negated", "specific", "generic"):
+            cues = view.hits.get(label)
+            if cues:
+                first, last, _ = cues[0]
+                return [(label, view.span(first, last))]
+    return []
 
 
 def analyze_document(doc, lex, views=None):
@@ -380,18 +356,14 @@ def analyze_document(doc, lex, views=None):
         index = LexiconIndex()
         index_lexicons(index, lex)
         views = map(index.scan, doc.sentences)
-    findings = []
-    platform = doc.platform
-    for sentence, view in zip(doc.sentences, views):
-        findings.extend(detect_data_types(sentence, view, platform))
-        findings.extend(detect_entities(sentence, view, lex, platform))
-        _, finding = classify_retention(sentence, view, lex, platform)
-        if finding is not None:
-            findings.append(finding)
-        _, finding = classify_sharing(sentence, view, platform)
-        if finding is not None:
-            findings.append(finding)
-    return findings
+    detectors = tuple(zip(DETECTORS, (
+        detect_data_types, detect_entities, classify_retention,
+        classify_sharing)))
+    return [SentenceFinding(doc.platform, sentence.index, detector, label,
+                            span, sentence.text)
+            for sentence, view in zip(doc.sentences, views)
+            for detector, detect in detectors
+            for label, span in detect(view, lex)]
 
 
 def aggregate_counts(findings, use_review=True):

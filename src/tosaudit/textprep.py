@@ -254,7 +254,10 @@ def count_syllables(word, overrides=None):
 
 
 def load_syllable_overrides(path=None):
-    """Read word<TAB>count lines ('#' comments) from path or shipped data."""
+    """Read word<TAB>count lines ('#' comments) from path or shipped data.
+
+    Each word is one word token and each count at least 1.
+    """
     path = path or inputs.shipped("syllable_exceptions.txt")
     lines = inputs.read_lines(path, LexiconError, "syllable overrides")
     overrides = {}
@@ -267,11 +270,18 @@ def load_syllable_overrides(path=None):
             raise LexiconError(
                 f"{path}:{lineno}: expected word<TAB>count")
         word, count = parts
+        word = word.strip()
+        if not WORD_RE.fullmatch(word):
+            raise LexiconError(
+                f"{path}:{lineno}: {word!r} is not one word token")
         try:
-            overrides[word.strip().lower()] = int(count)
+            count = int(count)
         except ValueError:
             raise LexiconError(
                 f"{path}:{lineno}: count is not an integer") from None
+        if count < 1:
+            raise LexiconError(f"{path}:{lineno}: count {count} is below 1")
+        overrides[word.lower()] = count
     return overrides
 
 

@@ -155,6 +155,8 @@ def http_base():
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     thread.join(timeout=5)
+    assert not thread.is_alive()
+    server.server_close()
 
 
 @pytest.fixture(scope="session")

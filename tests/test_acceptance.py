@@ -343,8 +343,8 @@ def test_criterion_5_monotonicity_and_band_reproduction():
             a = rng.uniform(-20, 120) if metric == "flesch_reading_ease" \
                 else rng.uniform(0, 45)
             b = a + rng.uniform(0.1, 30)
-            rank_a = band_rank[classify_band(metric, a).band]
-            rank_b = band_rank[classify_band(metric, b).band]
+            rank_a = band_rank[classify_band(metric, a)]
+            rank_b = band_rank[classify_band(metric, b)]
             if metric == "flesch_reading_ease":
                 if rank_b > rank_a:
                     mismatches.append(
@@ -356,7 +356,7 @@ def test_criterion_5_monotonicity_and_band_reproduction():
     cells = 0
     for platform, row in BAND_CELLS.items():
         for metric, (score, want) in zip(METRICS, row):
-            got = classify_band(metric, score).band
+            got = classify_band(metric, score)
             cells += 1
             if got != want:
                 mismatches.append(
@@ -435,7 +435,8 @@ def test_criterion_7_review_round_trip(run_payload, tmp_path):
     review_path = str(tmp_path / "review.jsonl")
     export_review_from_results(payload, review_path)
 
-    lines = open(review_path).read().splitlines()
+    lines = (tmp_path / "review.jsonl").read_text(
+        encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines[1:]]
     bluesky_specific = [
         r for r in records

@@ -59,7 +59,7 @@ class TestAnalyze:
         assert outcome.exit_code == 0
         assert outcome.stdout == (
             "analyzed 13 platform(s), 0 failure(s) -> results.json\n")
-        payload = json.load(open("results.json"))
+        payload = json.loads(Path("results.json").read_text(encoding="utf-8"))
         assert len(payload["results"]) == 13
         assert payload["failures"] == []
 
@@ -86,7 +86,7 @@ class TestAnalyze:
         assert outcome.exit_code == 1
         assert "failed blank: degenerate document" in outcome.stderr
         # the results file is still written, with the failure recorded
-        saved = json.load(open(tmp_path / "r.json"))
+        saved = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert saved["failures"] == [
             {"platform": "blank", "error": "degenerate document"}]
 
@@ -103,11 +103,31 @@ class TestAnalyze:
         message = ("invalid assessment: platform 'someone-else' is not "
                    "the document's 'bluesky'")
         assert f"failed bluesky: {message}" in outcome.stderr
-        saved = json.load(open(tmp_path / "r.json"))
+        saved = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert saved["failures"] == [
             {"platform": "bluesky", "error": message}]
         bluesky, = (r for r in saved["results"] if r["platform"] == "bluesky")
         assert bluesky["interface"] is None
+
+    @pytest.mark.parametrize("index", [3.9, True, "7"],
+                             ids=["float", "bool", "str"])
+    def test_evidence_index_not_an_integer_exits_one(self, tmp_path, index):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        path = corpus_dir / "assessments" / "bluesky.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["evidence"][0]["sentence_index"] = index
+        path.write_text(json.dumps(data), encoding="utf-8")
+        outcome = run_cli([
+            "analyze", "--corpus", str(corpus_dir),
+            "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 1
+        message = ("invalid assessment: malformed assessment: evidence "
+                   f"sentence_index is not an integer: {index!r}")
+        assert f"failed bluesky: {message}" in outcome.stderr
+        with open(tmp_path / "r.json", encoding="utf-8") as fh:
+            saved = json.load(fh)
+        assert saved["failures"] == [
+            {"platform": "bluesky", "error": message}]
 
     @pytest.mark.parametrize("content, message", [
         ("{broken", "malformed extraction config"),
@@ -266,7 +286,7 @@ class TestReview:
             "--review", str(review_path), "--out", str(out_path)])
         assert outcome.exit_code == 0
         assert "applied review" in outcome.stdout
-        revised = json.load(open(out_path))
+        revised = json.loads(out_path.read_text(encoding="utf-8"))
         reddit = next(r for r in revised["results"]
                       if r["platform"] == "reddit")
         assert reddit["specificity"]["auto"]["counts"]["ss"] == 2
@@ -384,6 +404,21 @@ class TestAssess:
         assert outcome.exit_code == 2
         assert "error: malformed assessment file" in outcome.stderr
 
+    @pytest.mark.parametrize("index", [3.9, True, "7"],
+                             ids=["float", "bool", "str"])
+    def test_validate_evidence_index_not_an_integer(self, analyzed,
+                                                    tmp_path, index):
+        # Read with int(), these were stored as 3, 1 and 7.
+        corpus_dir, _ = analyzed
+        data = json.loads((corpus_dir / "assessments" / "bluesky.json")
+                          .read_text(encoding="utf-8"))
+        data["evidence"][0]["sentence_index"] = index
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        outcome = run_cli(["assess", "validate", "--file", str(path)])
+        assert_fatal(outcome, "malformed assessment: evidence "
+                     f"sentence_index is not an integer: {index!r}")
+
     def test_validate_missing_file_is_fatal(self, tmp_path):
         outcome = run_cli([
             "assess", "validate", "--file", str(tmp_path / "absent.json")])
@@ -411,7 +446,7 @@ class TestReport:
             "--kind", "words_vs_sentences", "--out", str(out),
             "--svg", str(svg)])
         assert outcome.exit_code == 0
-        records = json.load(open(out))
+        records = json.loads(out.read_text(encoding="utf-8"))
         assert len(records) == 13
         assert svg.read_text().startswith("<svg")
 
@@ -493,9 +528,8 @@ def _analyze_with_lexicon(name, content):
     return case
 
 
-def _sharing_with(**fields):
-    shipped = json.loads(
-        (_SHIPPED / "sharing.json").read_text(encoding="utf-8"))
+def _shipped_with(name, **fields):
+    shipped = json.loads((_SHIPPED / name).read_text(encoding="utf-8"))
     return json.dumps({**shipped, **fields}).encode()
 
 
@@ -589,8 +623,42 @@ FAIL_CLOSED_CASES = {
         2, "sharing.json is not a JSON object"),
     "sharing_verbs_is_string": (
         _analyze_with_lexicon(
-            "sharing.json", _sharing_with(sharing_verbs="share")),
+            "sharing.json", _shipped_with("sharing.json",
+                                          sharing_verbs="share")),
         2, "sharing.sharing_verbs: must be a list of non-empty strings"),
+    # Words that never match a one-token lookup, or counts that corrupt
+    # the readability statistics, are refused before the run.
+    "sharing_verb_two_tokens": (
+        _analyze_with_lexicon(
+            "sharing.json", _shipped_with("sharing.json",
+                                          sharing_verbs=["hand over"])),
+        2, "sharing_verb 'hand over' is not one word token"),
+    "retention_verb_two_tokens": (
+        _analyze_with_lexicon(
+            "retention.json", _shipped_with("retention.json",
+                                            retention_verbs=["hold onto"])),
+        2, "retention_verb 'hold onto' is not one word token"),
+    "duration_unit_two_tokens": (
+        _analyze_with_lexicon(
+            "retention.json", _shipped_with(
+                "retention.json", duration_units=["days", "business days"])),
+        2, "duration_unit 'business days' is not one word token"),
+    "syllable_count_negative": (
+        _analyze_with_lexicon("syllable_exceptions.txt", b"data\t-3\n"),
+        2, "syllable_exceptions.txt:1: count -3 is below 1"),
+    "syllable_count_zero": (
+        _analyze_with_lexicon("syllable_exceptions.txt",
+                              b"# counts\nfire\t2\ndata\t0\n"),
+        2, "syllable_exceptions.txt:3: count 0 is below 1"),
+    "syllable_word_two_tokens": (
+        _analyze_with_lexicon("syllable_exceptions.txt",
+                              b"third party\t3\n"),
+        2, "syllable_exceptions.txt:1: 'third party' is not one word token"),
+    "reader_group_names_repeat": (
+        _analyze_with_lexicon("reader_groups.json", json.dumps({"groups": [
+            {"name": "adult", "wpm_low": 180, "wpm_high": 200},
+            {"name": "adult", "wpm_low": 230, "wpm_high": 250}]}).encode()),
+        2, "duplicate reader group name 'adult'"),
     "vague_terms_not_utf8": (
         _analyze_with_lexicon("vague_terms.json", b'{"terms": "\xff"}'),
         2, "malformed lexicon file"),
@@ -776,6 +844,30 @@ class TestFailClosed:
             "review", "apply", "--results", str(analyzed[1]),
             "--review", str(review), "--out", str(out)])
         assert_fatal(outcome, "malformed review record")
+        assert out.read_bytes() == b"earlier output"
+
+    def test_duplicate_review_record_leaves_out_untouched(
+            self, analyzed, tmp_path):
+        # Applied in turn, the later record would win without a word.
+        review = tmp_path / "review.jsonl"
+        outcome = run_cli(_export(analyzed[1], review))
+        assert outcome.exit_code == 0, outcome.stderr
+        header, line, *rest = review.read_text(
+            encoding="utf-8").splitlines()
+        record = json.loads(line)
+        twice = [json.dumps({**record, "human_label": label}).encode()
+                 for label in ("rejected", record["auto_label"])]
+        review = _review_file(
+            tmp_path, *twice, *(other.encode() for other in rest))
+        out = tmp_path / "out"
+        out.write_bytes(b"earlier output")
+        outcome = run_cli([
+            "review", "apply", "--results", str(analyzed[1]),
+            "--review", str(review), "--out", str(out)])
+        span = record["evidence_span"]
+        assert_fatal(outcome, "duplicate review record: "
+                     f"{record['platform']}/{record['sentence_index']}/"
+                     f"{record['detector']}/{span['start']}/{span['end']}")
         assert out.read_bytes() == b"earlier output"
 
     @pytest.mark.parametrize("edit, message", [

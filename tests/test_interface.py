@@ -153,7 +153,7 @@ class TestSerialization:
 
     def test_missing_scores_default_to_zero(self):
         a = assessment_from_dict({"platform": "demo"})
-        assert all(a.score(m) == 0 for m in METRICS)
+        assert all(getattr(a, m) == 0 for m in METRICS)
 
     def test_malformed_dict_raises(self):
         with pytest.raises(AssessmentError, match="malformed assessment"):

@@ -510,7 +510,8 @@ class TestReviewOverResults:
         payload = run_payload
         out = str(tmp_path / "review.jsonl")
         export_review_from_results(payload, out)
-        lines = open(out).read().splitlines()
+        lines = (tmp_path / "review.jsonl").read_text(
+            encoding="utf-8").splitlines()
         records = [json.loads(line) for line in lines[1:]]
         for rec in records:
             if rec["platform"] == "bluesky" and rec["detector"] == "sharing":
@@ -579,7 +580,11 @@ _AUTO_LABELS = {
 
 @st.composite
 def review_payloads(draw):
-    """Results records of unreviewed findings with hostile text."""
+    """Results records of unreviewed findings with hostile text.
+
+    As in analyze's results, no two findings of a platform share a
+    review key (sentence_index, detector, evidence_span).
+    """
     records = []
     platforms = draw(st.lists(_HOSTILE, min_size=1, max_size=3, unique=True))
     for platform in platforms:
@@ -591,7 +596,9 @@ def review_payloads(draw):
                 evidence_span=st.tuples(st.integers(0, 5), st.integers(5, 9)),
                 # builds draws every field of a NamedTuple, defaults too.
                 sentence_text=_HOSTILE, human_label=st.none(),
-                reviewer_note=st.none())), max_size=6))
+                reviewer_note=st.none())), max_size=6,
+            unique_by=lambda f: (f.sentence_index, f.detector,
+                                 f.evidence_span)))
         sentence_count = draw(st.integers(0, 9))
         scored = specificity.score_findings(findings, sentence_count)
         records.append({

@@ -42,6 +42,11 @@ def doc_of(text, platform="demo"):
     return textprep.build_document(platform, text)
 
 
+def labels_of(pairs):
+    """The labels of a detector's (label, span) pairs."""
+    return [label for label, _ in pairs]
+
+
 class TestInflect:
     def test_regular(self):
         assert inflect_verb("retain") == \
@@ -62,177 +67,161 @@ class TestInflect:
 class TestDataTypes:
     def test_single_phrase(self, lex):
         s = sentence_of("We collect your email address.")
-        findings = detect_data_types(s, INDEX.scan(s))
-        assert [f.auto_label for f in findings] == ["email address"]
-        start, end = findings[0].evidence_span
+        pairs = detect_data_types(INDEX.scan(s), lex)
+        assert labels_of(pairs) == ["email address"]
+        start, end = pairs[0][1]
         assert s.text[start:end] == "email address"
 
     def test_longest_phrase_wins(self, lex):
         s = sentence_of("We log your approximate location.")
-        findings = detect_data_types(s, INDEX.scan(s))
-        assert [f.auto_label for f in findings] == ["approximate location"]
+        pairs = detect_data_types(INDEX.scan(s), lex)
+        assert labels_of(pairs) == ["approximate location"]
 
     def test_duplicates_collapse_within_sentence(self, lex):
         s = sentence_of("Email address here, email address there.")
-        findings = detect_data_types(s, INDEX.scan(s))
-        assert len(findings) == 1
+        pairs = detect_data_types(INDEX.scan(s), lex)
+        assert len(pairs) == 1
 
     def test_case_insensitive(self, lex):
         s = sentence_of("We read your IP ADDRESS.")
-        assert [f.auto_label for f in detect_data_types(s, INDEX.scan(s))] == \
+        assert labels_of(detect_data_types(INDEX.scan(s), lex)) == \
             ["IP address"]
 
     def test_list_sentence(self, lex):
         s = sentence_of(
             "We collect your phone number, location, and browsing history.")
-        labels = {f.auto_label for f in detect_data_types(s, INDEX.scan(s))}
+        labels = set(labels_of(detect_data_types(INDEX.scan(s), lex)))
         assert labels == {"phone number", "location", "browsing history"}
 
     def test_no_hits(self, lex):
         s = sentence_of("We value your trust.")
-        assert detect_data_types(s, INDEX.scan(s)) == []
+        assert detect_data_types(INDEX.scan(s), lex) == []
 
 
 class TestEntities:
     def test_curated_name(self, lex):
         s = sentence_of("We work with Google today.")
-        findings = detect_entities(s, INDEX.scan(s), lex)
-        assert [f.auto_label for f in findings] == ["Google"]
+        pairs = detect_entities(INDEX.scan(s), lex)
+        assert labels_of(pairs) == ["Google"]
 
     def test_curated_is_case_sensitive(self, lex):
         s = sentence_of("We searched google results.")
-        assert detect_entities(s, INDEX.scan(s), lex) == []
+        assert detect_entities(INDEX.scan(s), lex) == []
 
     def test_suffix_pattern(self, lex):
         s = sentence_of("Files are stored by Acme Data Corp. every night.")
-        findings = detect_entities(s, INDEX.scan(s), lex)
-        assert [f.auto_label for f in findings] == ["Acme Data Corp."]
+        pairs = detect_entities(INDEX.scan(s), lex)
+        assert labels_of(pairs) == ["Acme Data Corp."]
 
     def test_suffix_swallows_nested_curated(self, lex):
         s = sentence_of("Meta Platforms, Inc. operates this service.")
-        findings = detect_entities(s, INDEX.scan(s), lex)
-        assert [f.auto_label for f in findings] == ["Meta Platforms, Inc."]
+        pairs = detect_entities(INDEX.scan(s), lex)
+        assert labels_of(pairs) == ["Meta Platforms, Inc."]
 
     def test_curated_and_suffix_mix(self, lex):
         s = sentence_of("We rely on Google and Streamline Media Ltd. daily.")
-        labels = [f.auto_label for f in detect_entities(s, INDEX.scan(s), lex)]
+        labels = labels_of(detect_entities(INDEX.scan(s), lex))
         assert labels == ["Google", "Streamline Media Ltd."]
 
     def test_generic_descriptors_never_match(self, lex):
         s = sentence_of("We rely on service providers and vendors.")
-        assert detect_entities(s, INDEX.scan(s), lex) == []
+        assert detect_entities(INDEX.scan(s), lex) == []
 
     def test_dedupe_within_sentence(self, lex):
         s = sentence_of("Google tools and Google accounts differ.")
-        assert len(detect_entities(s, INDEX.scan(s), lex)) == 1
+        assert len(detect_entities(INDEX.scan(s), lex)) == 1
 
     def test_sentence_initial_capital_not_entity(self, lex):
         s = sentence_of("The provider stores files.")
-        assert detect_entities(s, INDEX.scan(s), lex) == []
+        assert detect_entities(INDEX.scan(s), lex) == []
 
 
 class TestRetention:
     def test_explicit_digits(self, lex):
         s = sentence_of("We retain logs for 30 days.")
-        label, finding = classify_retention(s, INDEX.scan(s), lex)
+        (label, (start, end)), = classify_retention(INDEX.scan(s), lex)
         assert label == "explicit"
-        start, end = finding.evidence_span
         assert s.text[start:end] == "retain logs for 30 days"
 
     def test_explicit_spelled_number(self, lex):
         s = sentence_of("Backups are kept for ninety days.")
-        label, _ = classify_retention(s, INDEX.scan(s), lex)
-        assert label == "explicit"
+        assert labels_of(classify_retention(INDEX.scan(s), lex)) == \
+            ["explicit"]
 
     def test_explicit_hyphenated_duration(self, lex):
         s = sentence_of("A 30-day retention window applies; we delete after.")
-        label, _ = classify_retention(s, INDEX.scan(s), lex)
-        assert label == "explicit"
+        assert labels_of(classify_retention(INDEX.scan(s), lex)) == \
+            ["explicit"]
 
     def test_proximity_limit(self, lex):
         s = sentence_of(
             "We retain your records according to the policies described "
             "in the manual that quietly mentions just 30 days.")
-        label, finding = classify_retention(s, INDEX.scan(s), lex)
-        assert label == "none"
-        assert finding is None
+        assert classify_retention(INDEX.scan(s), lex) == []
 
     def test_vague_phrase(self, lex):
         s = sentence_of("We keep your data as long as necessary.")
-        label, finding = classify_retention(s, INDEX.scan(s), lex)
+        (label, (start, end)), = classify_retention(INDEX.scan(s), lex)
         assert label == "vague"
-        start, end = finding.evidence_span
         assert s.text[start:end] == "as long as necessary"
 
     def test_explicit_dominates_vague(self, lex):
         s = sentence_of(
             "We retain data for 30 days or as long as necessary.")
-        label, _ = classify_retention(s, INDEX.scan(s), lex)
-        assert label == "explicit"
+        assert labels_of(classify_retention(INDEX.scan(s), lex)) == \
+            ["explicit"]
 
     def test_duration_without_verb_is_none(self, lex):
         s = sentence_of("The trial lasts 30 days.")
-        label, _ = classify_retention(s, INDEX.scan(s), lex)
-        assert label == "none"
+        assert classify_retention(INDEX.scan(s), lex) == []
 
     def test_verb_without_signal_is_none(self, lex):
         s = sentence_of("We store your preferences.")
-        label, _ = classify_retention(s, INDEX.scan(s), lex)
-        assert label == "none"
+        assert classify_retention(INDEX.scan(s), lex) == []
 
     def test_number_without_unit_is_not_duration(self, lex):
         s = sentence_of("We keep 30 copies as long as necessary.")
-        label, _ = classify_retention(s, INDEX.scan(s), lex)
         # "30" has no adjacent duration unit, so the vague phrase stands
-        assert label == "vague"
+        assert labels_of(classify_retention(INDEX.scan(s), lex)) == ["vague"]
 
 
 class TestSharing:
     def test_specific(self, lex):
         s = sentence_of("We share telemetry for fraud detection.")
-        label, finding = classify_sharing(s, INDEX.scan(s))
+        (label, (start, end)), = classify_sharing(INDEX.scan(s), lex)
         assert label == "specific"
-        start, end = finding.evidence_span
         assert s.text[start:end] == "fraud detection"
 
     def test_generic(self, lex):
         s = sentence_of("We use your data to provide our services.")
-        label, _ = classify_sharing(s, INDEX.scan(s))
-        assert label == "generic"
+        assert labels_of(classify_sharing(INDEX.scan(s), lex)) == ["generic"]
 
     def test_negated(self, lex):
         s = sentence_of("We do not share personally identifiable information.")
-        label, _ = classify_sharing(s, INDEX.scan(s))
-        assert label == "negated"
+        assert labels_of(classify_sharing(INDEX.scan(s), lex)) == ["negated"]
 
     def test_negation_beats_specific(self, lex):
         s = sentence_of(
             "We will not share your data, even for fraud detection.")
-        label, _ = classify_sharing(s, INDEX.scan(s))
-        assert label == "negated"
+        assert labels_of(classify_sharing(INDEX.scan(s), lex)) == ["negated"]
 
     def test_specific_beats_generic(self, lex):
         s = sentence_of(
             "We process data to provide our services and for fraud "
             "detection checks.")
-        label, _ = classify_sharing(s, INDEX.scan(s))
-        assert label == "specific"
+        assert labels_of(classify_sharing(INDEX.scan(s), lex)) == ["specific"]
 
     def test_no_verb_is_none(self, lex):
         s = sentence_of("Your data belongs to you.")
-        label, finding = classify_sharing(s, INDEX.scan(s))
-        assert label == "none"
-        assert finding is None
+        assert classify_sharing(INDEX.scan(s), lex) == []
 
     def test_verb_without_cue_is_none(self, lex):
         s = sentence_of("We share updates with you.")
-        label, _ = classify_sharing(s, INDEX.scan(s))
-        assert label == "none"
+        assert classify_sharing(INDEX.scan(s), lex) == []
 
     def test_inflected_verb_counts(self, lex):
         s = sentence_of("Data is processed for spam detection.")
-        label, _ = classify_sharing(s, INDEX.scan(s))
-        assert label == "specific"
+        assert labels_of(classify_sharing(INDEX.scan(s), lex)) == ["specific"]
 
 
 class TestAnalyzeDocument:
@@ -750,8 +739,7 @@ class TestCorporateNames:
         sentence = textprep.Sentence(0, text, tuple(
             textprep.tokenize_words(text)), (0, len(text)))
         view = INDEX.scan(sentence)
-        assert detect_entities(sentence, view, lex) == \
-            detect_entities(sentence, view, oracle)
+        assert detect_entities(view, lex) == detect_entities(view, oracle)
 
     def test_caps_run_is_linear(self, lex):
         # suffix_re.finditer takes over a minute on this run.
