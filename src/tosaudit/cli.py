@@ -79,6 +79,7 @@ def analyze(corpus_dir, lexicons_dir, out_path, classic_lensear):
     out_dir = os.path.dirname(out_path) or "."
     if not os.path.isdir(out_dir):
         raise TosAuditError(f"cannot write {out_path}: no directory {out_dir}")
+    inputs.check_writable(out_path)
     # Records are encoded as they are made, so text that UTF-8 cannot
     # hold fails the run as a write of --out.
     with inputs.encoding_for(out_path):

@@ -86,24 +86,38 @@ def encoding_for(path):
                             f"{exc.object[exc.start:exc.end]!r}") from None
 
 
+def check_writable(path):
+    """Refuse a path that holds neither a regular file nor a symlink."""
+    if os.path.lexists(path) and not (
+            os.path.islink(path) or os.path.isfile(path)):
+        raise TosAuditError(f"cannot write {path}: not a regular file")
+
+
 def write_atomic(path, chunks, make_parents=False):
     """Write chunks, str as UTF-8 or bytes, to path.
 
-    They go to path.tmp, which is then renamed onto path. Any failure
-    removes path.tmp and leaves an existing file at path as it was.
+    They go to a new file, path.<pid>.tmp, which is then renamed onto
+    path. Any failure removes that file and leaves an existing file at
+    path as it was; check_writable's paths are refused.
     """
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    made = False
     try:
+        check_writable(path)
         if make_parents:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with encoding_for(path), open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk if isinstance(chunk, bytes)
-                         else chunk.encode("utf-8"))
+        with encoding_for(path):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            made = True
+            with open(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk if isinstance(chunk, bytes)
+                             else chunk.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        if made:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         if isinstance(exc, OSError):
             raise TosAuditError(
                 f"cannot write {path}: {exc.strerror}") from None

@@ -7,8 +7,9 @@ frozen corpus are byte-identical. A large corpus is analyzed in a pool
 of forked processes, one per usable CPU; a small one in this process.
 
 Each platform's record is encoded to its one-line results-file bytes
-by results.encode_record, with the C JSON encoder, in the worker that
-analyzed it. The results and review files and the review round trip
+by results.encode_record in the worker that analyzed it: its findings
+with the template the review file shares, the rest with the C JSON
+encoder. The results and review files and the review round trip
 live in the results module, which loads none of the text-analysis
 layers; its results-file functions are bound here too, as the same
 function objects.
@@ -202,10 +203,10 @@ def run_pipeline(corpus_dir, lexicons_dir=None, classic_lensear=False):
 
     Returns (records, failures): results-file records as encode_record
     bytes, sorted by platform (json.loads(record) gives the
-    result_to_dict dict), and sorted (platform, message) pairs for
-    documents that could not be analyzed. Lexicon problems raise
-    instead of being collected, and a record that UTF-8 cannot hold
-    raises UnicodeEncodeError.
+    result_to_dict dict, each finding as a JSON object), and sorted
+    (platform, message) pairs for documents that could not be analyzed.
+    Lexicon problems raise instead of being collected, and a record
+    that UTF-8 cannot hold raises UnicodeEncodeError.
 
     A forked worker inherits the PipelineContext built here and sends
     back only encoded records, so nothing is loaded twice, no Document

@@ -35,10 +35,6 @@ def _sorted_results(results):
     return sorted(results, key=lambda r: r["platform"])
 
 
-def _composite_str(value):
-    return f"{value:g}"
-
-
 def _transition(auto_value, post_value):
     if auto_value == post_value:
         return str(post_value)
@@ -59,13 +55,9 @@ def _clarity_rows(results):
     rows = []
     for r in _sorted_results(results):
         c = r["clarity"]
-        rows.append((
-            r["platform"],
-            str(c["word_count"]),
-            str(c["vague_count"]),
-            f"{c['density_pct']:.2f}",
-            str(c["unique_terms"]),
-        ))
+        rows.append((r["platform"], str(c["word_count"]),
+                     str(c["vague_count"]), f"{c['density_pct']:.2f}",
+                     str(c["unique_terms"])))
     return CLARITY_HEADER, rows
 
 
@@ -84,11 +76,8 @@ def _specificity_rows(results):
             _transition(auto_re, post_re),
             _transition(auto["sg"], post["sg"]),
             _transition(auto["ss"], post["ss"]),
-            str(scores["dt_s"]),
-            str(scores["en_s"]),
-            str(scores["r_s"]),
-            str(scores["s_s"]),
-            _composite_str(scores["composite"]),
+            *(str(scores[k]) for k in ("dt_s", "en_s", "r_s", "s_s")),
+            f"{scores['composite']:g}",
         ))
     return SPECIFICITY_HEADER, rows
 
@@ -171,7 +160,7 @@ def emit_figure_data(results, figure_kind):
                 for wpm, mins in (
                         (group["wpm_high"], group["minutes_low"]),
                         (group["wpm_low"], group["minutes_high"])):
-                    minutes[_wpm_key(wpm)] = mins
+                    minutes[f"{wpm:g}"] = mins
             records.append({"platform": r["platform"], "minutes": minutes})
         return records
     if figure_kind == "clarity_bubble":
@@ -184,10 +173,6 @@ def emit_figure_data(results, figure_kind):
             for r in ordered
         ]
     raise TosAuditError(f"unknown figure kind: {figure_kind}")
-
-
-def _wpm_key(wpm):
-    return f"{wpm:g}"
 
 
 def render_figure_svg(records, figure_kind):

@@ -2,10 +2,11 @@
 
 A results file is one JSON object with sorted keys whose "results" list
 holds the platform records, one record to a line. Each record is
-encoded to its line by the C JSON encoder where it is built, in the
-analyze worker or in `review apply`, and the file is streamed from
-those bytes; no whole-file text is built. A review file is JSONL: a
-header record, then one finding per line.
+encoded to its line where it is built, in the analyze worker or in
+`review apply`, and the file is streamed from those bytes; no
+whole-file text is built. A review file is JSONL: a header record, then
+one finding per line. Both files write a finding with one template,
+_FINDING, and the rest of a record with the C JSON encoder.
 
 Only the specificity layer is loaded here, so `review export` and
 `review apply` import none of the text-analysis layers.
@@ -36,19 +37,6 @@ _REVIEW_LABELS = {
 }
 
 
-def finding_to_dict(f):
-    return {
-        "platform": f.platform,
-        "sentence_index": f.sentence_index,
-        "detector": f.detector,
-        "auto_label": f.auto_label,
-        "evidence_span": {"start": f.evidence_span[0], "end": f.evidence_span[1]},
-        "sentence_text": f.sentence_text,
-        "human_label": f.human_label or "",
-        "reviewer_note": f.reviewer_note or "",
-    }
-
-
 def _text(d, key):
     value = d[key]
     if not isinstance(value, str):
@@ -70,7 +58,7 @@ def _integer(value, name):
 
 
 def finding_from_dict(d):
-    """The finding of a finding_to_dict dict, from a results file.
+    """The finding of a _finding_text object, from a results file.
 
     A field of the wrong type raises TypeError, an unknown detector
     ValueError: export_review writes no line apply would reject.
@@ -95,9 +83,9 @@ def finding_from_dict(d):
 
 def _specificity_block(findings, scores):
     """Results-file specificity block from findings and their
-    specificity.FindingScores."""
+    specificity.FindingScores; encode_record writes the findings."""
     return {
-        "findings": [finding_to_dict(f) for f in findings],
+        "findings": findings,
         "auto": {
             "counts": scores.auto_counts._asdict(),
             "scores": scores.auto_scores._asdict(),
@@ -110,12 +98,45 @@ def _specificity_block(findings, scores):
     }
 
 
+# One finding as a JSON object: its fields under their keys in sorted
+# order, with the separators _ENCODER writes. Both files write findings
+# with it; encoding a dict per finding cost twice as much.
+_FINDING = (
+    '{"auto_label": %s, "detector": %s, '
+    '"evidence_span": {"end": %d, "start": %d}, "human_label": %s, '
+    '"platform": %s, "reviewer_note": %s, "sentence_index": %d, '
+    '"sentence_text": %s}')
+
+
+def _finding_text(f):
+    """Finding f as JSON text; its text fields must be str, its
+    indices int."""
+    return _FINDING % (
+        encode_basestring(f.auto_label), encode_basestring(f.detector),
+        f.evidence_span[1], f.evidence_span[0],
+        encode_basestring(f.human_label or ""), encode_basestring(f.platform),
+        encode_basestring(f.reviewer_note or ""), f.sentence_index,
+        encode_basestring(f.sentence_text))
+
+
+def _object_text(d, key, text):
+    """_ENCODER's text of str-keyed dict d, with text as key's value."""
+    return "{%s}" % ", ".join(
+        f"{encode_basestring(k)}: "
+        f"{text if k == key else _ENCODER.encode(d[k])}" for k in sorted(d))
+
+
 def encode_record(record):
     """A results record's line in a results file, as UTF-8, with no newline.
 
+    The record's specificity findings are SentenceFindings, written as
+    _finding_text objects; the rest is written as _ENCODER writes it.
     Text that UTF-8 cannot hold raises UnicodeEncodeError.
     """
-    return _ENCODER.encode(record).encode("utf-8")
+    spec = record["specificity"]
+    findings = "[%s]" % ", ".join(map(_finding_text, spec["findings"]))
+    return _object_text(record, "specificity", _object_text(
+        spec, "findings", findings)).encode("utf-8")
 
 
 def results_payload(records, failures):
@@ -158,7 +179,8 @@ def save_results(payload, path):
 
 
 def load_results(path):
-    """Read a results file and check the shape results_payload writes."""
+    """Read a results file and check the shape results_payload writes,
+    one record to a platform."""
     payload = inputs.read_json(path, TosAuditError, "results")
     results = payload.get("results")
     blocks = ("doc_stats", "readability", "fluency", "clarity", "specificity")
@@ -170,31 +192,17 @@ def load_results(path):
         raise TosAuditError(
             f"malformed results file {path}: not schema version "
             f"{RESULTS_SCHEMA_VERSION} with a list of platform results")
+    seen = set()
+    for r in results:
+        if r["platform"] in seen:
+            raise TosAuditError(f"malformed results file {path}: two "
+                                f"records for platform {r['platform']!r}")
+        seen.add(r["platform"])
     return payload
 
 
 def _review_sort_key(f):
     return (f.platform, f.sentence_index, f.evidence_span[0], f.detector)
-
-
-# One review line: finding_to_dict's keys in sorted order, with the
-# separators _ENCODER writes. Encoding each line's dict cost three times
-# as much as this.
-_REVIEW_LINE = (
-    '{"auto_label": %s, "detector": %s, '
-    '"evidence_span": {"end": %d, "start": %d}, "human_label": %s, '
-    '"platform": %s, "reviewer_note": %s, "sentence_index": %d, '
-    '"sentence_text": %s}\n')
-
-
-def _review_line(f):
-    """finding_to_dict(f) as one JSONL line; f's text fields must be str."""
-    return _REVIEW_LINE % (
-        encode_basestring(f.auto_label), encode_basestring(f.detector),
-        f.evidence_span[1], f.evidence_span[0],
-        encode_basestring(f.human_label or ""), encode_basestring(f.platform),
-        encode_basestring(f.reviewer_note or ""), f.sentence_index,
-        encode_basestring(f.sentence_text))
 
 
 def export_review(findings, path, include_dt_en=False):
@@ -216,7 +224,8 @@ def export_review(findings, path, include_dt_en=False):
         "finding_count": len(records),
     }
     inputs.write_atomic(path, itertools.chain(
-        [_ENCODER.encode(header) + "\n"], map(_review_line, records)))
+        [_ENCODER.encode(header) + "\n"],
+        (_finding_text(f) + "\n" for f in records)))
     return len(records)
 
 

@@ -418,30 +418,11 @@ def sentence_coverage(findings, sentence_count):
 
 def map_scores(counts, stage="auto"):
     """Map raw counts to 0..2 sub-scores and their composite mean."""
-    if counts.dt == 0:
-        dt_s = 0
-    elif counts.dt <= 3:
-        dt_s = 1
-    else:
-        dt_s = 2
-    if counts.en == 0:
-        en_s = 0
-    elif counts.en <= 2:
-        en_s = 1
-    else:
-        en_s = 2
-    if counts.re_explicit >= 1:
-        r_s = 2
-    elif counts.re_vague >= 1:
-        r_s = 1
-    else:
-        r_s = 0
-    if counts.ss >= 3:
-        s_s = 2
-    elif counts.ss >= 1 or counts.sg >= 1:
-        s_s = 1
-    else:
-        s_s = 0
+    dt_s = 0 if counts.dt == 0 else 1 if counts.dt <= 3 else 2
+    en_s = 0 if counts.en == 0 else 1 if counts.en <= 2 else 2
+    r_s = 2 if counts.re_explicit >= 1 else 1 if counts.re_vague >= 1 else 0
+    s_s = (2 if counts.ss >= 3
+           else 1 if counts.ss >= 1 or counts.sg >= 1 else 0)
     composite = (dt_s + en_s + r_s + s_s) / 4.0
     return SpecificityScores(
         dt_s=dt_s, en_s=en_s, r_s=r_s, s_s=s_s,

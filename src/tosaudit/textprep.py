@@ -256,7 +256,8 @@ def count_syllables(word, overrides=None):
 def load_syllable_overrides(path=None):
     """Read word<TAB>count lines ('#' comments) from path or shipped data.
 
-    Each word is one word token and each count at least 1.
+    Each word is one word token, given once after case folding, and
+    each count at least 1.
     """
     path = path or inputs.shipped("syllable_exceptions.txt")
     lines = inputs.read_lines(path, LexiconError, "syllable overrides")
@@ -281,7 +282,10 @@ def load_syllable_overrides(path=None):
                 f"{path}:{lineno}: count is not an integer") from None
         if count < 1:
             raise LexiconError(f"{path}:{lineno}: count {count} is below 1")
-        overrides[word.lower()] = count
+        word = word.lower()
+        if word in overrides:
+            raise LexiconError(f"{path}:{lineno}: duplicate word {word!r}")
+        overrides[word] = count
     return overrides
 
 

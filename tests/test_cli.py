@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tomllib
@@ -489,6 +490,11 @@ def _drop_block(block):
     return edit
 
 
+def _repeat_record(payload):
+    payload["results"].append(payload["results"][0])
+    return payload
+
+
 def _review_file(tmp_path, *lines):
     header = json.dumps({"record_type": "header", "format": "tosaudit-review",
                          "version": 1, "finding_count": len(lines)})
@@ -581,6 +587,9 @@ FAIL_CLOSED_CASES = {
     "table_results_not_utf8": (
         lambda tmp, res: _table(_bytes_file(tmp, b'{"\xff": 1}')),
         2, "malformed results file"),
+    "table_results_platform_twice": (
+        lambda tmp, res: _table(_results_with(res, tmp, _repeat_record)),
+        2, "malformed results file"),
     "export_results_list": (
         lambda tmp, res: _export(_bytes_file(tmp, b"[]")),
         2, "is not a JSON object"),
@@ -588,6 +597,9 @@ FAIL_CLOSED_CASES = {
         lambda tmp, res: _export(
             _results_with(res, tmp, _drop_block("specificity"))),
         2, "malformed results file"),
+    "export_results_platform_twice": (
+        lambda tmp, res: _export(_results_with(res, tmp, _repeat_record)),
+        2, "two records for platform 'bluesky'"),
     "export_into_missing_dir": (
         lambda tmp, res: _export(res, tmp / "missing" / "review.jsonl"),
         2, "cannot write"),
@@ -654,6 +666,10 @@ FAIL_CLOSED_CASES = {
         _analyze_with_lexicon("syllable_exceptions.txt",
                               b"third party\t3\n"),
         2, "syllable_exceptions.txt:1: 'third party' is not one word token"),
+    "syllable_word_repeated": (
+        _analyze_with_lexicon("syllable_exceptions.txt",
+                              b"data\t2\nData\t5\n"),
+        2, "syllable_exceptions.txt:2: duplicate word 'data'"),
     "reader_group_names_repeat": (
         _analyze_with_lexicon("reader_groups.json", json.dumps({"groups": [
             {"name": "adult", "wpm_low": 180, "wpm_high": 200},
@@ -744,6 +760,28 @@ class TestFailClosed:
             "analyze", "--corpus", str(tmp_path), "--out", str(out)])
         assert_fatal(outcome, f"cannot write {out}")
 
+    def test_analyze_out_not_a_regular_file(self, tmp_path, monkeypatch):
+        def run_pipeline(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(tosaudit.pipeline, "run_pipeline", run_pipeline)
+        out = tmp_path / "fifo"
+        os.mkfifo(out)
+        outcome = run_cli([
+            "analyze", "--corpus", str(tmp_path), "--out", str(out)])
+        assert_fatal(outcome, f"cannot write {out}: not a regular file")
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+
+    def test_table_out_not_a_regular_file(self, analyzed, tmp_path):
+        out = tmp_path / "fifo"
+        os.mkfifo(out)
+        outcome = run_cli(["report", "table", "--results", str(analyzed[1]),
+                           "--kind", "clarity", "--format", "csv",
+                           "--out", str(out)])
+        assert_fatal(outcome, f"cannot write {out}: not a regular file")
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+
     @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
     def test_unwritable_record_leaves_out_untouched(self, tmp_path,
                                                     monkeypatch, pool):
@@ -759,14 +797,14 @@ class TestFailClosed:
         outcome = run_cli(argv)
         assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
         assert out.read_bytes() == b"earlier output"
-        assert not (tmp_path / "r.json.tmp").exists()
+        assert not list(tmp_path.glob("r.json*.tmp"))
 
     @pytest.mark.parametrize("command", ["export", "apply", "apply_last_key"])
     def test_lone_surrogate_leaves_out_untouched(self, analyzed,
                                                  tmp_path, command):
         # "\ud800" is valid JSON and loads, but UTF-8 cannot encode it.
         # In a key that sorts after "results" it fails the write after
-        # the records are in out.tmp.
+        # the records are in the temporary file.
         def edit(payload):
             if command == "apply":
                 payload["results"][0]["source_digest"] = "\ud800"
@@ -790,7 +828,7 @@ class TestFailClosed:
         assert_fatal(outcome, f"cannot write {out}: surrogates not allowed")
         assert len(outcome.stderr) < len(str(out)) + 100
         assert out.read_bytes() == b"earlier output"
-        assert not (tmp_path / "out.tmp").exists()
+        assert not list(tmp_path.glob("out*.tmp"))
 
     @pytest.mark.parametrize("command", ["export", "apply"])
     @pytest.mark.parametrize("field, value", [
@@ -821,7 +859,7 @@ class TestFailClosed:
         assert_fatal(outcome, f"malformed results file {results}: ")
         assert f"finding {field}" in outcome.stderr
         assert out.read_bytes() == b"earlier output"
-        assert not (tmp_path / "out.tmp").exists()
+        assert not list(tmp_path.glob("out*.tmp"))
 
     @pytest.mark.parametrize("field", ["sentence_index", "start", "end"])
     @pytest.mark.parametrize("bad", [lambda v: v + 0.9, str, bool],

@@ -181,7 +181,7 @@ class TestStoreSnapshot:
                            make_entry("other", b"other"), b"other",
                            str(tmp_path))
         assert path.read_bytes() == before
-        assert not (tmp_path / "manifest.json.tmp").exists()
+        assert not list(tmp_path.glob("manifest.json*.tmp"))
 
 
 class TestReadAndVerify:

@@ -1,12 +1,15 @@
 """The JSON files the package writes, and write_atomic's failures.
 
-save_results is checked on results payloads whose records were encoded
-one by one, as analyze and review apply encode them: the file parses
-to the payload, and each record sits on a line of its own.
+encode_record is checked against the JSON encoder on records whose
+findings are written as the oracle's dicts. save_results is checked on
+results payloads whose records were encoded one by one, as analyze and
+review apply encode them: the file parses to the payload, and each
+record sits on a line of its own.
 """
 
 import json
 import os
+import stat
 import tempfile
 
 import pytest
@@ -16,6 +19,9 @@ from tosaudit import inputs
 from tosaudit.errors import TosAuditError
 from tosaudit.inputs import canonical_json, write_atomic
 from tosaudit.pipeline import encode_record, save_results
+from tosaudit.results import _ENCODER
+from tosaudit.specificity import SentenceFinding
+from test_specificity import ANY_FINDING, finding_to_dict
 
 
 def oracle(value):
@@ -56,10 +62,54 @@ def test_type_error_where_json_dumps_raises(value):
         canonical_json(value)
 
 
-_STR_KEYED = st.dictionaries(_TEXT, _JSON, max_size=4)
+def _with_block(extra, spec_extra, findings):
+    return {**extra, "specificity": {**spec_extra, "findings": findings}}
+
+
+# Keys next to "findings" and "specificity" in sort order are drawn often.
+_KEYS = st.sampled_from(["", "a", "finding", "findings ", "findingt",
+                         "specificit", "specificity ", "specificitz",
+                         "z"]) | _TEXT
+# Records as analyze and review apply encode them: a specificity block
+# of SentenceFindings, with any other keys in the record and the block.
+_RECORDS = st.builds(
+    _with_block, st.dictionaries(_KEYS, _JSON, max_size=4),
+    st.dictionaries(_KEYS, _JSON, max_size=3),
+    st.lists(ANY_FINDING, max_size=3))
+
+
+def as_dicts(record):
+    """record with each finding as the oracle's dict."""
+    spec = record["specificity"]
+    return {**record, "specificity": {
+        **spec, "findings": list(map(finding_to_dict, spec["findings"]))}}
+
+
+@settings(deadline=None, max_examples=100)
+@given(_RECORDS)
+@example(_with_block({}, {}, []))
+@example(_with_block({"a": 1, "specificit": [], "specificity ": {},
+                      "z": None},
+                     {"finding": 1.5, "findings ": "", "findingt": [2],
+                      "": None}, []))
+@example(_with_block({"platform": "\ud800"}, {}, []))
+@example(_with_block({"zz": 1}, {"zz": 2}, [SentenceFinding(
+    '"\\', 10**40, "sharing", "\u2028", (-1, 0), "\x00\x7f", "", None)]))
+@example(_with_block({}, {}, [SentenceFinding(
+    "a", 0, "entity", "b", (0, 1), "c\udfff")]))
+def test_encode_record_matches_json_encoder(record):
+    try:
+        expected = _ENCODER.encode(as_dicts(record)).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        with pytest.raises(UnicodeEncodeError):
+            encode_record(record)
+    else:
+        assert encode_record(record) == expected
+
+
 _PAYLOADS = st.fixed_dictionaries(
     {"schema_version": st.integers(),
-     "results": st.lists(_STR_KEYED, max_size=3),
+     "results": st.lists(_RECORDS, max_size=3),
      "failures": st.lists(st.fixed_dictionaries(
          {"platform": _TEXT, "error": _TEXT}), max_size=2)},
     optional={"provenance": _JSON, "zz": _JSON, "": _SCALARS})
@@ -68,16 +118,22 @@ _PAYLOADS = st.fixed_dictionaries(
 @settings(deadline=None, max_examples=150)
 @given(_PAYLOADS)
 @example({"schema_version": 1, "results": [], "failures": []})
-@example({"schema_version": 1, "results": [{"platform": "a", "b": [{}]}],
+@example({"schema_version": 1,
+          "results": [_with_block({"platform": "a", "b": [{}]}, {}, [])],
           "failures": [], "zz": {"k": [1.5, None]}, "": True})
-@example({"schema_version": 1, "results": [{"platform": "é "}, {}],
+@example({"schema_version": 1,
+          "results": [_with_block({"platform": "é "}, {}, []),
+                      _with_block({}, {}, [])],
           "failures": [{"platform": "b", "error": "ü"}]})
-@example({"schema_version": 1, "results": [{"a\n": "\u2028\r\n"},
-                                          {"b": [float("nan")]}],
+@example({"schema_version": 1,
+          "results": [_with_block({"a\n": "\u2028\r\n"}, {}, []),
+                      _with_block({"b": [float("nan")]}, {}, [])],
           "failures": [{"platform": "\n", "error": "\x85"}]})
-@example({"schema_version": 1, "results": [{"platform": "a"}],
+@example({"schema_version": 1,
+          "results": [_with_block({"platform": "a"}, {}, [])],
           "failures": [], "zz": "\ud800"})
-@example({"schema_version": 1, "results": [{"platform": "\udfff"}],
+@example({"schema_version": 1,
+          "results": [_with_block({"platform": "\udfff"}, {}, [])],
           "failures": []})
 def test_results_file_one_record_per_line(payload):
     try:
@@ -115,12 +171,17 @@ def test_results_file_one_record_per_line(payload):
         assert os.listdir(tmp) == ["results.json"]
 
 
-def test_failed_rename_leaves_no_tmp(tmp_path):
+def test_failed_rename_leaves_no_tmp(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
     target = tmp_path / "target"
-    target.mkdir()
-    with pytest.raises(TosAuditError, match=f"cannot write {target}: "):
+    target.write_bytes(b"earlier")
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(TosAuditError,
+                       match=f"cannot write {target}: Invalid cross-device"):
         write_atomic(str(target), [b"x"])
-    assert target.is_dir()
+    assert target.read_bytes() == b"earlier"
     assert os.listdir(tmp_path) == ["target"]
 
 
@@ -139,3 +200,44 @@ def test_parents_made_only_when_asked(tmp_path):
         write_atomic(str(path), ["x"])
     write_atomic(str(path), ["x", b"y"], make_parents=True)
     assert path.read_bytes() == b"xy"
+
+
+@pytest.mark.parametrize("make, kind", [(os.mkfifo, stat.S_ISFIFO),
+                                        (os.mkdir, stat.S_ISDIR)],
+                         ids=["fifo", "directory"])
+def test_special_file_at_path_is_refused(tmp_path, make, kind):
+    out = tmp_path / "out"
+    make(out)
+    with pytest.raises(TosAuditError,
+                       match=f"cannot write {out}: not a regular file"):
+        write_atomic(str(out), ["x"])
+    assert kind(os.lstat(out).st_mode)
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_symlink_at_path_is_replaced(tmp_path):
+    (tmp_path / "target").write_bytes(b"earlier")
+    (tmp_path / "out").symlink_to(tmp_path / "target")
+    write_atomic(str(tmp_path / "out"), ["x"])
+    assert not (tmp_path / "out").is_symlink()
+    assert (tmp_path / "out").read_bytes() == b"x"
+    assert (tmp_path / "target").read_bytes() == b"earlier"
+
+
+def test_user_file_at_dot_tmp_survives(tmp_path):
+    (tmp_path / "out.tmp").write_bytes(b"mine")
+    write_atomic(str(tmp_path / "out"), ["x"])
+    assert (tmp_path / "out").read_bytes() == b"x"
+    assert (tmp_path / "out.tmp").read_bytes() == b"mine"
+    assert sorted(os.listdir(tmp_path)) == ["out", "out.tmp"]
+
+
+def test_temp_name_in_use_is_left_alone(tmp_path):
+    target = tmp_path / "out"
+    target.write_bytes(b"earlier")
+    taken = tmp_path / f"out.{os.getpid()}.tmp"
+    taken.write_bytes(b"mine")
+    with pytest.raises(TosAuditError, match=f"cannot write {target}: "):
+        write_atomic(str(target), ["x"])
+    assert target.read_bytes() == b"earlier"
+    assert taken.read_bytes() == b"mine"

@@ -12,8 +12,7 @@ from tosaudit import results, specificity, textprep
 from tosaudit.errors import LexiconError, ReviewError, TosAuditError
 from tosaudit.matching import LexiconIndex
 from tosaudit.results import (
-    apply_review_records, export_review, finding_from_dict, finding_to_dict,
-    parse_review_file,
+    apply_review_records, export_review, finding_from_dict, parse_review_file,
 )
 from tosaudit.specificity import (
     SentenceFinding, SpecificityCounts, SpecificityLexicons, aggregate_counts,
@@ -40,6 +39,20 @@ def sentence_of(text, index=0):
 
 def doc_of(text, platform="demo"):
     return textprep.build_document(platform, text)
+
+
+def finding_to_dict(f):
+    """Finding f as the dict whose JSON a results or review file holds."""
+    return {
+        "platform": f.platform,
+        "sentence_index": f.sentence_index,
+        "detector": f.detector,
+        "auto_label": f.auto_label,
+        "evidence_span": {"start": f.evidence_span[0], "end": f.evidence_span[1]},
+        "sentence_text": f.sentence_text,
+        "human_label": f.human_label or "",
+        "reviewer_note": f.reviewer_note or "",
+    }
 
 
 def labels_of(pairs):
@@ -403,17 +416,17 @@ class TestFindingSerialization:
 
 # Text of any code points, lone surrogates included, with the
 # characters JSON escapes or passes through unescaped drawn often.
-_ANY_TEXT = st.lists(
+ANY_TEXT = st.lists(
     st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
                      "\ud800", "\udfff"])
     | st.text(st.characters(exclude_categories=()), max_size=4),
     max_size=3).map("".join)
 _BIG_INTS = st.integers(-10**300, 10**300)
-_ANY_FINDING = st.builds(
-    SentenceFinding, platform=_ANY_TEXT, sentence_index=_BIG_INTS,
-    detector=st.sampled_from(specificity.DETECTORS), auto_label=_ANY_TEXT,
-    evidence_span=st.tuples(_BIG_INTS, _BIG_INTS), sentence_text=_ANY_TEXT,
-    human_label=st.none() | _ANY_TEXT, reviewer_note=st.none() | _ANY_TEXT)
+ANY_FINDING = st.builds(
+    SentenceFinding, platform=ANY_TEXT, sentence_index=_BIG_INTS,
+    detector=st.sampled_from(specificity.DETECTORS), auto_label=ANY_TEXT,
+    evidence_span=st.tuples(_BIG_INTS, _BIG_INTS), sentence_text=ANY_TEXT,
+    human_label=st.none() | ANY_TEXT, reviewer_note=st.none() | ANY_TEXT)
 _ORACLE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
@@ -424,10 +437,10 @@ def _encodable(finding):
 
 class TestExportLines:
     @settings(max_examples=100, deadline=None)
-    @given(findings=st.lists(_ANY_FINDING, max_size=4))
+    @given(findings=st.lists(ANY_FINDING, max_size=4))
     def test_lines_match_json_encoder(self, findings):
-        expected = [_ORACLE(finding_to_dict(f)) + "\n" for f in findings]
-        assert list(map(results._review_line, findings)) == expected
+        assert list(map(results._finding_text, findings)) == [
+            _ORACLE(finding_to_dict(f)) for f in findings]
         # A lone surrogate cannot be written as UTF-8; the rest are
         # written in review order, one oracle line each.
         findings = sorted(filter(_encodable, findings),

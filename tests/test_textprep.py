@@ -144,6 +144,13 @@ class TestSyllableOverridesFile:
         with pytest.raises(LexiconError):
             textprep.load_syllable_overrides(str(path))
 
+    def test_word_repeated_after_case_folding(self, tmp_path):
+        path = tmp_path / "syl.txt"
+        path.write_text("data\t2\nqueue\t2\nDATA\t5\n")
+        message = f"{path}:3: duplicate word 'data'"
+        with pytest.raises(LexiconError, match=re.escape(message)):
+            textprep.load_syllable_overrides(str(path))
+
     def test_non_integer_count(self, tmp_path):
         path = tmp_path / "syl.txt"
         path.write_text("queue\ttwo\n")
