@@ -35,11 +35,11 @@ EXTRACTION_CONFIG_NAME = "extraction_config.json"
 ASSESSMENTS_DIR = "assessments"
 
 # Starting a worker pool costs about 55-75 ms per run. On 2 CPUs
-# (Python 3.11) serial analysis takes about 1 s per MB of plain text and
-# 0.26 s per MB of markup-heavy HTML, the least work per payload byte, so
-# the pool pays back from about 0.15 MB of text and 0.5-0.6 MB of such
-# HTML. At 400 kB it loses at most about 25 ms on that HTML and gains
-# over 100 ms on text; a smaller corpus is analyzed in this process.
+# (Python 3.11) serial analysis takes about 0.3 s per MB of plain text and
+# 0.12 s per MB of markup-heavy HTML, the least work per payload byte, so
+# the pool pays back from about 0.4-0.5 MB of text and 0.9-1.2 MB of such
+# HTML. At 400 kB it loses up to about 15 ms on text and 50 ms on that
+# HTML; a smaller corpus is analyzed in this process.
 POOL_MIN_PAYLOAD_BYTES = 400_000
 
 
@@ -87,8 +87,9 @@ class PipelineContext:
         specificity_mod.index_lexicons(self.index, self.spec_lexicons)
         self.reader_groups = readability_mod.load_reader_groups(
             inputs.lexicon_file(lexicons_dir, "reader_groups.json"))
-        self.syllable_overrides = textprep.load_syllable_overrides(
-            inputs.lexicon_file(lexicons_dir, "syllable_exceptions.txt"))
+        # Forked workers inherit it empty; each fills its own copy.
+        self.words = textprep.WordTable(textprep.load_syllable_overrides(
+            inputs.lexicon_file(lexicons_dir, "syllable_exceptions.txt")))
         self.classic_lensear = classic_lensear
         self.extraction_config = None
         if corpus_dir is not None:
@@ -102,8 +103,7 @@ def analyze_entry(entry, payload, ctx):
     text = textprep.payload_text(
         payload, entry.media_kind,
         extraction_config=ctx.extraction_config, platform=entry.platform)
-    doc = textprep.build_document(
-        entry.platform, text, syllable_overrides=ctx.syllable_overrides)
+    doc = textprep.build_document(entry.platform, text, words=ctx.words)
     profile = readability_mod.compute_readability_profile(
         doc.stats, classic_lensear=ctx.classic_lensear)
     bands = readability_mod.profile_bands(profile)

@@ -274,13 +274,16 @@ def apply_review_records(findings, records):
 
     A finding whose record holds a human label or note is replaced, at
     its position in the list, by a copy that carries them. A second
-    record for the same finding is an error, not an override.
+    record for the same finding is an error, not an override. Two
+    findings under one review key raise ValueError: one record could
+    not tell them apart.
     """
     index = {}
     for i, f in enumerate(findings):
-        key = (f.platform, f.sentence_index, f.detector,
-               f.evidence_span[0], f.evidence_span[1])
-        index[key] = i
+        key = (f.platform, f.sentence_index, f.detector, *f.evidence_span)
+        if index.setdefault(key, i) != i:
+            raise ValueError("two findings under review key "
+                             + "/".join(map(str, key)))
     seen = set()
     for rec in records:
         try:
@@ -320,9 +323,12 @@ def apply_review_records(findings, records):
 
 def export_review_from_results(payload, out_path, include_dt_en=False):
     """Export all reviewable findings in a results file to JSONL."""
-    findings = [finding_from_dict(d)
-                for result in payload["results"]
-                for d in result["specificity"]["findings"]]
+    findings = []
+    for result in payload["results"]:
+        # Refuses, as apply would, two findings under one review key.
+        findings += apply_review_records(
+            [finding_from_dict(d) for d in result["specificity"]["findings"]],
+            [])
     return export_review(findings, out_path, include_dt_en=include_dt_en)
 
 

@@ -58,6 +58,8 @@ class SpecificityLexicons:
         # finditer tries each run once; see corporate_names.
         self.corporate_re = re.compile(
             rf"{name_run},?\s+(?:{suffix_alt})\b\.?|{name_run}(?P<bare>)")
+        # The first branch's suffix part: no match, no corporate name.
+        self.any_suffix_re = re.compile(rf"(?:{suffix_alt})\b")
         self.descriptors = {d.lower() for d in self.generic_descriptors}
         self.units = {u.lower() for u in self.duration_units}
 
@@ -72,6 +74,8 @@ class SpecificityLexicons:
         the first word is tried nothing before the end of the run (or
         of the match) can match, and the bare branch may skip it.
         """
+        if not self.any_suffix_re.search(text):
+            return []
         return [m for m in self.corporate_re.finditer(text)
                 if m["bare"] is None]
 

@@ -4,6 +4,9 @@ Covers text extraction, sentence segmentation, word tokenization,
 syllable counting, and the document statistics every readability
 formula consumes. All rules here are deterministic so identical input
 always yields identical counts.
+
+A WordTable holds each token's syllable, letter and character counts,
+computed on first use; one table serves every document of a run.
 """
 
 import re
@@ -27,8 +30,9 @@ ABBREVIATIONS = frozenset({
 
 _SENT_END_RE = re.compile(r"[.!?]+")
 _SPACE_RE = re.compile(r"\s+")
-# A whitespace run that holds a blank line: a paragraph break.
-_BLANK_LINE_RE = re.compile(r"\s*\n\s*\n\s*")
+# A blank line, from the first to the last newline of its whitespace run
+# (normalize_text drops the rest): a paragraph break. Tried at newlines.
+_BLANK_LINE_RE = re.compile(r"\n\s*\n")
 _OPENING_QUOTES = "\"'“‘"
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -289,34 +293,46 @@ def load_syllable_overrides(path=None):
     return overrides
 
 
-def compute_doc_stats(sentences, syllable_overrides=None):
+class WordTable(dict):
+    """token -> (syllables, letters, characters), each computed once with
+    the syllable overrides of count_syllables."""
+
+    def __init__(self, overrides=None):
+        self.overrides = overrides
+
+    def __missing__(self, token):
+        # Every character of a token but its joiners is alphanumeric.
+        counts = self[token] = (
+            count_syllables(token, self.overrides),
+            len(token) if token.isalpha()
+            else sum(1 for ch in token if ch.isalpha()),
+            len(token) - token.count("-") - token.count("'")
+            - token.count("’"))
+        return counts
+
+
+def compute_doc_stats(sentences, words=None):
     """Aggregate counts over sentences; zero words flags degenerate.
 
-    Each distinct token is counted once and weighted by its frequency.
+    Each distinct token is looked up once in words, a WordTable (a new
+    one without overrides if None), and weighted by its frequency.
     """
+    words = WordTable() if words is None else words
     frequency = Counter()
     for sentence in sentences:
         frequency.update(sentence.tokens)
-    word_count = 0
-    syllable_count = 0
-    letter_count = 0
-    character_count = 0
-    hard = 0
-    for token, n in frequency.items():
-        word_count += n
-        syllables = count_syllables(token, syllable_overrides)
-        syllable_count += n * syllables
-        letter_count += n * (len(token) if token.isalpha()
-                             else sum(1 for ch in token if ch.isalpha()))
-        # Every character of a token but its joiners is alphanumeric.
-        character_count += n * (len(token) - token.count("-")
-                                - token.count("'") - token.count("’"))
-        if syllables >= 3:
-            hard += n
-    easy = word_count - hard
-    sentence_count = len(sentences)
+    word_count = frequency.total()
     if word_count == 0:
         return DocStats(degenerate=True)
+    syllable_count = letter_count = character_count = hard = 0
+    for token, n in frequency.items():
+        syllables, letters, characters = words[token]
+        syllable_count += n * syllables
+        letter_count += n * letters
+        character_count += n * characters
+        if syllables >= 3:
+            hard += n
+    sentence_count = len(sentences)
     return DocStats(
         word_count=word_count,
         sentence_count=sentence_count,
@@ -325,21 +341,16 @@ def compute_doc_stats(sentences, syllable_overrides=None):
         character_count=character_count,
         complex_word_count=hard,
         polysyllable_count=hard,
-        easy_word_count=easy,
+        easy_word_count=word_count - hard,
         hard_word_count=hard,
         letters_per_100_words=100.0 * letter_count / word_count,
         sentences_per_100_words=100.0 * sentence_count / word_count,
     )
 
 
-def build_document(platform, text, syllable_overrides=None):
-    """Normalize text, segment it, and compute document statistics."""
+def build_document(platform, text, words=None):
+    """Normalize text, segment it, and count it with the WordTable words."""
     normalized = normalize_text(text)
     sentences = tuple(segment_sentences(normalized))
-    stats = compute_doc_stats(sentences, syllable_overrides)
-    return Document(
-        platform=platform,
-        text=normalized,
-        sentences=sentences,
-        stats=stats,
-    )
+    return Document(platform, normalized, sentences,
+                    compute_doc_stats(sentences, words))

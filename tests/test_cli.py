@@ -495,6 +495,12 @@ def _repeat_record(payload):
     return payload
 
 
+def _repeat_finding(payload):
+    findings = payload["results"][0]["specificity"]["findings"]
+    findings.append(findings[0])
+    return payload
+
+
 def _review_file(tmp_path, *lines):
     header = json.dumps({"record_type": "header", "format": "tosaudit-review",
                          "version": 1, "finding_count": len(lines)})
@@ -600,6 +606,14 @@ FAIL_CLOSED_CASES = {
     "export_results_platform_twice": (
         lambda tmp, res: _export(_results_with(res, tmp, _repeat_record)),
         2, "two records for platform 'bluesky'"),
+    # One review record could not tell the two findings apart.
+    "export_results_finding_twice": (
+        lambda tmp, res: _export(_results_with(res, tmp, _repeat_finding)),
+        2, "two findings under review key bluesky/"),
+    "apply_results_finding_twice": (
+        lambda tmp, res: _apply(_results_with(res, tmp, _repeat_finding),
+                                _review_file(tmp), tmp),
+        2, "two findings under review key bluesky/"),
     "export_into_missing_dir": (
         lambda tmp, res: _export(res, tmp / "missing" / "review.jsonl"),
         2, "cannot write"),

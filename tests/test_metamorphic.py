@@ -8,6 +8,8 @@ Most of the measures are rates, so they hold without an oracle:
   (words, sentences, reading time, retention and sharing counts).
 - Markup: a document's text, as HTML with one escaped <p> per
   paragraph, builds the Document its plain text builds.
+- Neutral padding: a paragraph of filler that matches no lexicon phrase,
+  appended to a document, keeps every finding where it was and dt, en.
 """
 
 import html
@@ -88,3 +90,33 @@ def test_paragraphs_as_html_build_the_same_document(platform):
     from_html = textprep.payload_text(markup.encode("utf-8"), "html")
     assert textprep.build_document(platform, from_html) == \
         textprep.build_document(platform, text)
+
+
+# Capitalized words, but no corporate suffix, data type, entity, vague
+# term, retention or sharing cue.
+FILLER = ("Blue river stones rest quietly beneath tall green hills. "
+          "Seven herons watched the morning fog drift past Oakmere.")
+
+
+def findings_and_counts(platform, text):
+    doc = textprep.build_document(platform, text)
+    findings = specificity.analyze_document(doc, SPEC)
+    counts = specificity.score_findings(
+        findings, doc.stats.sentence_count).auto_counts
+    return findings, counts, clarity.scan_vague_terms(doc, VAGUE).vague_count
+
+
+def test_filler_matches_nothing():
+    assert findings_and_counts("p", FILLER) == (
+        [], specificity.SpecificityCounts(), 0)
+
+
+@pytest.mark.parametrize("platform", fixture_docs.PLATFORMS)
+def test_neutral_padding_keeps_findings(platform):
+    text = document_text(platform)
+    findings, counts, vague = findings_and_counts(platform, text)
+    padded, padded_counts, padded_vague = findings_and_counts(
+        platform, f"{text}\n\n{FILLER}")
+    assert padded == findings
+    assert (padded_counts.dt, padded_counts.en) == (counts.dt, counts.en)
+    assert padded_vague == vague

@@ -654,7 +654,9 @@ _FINDINGS = st.lists(st.sampled_from(specificity.DETECTORS).flatmap(
     lambda detector: st.builds(
         make_finding, st.just(detector), _LABELS[detector],
         sentence_index=st.integers(0, 5),
-        span=st.tuples(st.integers(0, 3), st.integers(4, 8)))), max_size=30)
+        span=st.tuples(st.integers(0, 3), st.integers(4, 8)))), max_size=30,
+    # apply_review_records refuses two findings under one review key.
+    unique_by=lambda f: (f.sentence_index, f.detector, f.evidence_span))
 
 
 class TestEmptyReview:
@@ -753,6 +755,34 @@ class TestCorporateNames:
             textprep.tokenize_words(text)), (0, len(text)))
         view = INDEX.scan(sentence)
         assert detect_entities(view, lex) == detect_entities(view, oracle)
+
+    @pytest.mark.parametrize("suffixes", [None, ("Inc", "Corp"), ()],
+                             ids=["shipped", "custom", "empty"])
+    @settings(deadline=None, max_examples=300)
+    @given(text=st.lists(st.tuples(st.sampled_from([
+        "Inc's", "Inc-X", "Acme, Inc.", "Corporations", "Acme", "Inc",
+        "Corp.", "the", "BIG", "7", "é"]), st.sampled_from([" ", "", "\n"])),
+        max_size=12).map(lambda parts: "".join(w + sep for w, sep in parts)))
+    def test_suffix_check_keeps_every_match(self, lex, suffixes, text):
+        # An empty suffix list matches at any word boundary.
+        if suffixes is not None:
+            lex = SpecificityLexicons(
+                lex.data_types, lex.known_entities, suffixes,
+                lex.retention_verbs, lex.vague_retention_phrases,
+                lex.duration_units, lex.sharing_verbs,
+                lex.specific_purpose_cues, lex.generic_purpose_cues,
+                lex.negation_cues, lex.generic_descriptors)
+        unfiltered = [m for m in lex.corporate_re.finditer(text)
+                      if m["bare"] is None]
+        assert [(m.span(), m.group(0)) for m in lex.corporate_names(text)] \
+            == [(m.span(), m.group(0)) for m in unfiltered]
+
+    def test_caps_run_with_a_suffix_is_linear(self, lex):
+        text = " ".join(["LIABLE", "FOR", "ANY", "DAMAGES"] * 5000)
+        start = time.perf_counter()
+        names = lex.corporate_names(f"{text}; Acme Inc. agrees.")
+        assert [m.group(0) for m in names] == ["Acme Inc."]
+        assert time.perf_counter() - start < 2.0
 
     def test_caps_run_is_linear(self, lex):
         # suffix_re.finditer takes over a minute on this run.

@@ -191,7 +191,8 @@ class TestComputeDocStats:
     def test_overrides_change_totals(self):
         sentences = textprep.segment_sentences("The queue moved.")
         base = textprep.compute_doc_stats(sentences)
-        bumped = textprep.compute_doc_stats(sentences, {"queue": 4})
+        bumped = textprep.compute_doc_stats(
+            sentences, textprep.WordTable({"queue": 4}))
         assert bumped.syllable_count == base.syllable_count + 3
         assert bumped.complex_word_count == base.complex_word_count + 1
 
@@ -291,6 +292,12 @@ def reference_split_points(para):
     return points
 
 
+def reference_blank_line_split(text):
+    """normalize_text as it was, splitting on whole whitespace runs."""
+    return "\n\n".join(" ".join(part.split()) for part in re.split(
+        r"\s*\n\s*\n\s*", text)).strip()
+
+
 def reference_normalize_text(text):
     """normalize_text as it was, with one callback per whitespace run."""
 
@@ -327,7 +334,8 @@ class TestProperties:
         sentences = textprep.segment_sentences(textprep.normalize_text(text))
         tokens = [t for s in sentences for t in s.tokens]
         syllables = [textprep.count_syllables(t, overrides) for t in tokens]
-        stats = textprep.compute_doc_stats(sentences, overrides)
+        stats = textprep.compute_doc_stats(
+            sentences, textprep.WordTable(overrides))
         if not tokens:
             assert stats == textprep.DocStats(degenerate=True)
             return
@@ -381,6 +389,28 @@ class TestProperties:
     @example(text="a\r\nb\u2028\u2028c\r\rd")
     def test_normalize_matches_reference(self, text):
         assert textprep.normalize_text(text) == reference_normalize_text(text)
+
+    @settings(deadline=None, max_examples=500)
+    @given(text=st.lists(st.sampled_from([
+        "a", "b c", ".", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c",
+        "\x85", "\xa0", "\u3000", "\u2028"]), max_size=20).map("".join))
+    @example(text="a \x85\n\u3000\r\n\x0b\n\xa0b")
+    def test_blank_line_split_matches_whole_run_split(self, text):
+        assert textprep.normalize_text(text) == \
+            reference_blank_line_split(text)
+
+    @settings(deadline=None, max_examples=100)
+    @given(texts=st.lists(_TEXTS, max_size=4), data=st.data(),
+           overrides=st.sampled_from([None, {"queue": 4, "the": 2}]))
+    def test_shared_word_table_equals_one_per_document(
+            self, texts, data, overrides):
+        docs = [textprep.segment_sentences(textprep.normalize_text(text))
+                for text in texts]
+        shared = textprep.WordTable(overrides)
+        for i in data.draw(st.permutations(range(len(docs)))):
+            assert textprep.compute_doc_stats(docs[i], shared) == \
+                textprep.compute_doc_stats(
+                    docs[i], textprep.WordTable(overrides))
 
     @settings(deadline=None)
     @given(text=_TOKEN_TEXTS, data=st.data())
