@@ -3,12 +3,12 @@
 Text is emitted while the markup is tokenized: no tree is built and
 nothing recurses, so nesting depth is unbounded. The tokenizer
 reproduces the token boundaries of Python 3.11's html.parser fed the
-whole markup and closed. Text runs and clean tags take one match of
-one regex; any other '<' is read by a port of that parser's rule for
-the one construct there. Script/style/navigation boilerplate is
-dropped, block elements become paragraph breaks, and a deliberately
-small selector subset (tag, .class, #id, tag.class, tag#id) serves
-per-platform include/exclude rules.
+whole markup and closed. A clean tag and the text before it take one
+match of one regex, as does text before the end or any other '<', which
+a port of that parser's rule for the one construct there reads.
+Script/style/navigation boilerplate is dropped, block elements become
+paragraph breaks, and a deliberately small selector subset (tag, .class,
+#id, tag.class, tag#id) serves per-platform include/exclude rules.
 """
 
 import re
@@ -39,16 +39,16 @@ _SELECTOR_RE = re.compile(
     r"([a-zA-Z][a-zA-Z0-9-]*)?(?:\.([\w-]+)|#([\w-]+))?"
 )
 
-# One token, by m.lastindex: 1 a text run; 4 a start tag whose name (2)
-# and attributes (3) html.parser reads exactly so, with 4 the '/' of
-# '/>'; 5 an end tag, html.parser's endtagfind. Attributes here are bare
-# or double-quoted, each after ASCII space, so the stdlib's tolerant
-# start-tag patterns would end the tag at the same '>'.
+# A text run (1) and the clean tag after it, by m.lastindex: 1 none (at the
+# end or a '<' for _construct); 4 a start tag whose name (2) and attributes
+# (3) html.parser reads exactly so, with 4 the '/' of '/>'; 5 an end tag,
+# html.parser's endtagfind. Attributes are bare or double-quoted after ASCII
+# space, so its tolerant patterns end the tag at the same '>'. The possessive
+# repeats never backtrack, so a failed tag never rescans the text run.
 _TOKEN = re.compile(
-    r'([^<]+)'
-    r'|<([a-zA-Z][-.:\w]*)'
-    r'((?:[ \t\n\r\f]+[a-zA-Z_:][-.:\w]*(?:="[^"]*")?)*)[ \t\n\r\f]*(/?)>'
-    r'|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>')
+    r'([^<]*+)(?:<([a-zA-Z][-.:\w]*+)'
+    r'((?:[ \t\n\r\f]++[a-zA-Z_:][-.:\w]*+(?:="[^"]*+")?)*+)[ \t\n\r\f]*(/?)>'
+    r'|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|)')
 _ATTR = re.compile(r'([a-zA-Z_:][-.:\w]*)(?:="([^"]*)")?')
 # html.parser's raw-text elements and the end tag it searches for.
 _RAW_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I)
@@ -88,8 +88,8 @@ def parse_selector(selector):
 
 
 def _matches_any(attrs, selectors):
-    """Whether attrs satisfy one of selectors, whose tags already match."""
-    for _, cls, node_id in selectors:
+    """Whether attrs satisfy one of the (class, id) pairs of selectors."""
+    for cls, node_id in selectors:
         if ((cls is None or cls in (attrs.get("class") or "").split())
                 and (node_id is None or attrs.get("id") == node_id)):
             return True
@@ -191,28 +191,30 @@ def html_to_text(markup, include=None, exclude=None):
     stack = [("#root", _OUTSIDE if include else _EMIT, "")]
     out = []
     parts = 0
-    selectors = {}  # tag -> (exclude, include) selectors it can match
-    token = _TOKEN.match
-    pos, n = 0, len(markup)
-    while pos < n:
-        m = token(markup, pos)
-        if m is None:
-            pos, kind, tag, attrs, empty = _construct(markup, pos)
+    # tag -> (exclude, include, their class and id values), each of the
+    # first two True if a bare tag selector matches, else (class, id) pairs
+    selectors = {}
+    # Pattern.scanner (as re.Scanner uses it) matches where the last ended.
+    scan = _TOKEN.scanner(markup).match
+    while True:
+        m = scan()
+        kind = m.lastindex
+        if stack[-1][1] == _EMIT and m[1]:
+            out.append(unescape(m[1]))
+        if kind == 1:
+            if m.end() == len(markup):
+                break
+            pos, kind, tag, attrs, empty = _construct(markup, m.end())
+            scan = _TOKEN.scanner(markup, pos).match
+            m = None  # the tag, if any, ends at pos
             if kind == 1:
                 if stack[-1][1] == _EMIT:
                     out.append(tag)
                 continue
+        elif kind == 5:
+            tag = m[5].lower()
         else:
-            pos = m.end()
-            kind = m.lastindex
-            if kind == 1:
-                if stack[-1][1] == _EMIT:
-                    out.append(unescape(m[1]))
-                continue
-            if kind == 5:
-                tag = m[5].lower()
-            else:
-                tag, attrs, empty = m[2].lower(), m[3], m[4]
+            tag, attrs, empty = m[2].lower(), m[3], m[4]
         if kind == 5:
             if stack[-1][0] == tag:
                 out.append(stack.pop()[2])
@@ -228,18 +230,22 @@ def html_to_text(markup, include=None, exclude=None):
             if state != _MUTED:
                 sels = selectors.get(tag)
                 if sels is None:
-                    sels = selectors[tag] = tuple(
-                        [s for s in group if s[0] is None or s[0] == tag]
-                        for group in (exclude, include))
-                ex, inc = sels
-                if ex or (inc and state == _OUTSIDE):
-                    # Attributes are read only where a selector can match.
-                    if isinstance(attrs, str):
-                        attrs = {name.lower(): unescape(value) for name, value
-                                 in _ATTR.findall(attrs)}
-                if ex and _matches_any(attrs, ex):
+                    ex, inc = ([s[1:] for s in group if s[0] in (None, tag)]
+                               for group in (exclude, include))
+                    sels = selectors[tag] = (
+                        (None, None) in ex or ex, (None, None) in inc or inc,
+                        [v for pair in ex + inc for v in pair if v])
+                ex, inc, values = sels
+                if isinstance(attrs, str):
+                    # No '&': a class or id can match only if its value occurs.
+                    attrs = {name.lower(): unescape(value) for name, value
+                             in _ATTR.findall(attrs)} if values and (
+                        "&" in attrs or any(map(attrs.__contains__, values))
+                    ) else {}
+                if ex is True or attrs and _matches_any(attrs, ex):
                     state = _MUTED
-                elif state == _OUTSIDE and inc and _matches_any(attrs, inc):
+                elif state == _OUTSIDE and (
+                        inc is True or attrs and _matches_any(attrs, inc)):
                     # An included element starts a part; parts are joined
                     # by a blank line and nested matches stay in their part.
                     if parts:
@@ -259,10 +265,10 @@ def html_to_text(markup, include=None, exclude=None):
             elif tag in _RAW_END:
                 # Raw text that no frame of a DROP_TAGS element emits:
                 # skip to the end tag, or drop the rest if there is none.
-                m = _RAW_END[tag].search(markup, pos)
+                m = _RAW_END[tag].search(markup, m.end() if m else pos)
                 if m is None:
                     break
-                pos = m.end()
+                scan = _TOKEN.scanner(markup, m.end()).match
             else:
                 stack.append((tag, state, closing))
     out.extend([frame[2] for frame in reversed(stack[1:])])

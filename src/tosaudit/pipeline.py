@@ -36,9 +36,9 @@ ASSESSMENTS_DIR = "assessments"
 
 # Starting a worker pool costs about 55-75 ms per run. On 2 CPUs
 # (Python 3.11) serial analysis takes about 0.3 s per MB of plain text and
-# 0.12 s per MB of markup-heavy HTML, the least work per payload byte, so
-# the pool pays back from about 0.4-0.5 MB of text and 0.9-1.2 MB of such
-# HTML. At 400 kB it loses up to about 15 ms on text and 50 ms on that
+# 0.10 s per MB of markup-heavy HTML, the least work per payload byte, so
+# the pool pays back from about 0.4-0.5 MB of text and 1.1-1.5 MB of such
+# HTML. At 400 kB it loses up to about 15 ms on text and 55 ms on that
 # HTML; a smaller corpus is analyzed in this process.
 POOL_MIN_PAYLOAD_BYTES = 400_000
 

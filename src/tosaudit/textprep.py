@@ -108,11 +108,15 @@ def extract_text(payload, media_kind, extraction_config=None, platform=None):
 def load_extraction_config(path):
     """Read and check a platform -> selector-rule extraction config.
 
-    A rule is a list of include selectors or an object with optional
+    A rule is a list of include selectors or an object with only optional
     "include" and "exclude" lists; every selector must parse.
     """
     config = inputs.read_json(path, LexiconError, "extraction config")
     for platform, rules in config.items():
+        extra = isinstance(rules, dict) and set(rules) - {"include", "exclude"}
+        if extra:
+            raise LexiconError(f"extraction config {path}: rule for "
+                               f"{platform!r} has unknown key {min(extra)!r}")
         lists = ((rules.get("include", []), rules.get("exclude", []))
                  if isinstance(rules, dict) else (rules,))
         if not all(map(inputs.is_phrase_list, lists)):

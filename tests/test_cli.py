@@ -136,8 +136,10 @@ class TestAnalyze:
         ('{"youtube": "main"}', "rule for 'youtube' must be a list"),
         ('{"youtube": {"include": ["div > p"]}}',
          "unsupported selector: 'div > p' for 'youtube'"),
+        ('{"youtube": {"inclde": ["main"]}}',
+         "rule for 'youtube' has unknown key 'inclde'"),
     ], ids=["malformed", "not_an_object", "rule_not_list_or_object",
-            "unsupported_selector"])
+            "unsupported_selector", "unknown_rule_key"])
     def test_bad_extraction_config_is_fatal(self, tmp_path,
                                             content, message):
         corpus_dir = build_fixture_corpus(tmp_path / "corpus")

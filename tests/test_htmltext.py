@@ -249,12 +249,17 @@ def reference_html_to_text(markup, include=None, exclude=None):
 
 # Quoted, bare, unquoted, single-quoted, upper-case and malformed
 # attributes, so that start tags reach both the one-regex path and the
-# port of html.parser's tolerant rules.
+# port of html.parser's tolerant rules. Some hold a selector's value where
+# no selector reads it (data-k="a", class="ab") or a value that matches
+# only once unescaped, so that the check on whether a tag's attributes
+# need reading at all goes both ways.
 _CLASSES = ["", ' class="a"', ' class="b a"', " class", ' id="x"',
             ' class="b" id="x"', ' class="a" class="b"', " class=a",
             " class='b a'", ' CLASS="a"', " ID=x", ' class="x&amp;a"',
             ' class="x&#32;a"', ' class="a"id="x"', " \xa0class=a",
-            "\x0b", " id=x/", ' class = "a"', ' class="a']
+            "\x0b", " id=x/", ' class = "a"', ' class="a',
+            ' data-k="a"', ' class="ab"', ' id="xa"', ' class="&#97;"',
+            ' class="&#98;"', ' id="&#120;"']
 _TAGS = ["div", "p", "span", "section", "b", "li", "nav", "script",
          "br", "img", "hr", "main", "style", "DIV", "Script"]
 _PIECES = st.one_of(
@@ -267,7 +272,8 @@ _PIECES = st.one_of(
                      "<!--c-->", "<!DOCTYPE html>", "<", "</", "&",
                      "</SCRIPT >", "</script x>", "</style\n>", "<a/b>",
                      "<p =x>", "</ x>", "</>", "<![CDATA[x]]>", "<![if x]>",
-                     "<![x", "<?pi>", "-->", "<!-- c", "\xa0"]),
+                     "<![x", "<?pi>", "-->", "<!-- c", "\xa0", "a < b",
+                     "<3", "<a ", '<p a="']),
 )
 _SELECTORS = st.lists(
     st.sampled_from(["div", ".a", ".b", "#x", "p.a", "span#x", "section",
@@ -291,6 +297,12 @@ class TestStreamingMatchesReference:
              last="<", include=[".a", "nav"], exclude=None)
     @example(pieces=['<p class="a', "t", "</p>", "u v"], last="",
              include=None, exclude=None)
+    @example(pieces=["t", '<div class="&#97;">', "u v", "</div>", "t"],
+             last="", include=[".a"], exclude=None)
+    # "a" occurs in the name "class", "b" and "x" only once unescaped.
+    @example(pieces=['<p class="&#98;">', "t", "</p>", '<b id="&#120;">',
+                     "u v", "</b>", "t"],
+             last="", include=None, exclude=[".b", "#x"])
     def test_same_text_as_reference(self, pieces, last, include, exclude):
         markup = "".join(pieces) + last
         try:

@@ -7,7 +7,8 @@ Most of the measures are rates, so they hold without an oracle:
   coverage) and every distinct count (dt, en), and doubles every total
   (words, sentences, reading time, retention and sharing counts).
 - Markup: a document's text, as HTML with one escaped <p> per
-  paragraph, builds the Document its plain text builds.
+  paragraph, builds the Document its plain text builds; so does
+  generated text whose words hold '<', '>' and '&'.
 - Neutral padding: a paragraph of filler that matches no lexicon phrase,
   appended to a document, keeps every finding where it was and dt, en.
 """
@@ -16,6 +17,7 @@ import html
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fixture_docs
 from tosaudit import clarity, readability, specificity, textprep
@@ -90,6 +92,30 @@ def test_paragraphs_as_html_build_the_same_document(platform):
     from_html = textprep.payload_text(markup.encode("utf-8"), "html")
     assert textprep.build_document(platform, from_html) == \
         textprep.build_document(platform, text)
+
+
+# Words with the characters that HTML escapes, alone, inside words and as
+# text that reads like markup or an entity, beside lexicon phrases.
+_MARKUP_WORDS = st.sampled_from([
+    "we", "may", "share", "your", "personal information", "third parties",
+    "for", "30 days", "Acme Inc.", "e.g.", "<", ">", "&", "a<b", "x > y",
+    "R&D", "AT&T", "<p>", "</div>", "<!--", "&amp;", "&lt;p&gt;", "&#60;",
+    "<3", '"quoted"', "it's"])
+_SENTENCES = st.builds(
+    lambda words, end: " ".join(words) + end,
+    st.lists(_MARKUP_WORDS, min_size=1, max_size=10),
+    st.sampled_from([".", "!", "?", ";", ""]))
+_PARAGRAPHS = st.lists(_SENTENCES, min_size=1, max_size=4).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(paragraphs=st.lists(_PARAGRAPHS, min_size=1, max_size=5))
+def test_generated_paragraphs_as_html_build_the_same_document(paragraphs):
+    markup = "<html><body>%s</body></html>" % "".join(
+        f"<p>{html.escape(paragraph)}</p>" for paragraph in paragraphs)
+    from_html = textprep.payload_text(markup.encode("utf-8"), "html")
+    assert textprep.build_document("p", from_html) == \
+        textprep.build_document("p", "\n\n".join(paragraphs))
 
 
 # Capitalized words, but no corporate suffix, data type, entity, vague

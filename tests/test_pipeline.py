@@ -243,9 +243,10 @@ _SCALING_SHAPES = {
     "capitalized_runs": ("LIABLE FOR ANY DAMAGES ", 4, False),
     "number_unit_runs": ("we keep it for 30 days ", 6, False),
 }
-# One bound for every shape: at 1 MB each takes 0.5-3 s on 2 CPUs (Python
-# 3.11), and a quadratic layer takes minutes or more. The child is killed
-# at the bound, so such a layer fails the test instead of stalling it.
+# One bound for every shape, plain text and HTML: at 1 MB each takes
+# 0.2-3 s on 2 CPUs (Python 3.11), and a quadratic layer takes minutes or
+# more. The child is killed at the bound, so such a layer fails the test
+# instead of stalling it.
 SCALING_BOUND_S = 30
 _SCALING_PROBE = """
 import json, sys
@@ -259,19 +260,57 @@ print(json.dumps([stats.word_count, stats.sentence_count]))
 """
 
 
+def run_scaling_probe(probe, *args):
+    """What probe prints as JSON, run in a child killed at the bound."""
+    src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True, text=True, timeout=SCALING_BOUND_S,
+        env={**os.environ, "PYTHONPATH": src_dir})
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
 class TestPlainTextScaling:
     @pytest.mark.parametrize("shape", list(_SCALING_SHAPES))
     def test_one_megabyte_within_bound(self, shape):
         unit, words, unit_is_sentence = _SCALING_SHAPES[shape]
         repeats = 1_000_000 // len(unit)
-        src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
-        completed = subprocess.run(
-            [sys.executable, "-c", _SCALING_PROBE, unit, str(repeats)],
-            capture_output=True, text=True, timeout=SCALING_BOUND_S,
-            env={**os.environ, "PYTHONPATH": src_dir})
-        assert completed.returncode == 0, completed.stderr
-        assert json.loads(completed.stdout) == [
+        assert run_scaling_probe(_SCALING_PROBE, unit, str(repeats)) == [
             words * repeats, repeats if unit_is_sentence else 1]
+
+
+# HTML shapes that html_to_text reads in linear time, each with the text
+# one unit yields and the exclude rule it runs under: a stray '<' that
+# _construct reads as text, tags whose attributes hold no selector value,
+# end tags with nothing open to close, and entities beside inline tags.
+# Shapes that are still quadratic (ROADMAP item 4) are left out.
+_HTML_SCALING_SHAPES = {
+    "stray_lt": ("we may share your data < ", "we may share your data < ",
+                 []),
+    "heart": ("a <3 b ", "a <3 b ", []),
+    "spans_no_selector_value": ('<span class="x y">w</span>', "w",
+                                [".toc"]),
+    "unmatched_end_tags": ("</x>", "", []),
+    "entities_and_inline_tags": ("a &amp; b <i>c</i> ", "a & b c ", []),
+}
+_HTML_SCALING_PROBE = """
+import json, sys
+from tosaudit.htmltext import html_to_text
+text = html_to_text(sys.argv[1] * int(sys.argv[2]),
+                    exclude=json.loads(sys.argv[3]))
+print(json.dumps([len(text), text[:200]]))
+"""
+
+
+class TestHtmlScaling:
+    @pytest.mark.parametrize("shape", list(_HTML_SCALING_SHAPES))
+    def test_one_megabyte_within_bound(self, shape):
+        unit, text, exclude = _HTML_SCALING_SHAPES[shape]
+        repeats = 1_000_000 // len(unit)
+        assert run_scaling_probe(_HTML_SCALING_PROBE, unit, str(repeats),
+                                 json.dumps(exclude)) == [
+            len(text) * repeats, (text * repeats)[:200]]
 
 
 class TestDeterminismAndOptions:

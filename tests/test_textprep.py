@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -156,6 +157,28 @@ class TestSyllableOverridesFile:
         path.write_text("queue\ttwo\n")
         with pytest.raises(LexiconError):
             textprep.load_syllable_overrides(str(path))
+
+
+class TestExtractionConfigFile:
+    def test_load(self, tmp_path):
+        path = tmp_path / "extraction_config.json"
+        config = {"x": {"include": ["main"], "exclude": [".ad"]},
+                  "y": ["article"], "z": {}}
+        path.write_text(json.dumps(config))
+        assert textprep.load_extraction_config(str(path)) == config
+
+    @pytest.mark.parametrize("rule, key", [
+        ({"inclde": ["main"]}, "inclde"),
+        ({"include": ["main"], "Exclude": [".ad"]}, "Exclude"),
+        ({"exclude": [], "z": [], "b": []}, "b"),
+    ])
+    def test_unknown_rule_key(self, tmp_path, rule, key):
+        path = tmp_path / "extraction_config.json"
+        path.write_text(json.dumps({"x": rule}))
+        message = (f"extraction config {path}: rule for 'x' has unknown "
+                   f"key {key!r}")
+        with pytest.raises(LexiconError, match=re.escape(message)):
+            textprep.load_extraction_config(str(path))
 
 
 class TestComputeDocStats:
