@@ -230,7 +230,7 @@ def main(args=None, prog_name="tosaudit", standalone_mode=True):
     try:
         run(**options)
     except TosAuditError as exc:
-        _echo(f"error: {exc}", err=True)
+        _echo("error: " + str(exc).replace("\n", "\\n"), err=True)
         sys.exit(2)
 
 

@@ -192,6 +192,11 @@ def manifest_from_dict(data):
                 raise CorpusError(
                     f"manifest entry missing field {name!r} as a string")
         _check_platform(ed["platform"], "manifest entry")
+        path = ed["payload_path"]
+        if not path or os.path.isabs(path) or "\0" in path or ".." in (
+                path.replace(os.altsep or os.sep, os.sep).split(os.sep)):
+            raise CorpusError(f"manifest entry: payload_path {path!r} is "
+                              "not a relative path inside the corpus")
         entries.append(SnapshotEntry(
             **{name: ed[name] for name in _ENTRY_FIELDS}, extra=entry_extra))
     seen = set()

@@ -6,7 +6,8 @@ encoded to its line where it is built, in the analyze worker or in
 `review apply`, and the file is streamed from those bytes; no
 whole-file text is built. A review file is JSONL: a header record, then
 one finding per line. Both files write a finding with one template,
-_FINDING, and the rest of a record with the C JSON encoder.
+_FINDING, and the rest of a record with the C JSON encoder. `review
+apply` decodes only the review lines that differ from every finding's text.
 
 Only the specificity layer is loaded here, so `review export` and
 `review apply` import none of the text-analysis layers.
@@ -63,8 +64,21 @@ def finding_from_dict(d):
     A field of the wrong type raises TypeError, an unknown detector
     ValueError: export_review writes no line apply would reject.
     """
-    span = d["evidence_span"]
-    detector = d["detector"]
+    try:  # one test of every field; the code after it words the error
+        span, label, note = (d["evidence_span"], d.get("human_label"),
+                             d.get("reviewer_note"))
+        f = SentenceFinding(d["platform"], d["sentence_index"], d["detector"],
+                            d["auto_label"], (span["start"], span["end"]),
+                            d["sentence_text"], label or None, note or None)
+        if (type(f.platform) is type(f.auto_label) is type(f.sentence_text)
+                is str and type(f.sentence_index) is type(span["start"])
+                is type(span["end"]) is int and f.detector in DETECTORS
+                and (label is None or type(label) is str)
+                and (note is None or type(note) is str)):
+            return f
+    except (LookupError, TypeError, AttributeError):
+        pass
+    span, detector = d["evidence_span"], d["detector"]
     if detector not in DETECTORS:
         raise ValueError(f"finding detector is not one of {DETECTORS}: "
                          f"{detector!r}")
@@ -127,17 +141,18 @@ def _object_text(d, key, text):
         f"{text if k == key else _ENCODER.encode(d[k])}" for k in sorted(d))
 
 
-def encode_record(record):
+def encode_record(record, finding_texts=None):
     """A results record's line in a results file, as UTF-8, with no newline.
 
-    The record's specificity findings are SentenceFindings, written as
-    _finding_text objects; the rest is written as _ENCODER writes it.
-    Text that UTF-8 cannot hold raises UnicodeEncodeError.
+    The record's findings are SentenceFindings, written as finding_texts
+    or as _finding_text objects; the rest as _ENCODER writes it. Text
+    that UTF-8 cannot hold raises UnicodeEncodeError.
     """
     spec = record["specificity"]
-    findings = "[%s]" % ", ".join(map(_finding_text, spec["findings"]))
+    if finding_texts is None:
+        finding_texts = map(_finding_text, spec["findings"])
     return _object_text(record, "specificity", _object_text(
-        spec, "findings", findings)).encode("utf-8")
+        spec, "findings", "[%s]" % ", ".join(finding_texts))).encode("utf-8")
 
 
 def results_payload(records, failures):
@@ -213,9 +228,7 @@ def export_review(findings, path, include_dt_en=False):
     entity findings only when include_dt_en is set. Each line is written
     as it is made.
     """
-    wanted = ("retention", "sharing")
-    if include_dt_en:
-        wanted = DETECTORS
+    wanted = DETECTORS if include_dt_en else ("retention", "sharing")
     records = sorted(
         (f for f in findings if f.detector in wanted), key=_review_sort_key)
     header = {
@@ -230,18 +243,22 @@ def export_review(findings, path, include_dt_en=False):
     return len(records)
 
 
-def parse_review_file(path):
+def parse_review_file(path, known=None):
     """Read a review JSONL file; returns the finding records.
 
-    The header must name REVIEW_FORMAT and REVIEW_VERSION, and its
-    finding_count must equal the number of records, so a file cut short
-    is rejected, not applied.
+    A line after the first that is a key of known, a map from a
+    finding's text to its record, is not decoded. The header must name
+    REVIEW_FORMAT and REVIEW_VERSION, and its finding_count must equal
+    the number of records, so a file cut short is rejected, not applied.
     """
     records = []
     lines = inputs.read_lines(path, ReviewError, "review")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
+            continue
+        if records and known and line in known:
+            records.append(known[line])
             continue
         try:
             record = json.loads(line)
@@ -338,26 +355,34 @@ def apply_review_to_results(payload, review_path):
 
     Rebuilds each platform's post-review counts and scores from the
     human labels; auto values are recomputed from auto labels and stay
-    untouched by review actions. Returns a new payload whose records
-    are encode_record bytes, each encoded as it is revised; payload and
-    its records are left as they were.
+    untouched by review actions. Returns a new payload of encode_record
+    bytes, which reuse the text of each finding review left as it was;
+    payload and its records are left as they were.
     """
-    records = parse_review_file(review_path)
+    platforms, known = [], {}
+    for result in payload["results"]:
+        dicts = result["specificity"]["findings"]
+        findings = [finding_from_dict(d) for d in dicts]
+        texts = list(map(_finding_text, findings))
+        known.update(zip(texts, dicts))
+        platforms.append((result, findings, texts))
+    records = parse_review_file(review_path, known)
     by_platform = {}
     for rec in records:
         if not isinstance(rec.get("platform"), str):
             raise ReviewError(f"malformed review record: {rec!r}")
         by_platform.setdefault(rec["platform"], []).append(rec)
-    known = {r["platform"] for r in payload["results"]}
+    names = {r["platform"] for r in payload["results"]}
     for platform in by_platform:
-        if platform not in known:
+        if platform not in names:
             raise ReviewError(f"unmatched review record: platform {platform!r}")
     revised = []
-    for result in payload["results"]:
-        findings = [finding_from_dict(d)
-                    for d in result["specificity"]["findings"]]
-        apply_review_records(findings, by_platform.get(result["platform"], []))
+    for result, findings, texts in platforms:
+        reviewed = apply_review_records(
+            list(findings), by_platform.get(result["platform"], []))
         revised.append(encode_record({**result, "specificity": {
             **result["specificity"], **_specificity_block(
-                findings, result["doc_stats"]["sentence_count"])}}))
+                reviewed, result["doc_stats"]["sentence_count"])}}, [
+            text if new is old else _finding_text(new)
+            for text, old, new in zip(texts, findings, reviewed)]))
     return {**payload, "results": revised}

@@ -528,6 +528,25 @@ def _manifest_edit(edit):
     return case
 
 
+def _payload_outside(path_of):
+    """analyze after the first entry's payload is copied to
+    outside/t.txt, next to the corpus, and its payload_path is set to
+    path_of(the copy's Path)."""
+    def case(tmp_path, results_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        path = corpus_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["entries"][0]
+        copy = tmp_path / "outside" / "t.txt"
+        copy.parent.mkdir()
+        copy.write_bytes((corpus_dir / entry["payload_path"]).read_bytes())
+        entry["payload_path"] = path_of(copy)
+        path.write_text(json.dumps(manifest))
+        return ["analyze", "--corpus", str(corpus_dir),
+                "--out", str(tmp_path / "r.json")]
+    return case
+
+
 def _analyze_with_lexicon(name, content):
     def case(tmp_path, results_path):
         corpus_dir = build_fixture_corpus(tmp_path / "corpus")
@@ -756,12 +775,23 @@ FAIL_CLOSED_CASES = {
             {**manifest["entries"][0], "payload_path": "payloads"}]}),
         1, "cannot read payload"),
     # Not a path open() takes; the other entries reach the pool sizing.
-    **{f"payload_path_has_{name}": (
-        _manifest_edit(lambda manifest, bad=bad: {**manifest, "entries": [
-            {**manifest["entries"][0], "payload_path": bad},
+    "payload_path_has_surrogate": (
+        _manifest_edit(lambda manifest: {**manifest, "entries": [
+            {**manifest["entries"][0], "payload_path": "a\ud800"},
             *manifest["entries"][1:]]}),
-        1, "invalid path") for name, bad in (("nul", "a\x00b"),
-                                             ("surrogate", "a\ud800"))},
+        1, "invalid path"),
+    # A payload_path must stay inside the corpus, even where the file
+    # it names outside holds the pinned bytes.
+    **{f"payload_path_{name}": (
+        _payload_outside(path_of), 2,
+        "is not a relative path inside the corpus")
+       for name, path_of in (
+           ("leaves_corpus", lambda copy: "../outside/t.txt"),
+           ("leaves_through_payloads",
+            lambda copy: "payloads/../../outside/t.txt"),
+           ("absolute", str),
+           ("empty", lambda copy: ""),
+           ("has_nul", lambda copy: "a\x00b"))},
 }
 
 
