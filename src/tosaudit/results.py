@@ -243,7 +243,7 @@ def export_review(findings, path, include_dt_en=False):
     return len(records)
 
 
-def parse_review_file(path, known=None):
+def parse_review_file(path, known):
     """Read a review JSONL file; returns the finding records.
 
     A line after the first that is a key of known, a map from a
@@ -257,7 +257,7 @@ def parse_review_file(path, known=None):
         line = line.strip()
         if not line:
             continue
-        if records and known and line in known:
+        if records and line in known:
             records.append(known[line])
             continue
         try:

@@ -790,6 +790,8 @@ FAIL_CLOSED_CASES = {
            ("leaves_through_payloads",
             lambda copy: "payloads/../../outside/t.txt"),
            ("absolute", str),
+           ("has_drive", lambda copy: "C:outside/t.txt"),
+           ("is_unc", lambda copy: "\\\\host\\share\\t.txt"),
            ("empty", lambda copy: ""),
            ("has_nul", lambda copy: "a\x00b"))},
 }

@@ -500,7 +500,7 @@ class TestReviewRoundTrip:
         sharing[0]["human_label"] = "rejected"
         path.write_text("\n".join(
             [lines[0]] + [json.dumps(r) for r in records]) + "\n")
-        apply_review_records(findings, parse_review_file(str(path)))
+        apply_review_records(findings, parse_review_file(str(path), {}))
         scored = score_findings(findings, 3)
         assert scored.auto_scores.stage == "auto"
         assert scored.post_scores.stage == "post_review"
@@ -517,7 +517,7 @@ class TestReviewRoundTrip:
         header = {**json.loads(lines[0]), "finding_count": 1}
         path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ReviewError, match="unmatched review record"):
-            apply_review_records(findings, parse_review_file(str(path)))
+            apply_review_records(findings, parse_review_file(str(path), {}))
 
     def test_illegal_label_raises(self, tmp_path):
         findings = self.build_findings()
@@ -529,25 +529,25 @@ class TestReviewRoundTrip:
         header = {**json.loads(lines[0]), "finding_count": 1}
         path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ReviewError, match="illegal label value"):
-            apply_review_records(findings, parse_review_file(str(path)))
+            apply_review_records(findings, parse_review_file(str(path), {}))
 
     def test_missing_header_raises(self, tmp_path):
         path = tmp_path / "review.jsonl"
         path.write_text('{"platform": "p"}\n')
         with pytest.raises(ReviewError, match="not a header"):
-            parse_review_file(str(path))
+            parse_review_file(str(path), {})
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "review.jsonl"
         path.write_text("")
         with pytest.raises(ReviewError, match="empty review file"):
-            parse_review_file(str(path))
+            parse_review_file(str(path), {})
 
     def test_unknown_format_raises(self, tmp_path):
         path = tmp_path / "review.jsonl"
         path.write_text('{"record_type": "header", "format": "other"}\n')
         with pytest.raises(ReviewError, match="unknown review format"):
-            parse_review_file(str(path))
+            parse_review_file(str(path), {})
 
     def test_reapplication_is_idempotent(self, tmp_path):
         findings = self.build_findings()
@@ -560,7 +560,7 @@ class TestReviewRoundTrip:
                 r["human_label"] = "rejected"
         path.write_text("\n".join(
             [lines[0]] + [json.dumps(r) for r in records]) + "\n")
-        records = parse_review_file(str(path))
+        records = parse_review_file(str(path), {})
         apply_review_records(findings, records)
         post1 = score_findings(findings, 3).post_scores
         apply_review_records(findings, records)
