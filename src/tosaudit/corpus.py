@@ -194,9 +194,8 @@ def manifest_from_dict(data):
                     f"manifest entry missing field {name!r} as a string")
         _check_platform(ed["platform"], "manifest entry")
         path = ed["payload_path"]
-        if (not path or os.path.isabs(path) or ntpath.splitdrive(path)[0]
-                or "\0" in path or ".." in path.replace(
-                    os.altsep or os.sep, os.sep).split(os.sep)):
+        if not path or os.path.isabs(path) or ntpath.splitdrive(path)[0] or (
+                "\0" in path or ".." in path.replace("\\", "/").split("/")):
             raise CorpusError(f"manifest entry: payload_path {path!r} is "
                               "not a relative path inside the corpus")
         entries.append(SnapshotEntry(

@@ -149,10 +149,9 @@ def encode_record(record, finding_texts=None):
     that UTF-8 cannot hold raises UnicodeEncodeError.
     """
     spec = record["specificity"]
-    if finding_texts is None:
-        finding_texts = map(_finding_text, spec["findings"])
     return _object_text(record, "specificity", _object_text(
-        spec, "findings", "[%s]" % ", ".join(finding_texts))).encode("utf-8")
+        spec, "findings", "[%s]" % ", ".join(finding_texts or map(
+            _finding_text, spec["findings"])))).encode("utf-8")
 
 
 def results_payload(records, failures):

@@ -790,6 +790,7 @@ FAIL_CLOSED_CASES = {
            ("leaves_through_payloads",
             lambda copy: "payloads/../../outside/t.txt"),
            ("absolute", str),
+           ("leaves_through_backslash", lambda copy: "..\\outside\\t.txt"),
            ("has_drive", lambda copy: "C:outside/t.txt"),
            ("is_unc", lambda copy: "\\\\host\\share\\t.txt"),
            ("empty", lambda copy: ""),
