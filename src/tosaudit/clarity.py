@@ -30,14 +30,17 @@ class ClarityReport(NamedTuple):
     matches: list
 
 
-def load_vague_lexicon(path=None):
-    """Load and validate a vague-term lexicon: a tuple of VagueTerms.
+def load_vague_lexicon(lexicons_dir=None):
+    """Load and validate vague_terms.json: a tuple of VagueTerms.
 
-    Accepts either {"version": ..., "terms": [...]} or a bare JSON list
-    of {canonical, variants, category} objects.
+    The file is read from lexicons_dir, or shipped when it is None or
+    the file is missing there. It holds either {"version": ...,
+    "terms": [...]} or a bare JSON list of {canonical, variants,
+    category} objects.
     """
-    data = inputs.read_json(path or inputs.shipped("vague_terms.json"),
-                            LexiconError, "lexicon", top=object)
+    data = inputs.read_json(
+        inputs.lexicon_file(lexicons_dir, "vague_terms.json"),
+        LexiconError, "lexicon", top=object)
     raw_terms = data.get("terms") if isinstance(data, dict) else data
     if not isinstance(raw_terms, list) or not raw_terms:
         raise LexiconError("lexicon has no terms")

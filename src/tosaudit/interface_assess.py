@@ -1,16 +1,15 @@
 """Schema and validation for manual interface scores.
 
 The five interface-design metrics are always human-assigned. This
-module enforces score ranges and evidence discipline and suggests
-candidate evidentiary sentences from cue phrases. It never scores
-anything itself.
+module enforces score ranges and evidence discipline: each nonzero
+score needs evidence, and each excerpt must be verbatim document text.
+It never scores anything itself.
 """
 
 from typing import NamedTuple
 
 from . import inputs
-from .errors import AssessmentError, LexiconError
-from .matching import LexiconIndex
+from .errors import AssessmentError
 
 # Metric name -> inclusive score range, in table column order.
 METRIC_RANGES = {
@@ -122,41 +121,3 @@ def load_assessment(path):
     return assessment_from_dict(
         inputs.read_json(path, AssessmentError, "assessment"))
 
-
-def load_cue_lexicon(path=None):
-    """Per-metric cue phrases; defaults to the shipped file."""
-    data = inputs.read_json(path or inputs.shipped("interface_cues.json"),
-                            LexiconError, "cue lexicon")
-    metrics = data.get("metrics", data)
-    if not isinstance(metrics, dict):
-        raise LexiconError("cue lexicon: metrics is not an object")
-    cues = {}
-    for metric in METRICS:
-        phrases = metrics.get(metric, [])
-        if not (phrases and inputs.is_phrase_list(phrases)):
-            raise LexiconError(f"cue lexicon: no phrases for {metric} "
-                               "(a list of non-empty strings)")
-        cues[metric] = tuple(phrases)
-    return cues
-
-
-def suggest_evidence(doc, cues):
-    """Candidate sentences per metric, ranked by cue hits.
-
-    Advisory only: returns (sentence_index, sentence_text, cue_count)
-    triples and never touches an assessment.
-    """
-    index = LexiconIndex()
-    for metric, phrases in cues.items():
-        for phrase in phrases:
-            index.add(metric, phrase, phrase)
-    suggestions = {metric: [] for metric in cues}
-    for sentence in doc.sentences:
-        hits = index.scan(sentence).hits
-        for metric, found in suggestions.items():
-            if metric in hits:
-                found.append(
-                    (sentence.index, sentence.text, len(hits[metric])))
-    for metric in suggestions:
-        suggestions[metric].sort(key=lambda t: (-t[2], t[0]))
-    return suggestions

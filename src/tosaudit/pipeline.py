@@ -19,7 +19,7 @@ import os
 
 from . import clarity as clarity_mod
 from . import corpus as corpus_mod
-from . import inputs, interface_assess
+from . import interface_assess
 from . import readability as readability_mod
 from . import specificity as specificity_mod
 from . import textprep
@@ -47,18 +47,16 @@ class PipelineContext:
 
     def __init__(self, lexicons_dir=None, corpus_dir=None,
                  classic_lensear=False):
-        self.vague_lexicon = clarity_mod.load_vague_lexicon(
-            inputs.lexicon_file(lexicons_dir, "vague_terms.json"))
+        self.vague_lexicon = clarity_mod.load_vague_lexicon(lexicons_dir)
         self.spec_lexicons = specificity_mod.load_specificity_lexicons(
             lexicons_dir)
         self.index = LexiconIndex()
         clarity_mod.index_terms(self.index, self.vague_lexicon)
         specificity_mod.index_lexicons(self.index, self.spec_lexicons)
-        self.reader_groups = readability_mod.load_reader_groups(
-            inputs.lexicon_file(lexicons_dir, "reader_groups.json"))
+        self.reader_groups = readability_mod.load_reader_groups(lexicons_dir)
         # Forked workers inherit it empty; each fills its own copy.
-        self.words = textprep.WordTable(textprep.load_syllable_overrides(
-            inputs.lexicon_file(lexicons_dir, "syllable_exceptions.txt")))
+        self.words = textprep.WordTable(
+            textprep.load_syllable_overrides(lexicons_dir))
         self.classic_lensear = classic_lensear
         self.extraction_config = None
         if corpus_dir is not None:

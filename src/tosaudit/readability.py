@@ -85,39 +85,29 @@ def compute_readability_profile(stats, classic_lensear=False):
     )
 
 
+# Metric -> (easy, hard) bounds: a score at or below easy is easy, and
+# one at or above hard is hard. Flesch reading ease, where a higher score
+# is easier, runs the other way: at or above easy is easy, below hard is
+# hard.
+_BAND_BOUNDS = {
+    "flesch_reading_ease": (60.0, 30.0),
+    "gunning_fog": (8.0, 12.0),
+    "flesch_kincaid_grade": (8.0, 13.0),
+    "coleman_liau": (8.0, 13.0),
+    "smog": (8.0, 13.0),
+    "lensear": (9.0, 13.0),
+    "ari": (9.0, 13.0),
+}
+
+
 def classify_band(metric, score):
     """Band a score as easy, moderate, or hard."""
-    if metric == "flesch_reading_ease":
-        if score >= 60.0:
-            band = EASY
-        elif score >= 30.0:
-            band = MODERATE
-        else:
-            band = HARD
-    elif metric == "gunning_fog":
-        if score <= 8.0:
-            band = EASY
-        elif score < 12.0:
-            band = MODERATE
-        else:
-            band = HARD
-    elif metric in ("flesch_kincaid_grade", "coleman_liau", "smog"):
-        if score <= 8.0:
-            band = EASY
-        elif score < 13.0:
-            band = MODERATE
-        else:
-            band = HARD
-    elif metric in ("lensear", "ari"):
-        if score <= 9.0:
-            band = EASY
-        elif score < 13.0:
-            band = MODERATE
-        else:
-            band = HARD
-    else:
+    if metric not in _BAND_BOUNDS:
         raise ValueError(f"unknown metric: {metric}")
-    return band
+    easy, hard = _BAND_BOUNDS[metric]
+    if metric == "flesch_reading_ease":
+        return EASY if score >= easy else MODERATE if score >= hard else HARD
+    return EASY if score <= easy else MODERATE if score < hard else HARD
 
 
 def profile_bands(profile):
@@ -142,10 +132,11 @@ def _is_positive_number(value):
             and 0 < value <= sys.float_info.max)
 
 
-def load_reader_groups(path=None):
-    """Load reader groups from JSON; defaults to the shipped table."""
-    data = inputs.read_json(path or inputs.shipped("reader_groups.json"),
-                            LexiconError, "reader groups", top=object)
+def load_reader_groups(lexicons_dir=None):
+    """Load reader_groups.json from lexicons_dir, or the shipped table."""
+    data = inputs.read_json(
+        inputs.lexicon_file(lexicons_dir, "reader_groups.json"),
+        LexiconError, "reader groups", top=object)
     groups = data.get("groups") if isinstance(data, dict) else data
     if not isinstance(groups, list):
         raise LexiconError("reader groups must be a list")

@@ -141,14 +141,14 @@ def _unique_nonempty(name, values):
     return tuple(out)
 
 
-def load_specificity_lexicons(dir_path=None):
-    """Load the four pattern-family files from dir_path.
+def load_specificity_lexicons(lexicons_dir=None):
+    """Load the four pattern-family files from lexicons_dir.
 
-    Each file missing from dir_path, or all four when dir_path is None,
-    comes from the shipped data.
+    Each file missing from lexicons_dir, or all four when lexicons_dir
+    is None, comes from the shipped data.
     """
     dt_data, ent_data, ret_data, shr_data = (
-        inputs.read_json(inputs.lexicon_file(dir_path, name),
+        inputs.read_json(inputs.lexicon_file(lexicons_dir, name),
                          LexiconError, "lexicon")
         for name in ("data_types.json", "entities.json", "retention.json",
                      "sharing.json"))

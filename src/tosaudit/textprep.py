@@ -261,13 +261,13 @@ def count_syllables(word, overrides=None):
     return max(groups, 1)
 
 
-def load_syllable_overrides(path=None):
-    """Read word<TAB>count lines ('#' comments) from path or shipped data.
+def load_syllable_overrides(lexicons_dir=None):
+    """Read syllable_exceptions.txt from lexicons_dir, or the shipped one.
 
-    Each word is one word token, given once after case folding, and
-    each count at least 1.
+    Lines are word<TAB>count, with '#' comments. Each word is one word
+    token, given once after case folding, and each count at least 1.
     """
-    path = path or inputs.shipped("syllable_exceptions.txt")
+    path = inputs.lexicon_file(lexicons_dir, "syllable_exceptions.txt")
     lines = inputs.read_lines(path, LexiconError, "syllable overrides")
     overrides = {}
     for lineno, line in enumerate(lines, start=1):

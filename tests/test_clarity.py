@@ -36,62 +36,62 @@ class TestLexiconLoading:
         assert {t.category for t in lexicon} <= set(clarity.CATEGORIES)
 
     def test_custom_file_with_term_list(self, tmp_path):
-        path = tmp_path / "lex.json"
+        path = tmp_path / "vague_terms.json"
         path.write_text(json.dumps([
             {"canonical": "maybe", "variants": ["perhaps"],
              "category": "uncertainty"},
         ]))
-        lex = clarity.load_vague_lexicon(str(path))
+        lex = clarity.load_vague_lexicon(str(tmp_path))
         assert lex[0].canonical == "maybe"
         assert lex[0].variants == ("perhaps",)
 
     def test_duplicate_surface_rejected(self, tmp_path):
-        path = tmp_path / "lex.json"
+        path = tmp_path / "vague_terms.json"
         path.write_text(json.dumps([
             {"canonical": "maybe", "variants": [], "category": "uncertainty"},
             {"canonical": "possibly", "variants": ["Maybe"],
              "category": "uncertainty"},
         ]))
         with pytest.raises(LexiconError, match="duplicate surface form"):
-            clarity.load_vague_lexicon(str(path))
+            clarity.load_vague_lexicon(str(tmp_path))
 
     def test_unknown_category_rejected(self, tmp_path):
-        path = tmp_path / "lex.json"
+        path = tmp_path / "vague_terms.json"
         path.write_text(json.dumps([
             {"canonical": "maybe", "variants": [], "category": "weird"},
         ]))
         with pytest.raises(LexiconError, match="unknown category"):
-            clarity.load_vague_lexicon(str(path))
+            clarity.load_vague_lexicon(str(tmp_path))
 
     def test_empty_lexicon_rejected(self, tmp_path):
-        path = tmp_path / "lex.json"
+        path = tmp_path / "vague_terms.json"
         path.write_text("[]")
         with pytest.raises(LexiconError, match="no terms"):
-            clarity.load_vague_lexicon(str(path))
+            clarity.load_vague_lexicon(str(tmp_path))
 
     def test_empty_canonical_rejected(self, tmp_path):
-        path = tmp_path / "lex.json"
+        path = tmp_path / "vague_terms.json"
         path.write_text(json.dumps([
             {"canonical": " ", "variants": [], "category": "other"},
         ]))
         with pytest.raises(LexiconError, match="empty term"):
-            clarity.load_vague_lexicon(str(path))
+            clarity.load_vague_lexicon(str(tmp_path))
 
     @pytest.mark.parametrize("variants", ["abc", [""], [" "], [3], None])
     def test_variants_must_be_list_of_strings(self, tmp_path, variants):
-        path = tmp_path / "lex.json"
+        path = tmp_path / "vague_terms.json"
         path.write_text(json.dumps([
             {"canonical": "maybe", "variants": variants,
              "category": "uncertainty"},
         ]))
         with pytest.raises(LexiconError, match="variants of term 'maybe'"):
-            clarity.load_vague_lexicon(str(path))
+            clarity.load_vague_lexicon(str(tmp_path))
 
     def test_malformed_json_rejected(self, tmp_path):
-        path = tmp_path / "lex.json"
+        path = tmp_path / "vague_terms.json"
         path.write_text("{nope")
         with pytest.raises(LexiconError, match="malformed"):
-            clarity.load_vague_lexicon(str(path))
+            clarity.load_vague_lexicon(str(tmp_path))
 
 
 class TestScan:

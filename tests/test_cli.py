@@ -1108,12 +1108,18 @@ def _any_bytes(valid, docs=None):
     return st.one_of(strategies)
 
 
-def assert_clean_exit(outcome):
-    """Exit 0, 1 or 2, and `error: ...` on 2; run_cli raises any uncaught
-    exception."""
+def assert_clean_exit(argv):
+    """Run argv: exit 0, 1 or 2, and on 2 one `error: ...` line with
+    --out as it was; run_cli raises any uncaught exception."""
+    out = Path(argv[argv.index("--out") + 1])
+    before = out.read_bytes() if out.exists() else None
+    outcome = run_cli(argv)
     assert outcome.exit_code in (0, 1, 2), outcome.stderr
     if outcome.exit_code == 2:
         assert outcome.stderr.startswith("error: ")
+        assert outcome.stderr.count("\n") == 1, outcome.stderr
+        assert outcome.stderr.endswith("\n")
+        assert (out.read_bytes() if out.exists() else None) == before
 
 
 # Every file that --lexicons reads; each falls back to the shipped one.
@@ -1122,13 +1128,11 @@ LEXICON_FILES = ("vague_terms.json", "data_types.json", "entities.json",
                  "syllable_exceptions.txt")
 
 
-@pytest.fixture(scope="module")
-def small_corpus(tmp_path_factory):
-    """Two fixture platforms; enough for every analysis layer to run."""
+def _stored_corpus(root, platforms):
+    """A corpus of the fixture documents of platforms under root."""
     from tosaudit import corpus
-    root = tmp_path_factory.mktemp("small")
     manifest = corpus.new_manifest()
-    for platform in ("bluesky", "reddit"):
+    for platform in platforms:
         media_kind, text = fixture_docs.DOCS[platform]
         payload = text.encode("utf-8")
         entry = corpus.SnapshotEntry(
@@ -1139,6 +1143,36 @@ def small_corpus(tmp_path_factory):
         manifest, _ = corpus.store_snapshot(manifest, entry, payload,
                                             str(root))
     return root
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Two fixture platforms; enough for every analysis layer to run."""
+    return _stored_corpus(tmp_path_factory.mktemp("small"),
+                          ("bluesky", "reddit"))
+
+
+@pytest.fixture(scope="module")
+def html_corpus(tmp_path_factory):
+    """A text and an HTML platform, and the fixture extraction config,
+    whose one rule is the HTML platform's."""
+    root = _stored_corpus(tmp_path_factory.mktemp("html"),
+                          ("bluesky", "youtube"))
+    (root / "extraction_config.json").write_text(
+        json.dumps(fixture_docs.EXTRACTION_CONFIG, indent=2) + "\n",
+        encoding="utf-8")
+    return root
+
+
+def _analyze_with_any(corpus_dir, tmp_path, data, name):
+    """analyze a copy of corpus_dir in which file name holds any bytes."""
+    valid = (corpus_dir / name).read_bytes()
+    copy = tmp_path / "corpus"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(corpus_dir, copy)
+    (copy / name).write_bytes(data.draw(_any_bytes(valid, [valid])))
+    assert_clean_exit(["analyze", "--corpus", str(copy),
+                       "--out", str(tmp_path / "r.json")])
 
 
 class TestAnyBytes:
@@ -1152,7 +1186,7 @@ class TestAnyBytes:
         content = data.draw(_any_bytes(valid, [valid]))
         path = _bytes_file(tmp_path, content)
         for argv in (_table(path), _export(path)):
-            assert_clean_exit(run_cli(argv))
+            assert_clean_exit(argv)
 
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1164,7 +1198,7 @@ class TestAnyBytes:
         lines = valid.read_bytes().splitlines()
         content = data.draw(_any_bytes(b"\n".join(lines), lines))
         path = _bytes_file(tmp_path, content, "review.jsonl")
-        assert_clean_exit(run_cli(_apply(analyzed[1], path, tmp_path)))
+        assert_clean_exit(_apply(analyzed[1], path, tmp_path))
 
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1177,9 +1211,22 @@ class TestAnyBytes:
         shutil.rmtree(lexdir, ignore_errors=True)
         lexdir.mkdir()
         (lexdir / name).write_bytes(content)
-        assert_clean_exit(run_cli([
+        assert_clean_exit([
             "analyze", "--corpus", str(small_corpus), "--lexicons",
-            str(lexdir), "--out", str(tmp_path / "r.json")]))
+            str(lexdir), "--out", str(tmp_path / "r.json")])
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_manifest_file(self, html_corpus, tmp_path, data):
+        _analyze_with_any(html_corpus, tmp_path, data, "manifest.json")
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_extraction_config_file(self, html_corpus, tmp_path, data):
+        _analyze_with_any(html_corpus, tmp_path, data,
+                          "extraction_config.json")
 
 
 def _env_with_src():
@@ -1283,15 +1330,17 @@ class TestEntryPoint:
         loaded = json.loads(completed.stdout.splitlines()[-1])
         assert loaded == [False, False]
 
-    @pytest.mark.parametrize("command", ["analyze", "export", "apply"])
+    @pytest.mark.parametrize("command",
+                             ["analyze", "export", "apply", "validate"])
     def test_command_loads_only_its_layers(self, analyzed, tmp_path,
                                            command):
         """A fresh process of each command imports only what it runs.
 
         analyze loads no report writer; the review commands load none of
-        the text-analysis layers either. No command loads dataclasses or
-        inspect, which the records do not need, or datetime, which only
-        stamps fetched snapshots.
+        the text-analysis layers either, and assess validate loads
+        neither those nor the results layer. No command loads
+        dataclasses or inspect, which the records do not need, or
+        datetime, which only stamps fetched snapshots.
         """
         corpus_dir, results_path = analyzed
         argv = {
@@ -1299,13 +1348,20 @@ class TestEntryPoint:
                         "--out", str(tmp_path / "r.json")],
             "export": _export(results_path, tmp_path / "review.jsonl"),
             "apply": _apply(results_path, _review_file(tmp_path), tmp_path),
+            "validate": ["assess", "validate", "--file",
+                         str(corpus_dir / "assessments" / "bluesky.json")],
         }[command]
         unwanted = ["tosaudit.report", "tosaudit.svg", "csv", "dataclasses",
                     "inspect", "datetime"]
         if command != "analyze":
             unwanted += [f"tosaudit.{name}" for name in (
                 "htmltext", "textprep", "matching", "clarity", "readability",
-                "interface_assess", "corpus")]
+                "corpus")]
+        if command in ("export", "apply"):
+            unwanted.append("tosaudit.interface_assess")
+        if command == "validate":
+            unwanted += ["tosaudit.specificity", "tosaudit.results",
+                         "tosaudit.pipeline"]
         probe = (
             "import json, sys\n"
             "import tosaudit.cli\n"

@@ -1,15 +1,12 @@
-import json
-
 import pytest
 
 from conftest import store_assessment
 from tosaudit import textprep
-from tosaudit.errors import AssessmentError, LexiconError
+from tosaudit.errors import AssessmentError
 from tosaudit.interface_assess import (
     METRIC_RANGES, METRICS, EvidenceRecord, InterfaceAssessment,
     assessment_from_dict, assessment_to_dict,
-    load_assessment, load_cue_lexicon, suggest_evidence,
-    validate_assessment,
+    load_assessment, validate_assessment,
 )
 
 DOC_TEXT = (
@@ -189,62 +186,3 @@ class TestStorage:
         with pytest.raises(AssessmentError, match="malformed assessment file"):
             load_assessment(str(path))
 
-
-class TestCueLexicon:
-    def test_shipped_covers_all_metrics(self):
-        cues = load_cue_lexicon()
-        assert set(cues) == set(METRICS)
-        assert all(cues[m] for m in METRICS)
-
-    def test_custom_file(self, tmp_path):
-        path = tmp_path / "cues.json"
-        path.write_text(json.dumps(
-            {"metrics": {m: ["placeholder cue"] for m in METRICS}}))
-        cues = load_cue_lexicon(str(path))
-        assert cues["unticked_checkbox"] == ("placeholder cue",)
-
-    @pytest.mark.parametrize("data, message", [
-        ([], "is not a JSON object"),
-        ({"metrics": ["x y"]}, "metrics is not an object"),
-        ({"metrics": {m: "abc" for m in METRICS}},
-         "no phrases for unticked_checkbox"),
-        ({"metrics": {m: ["x y", 5] for m in METRICS}},
-         "no phrases for unticked_checkbox"),
-    ], ids=["top_level_list", "metrics_list", "phrases_string",
-            "phrase_not_string"])
-    def test_wrong_shape_raises(self, tmp_path, data, message):
-        path = tmp_path / "cues.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(LexiconError, match=message):
-            load_cue_lexicon(str(path))
-
-    def test_missing_metric_raises(self, tmp_path):
-        data = {m: ["x y"] for m in METRICS if m != "reversibility_cue"}
-        path = tmp_path / "cues.json"
-        path.write_text(json.dumps({"metrics": data}))
-        with pytest.raises(LexiconError,
-                           match="no phrases for reversibility_cue"):
-            load_cue_lexicon(str(path))
-
-
-class TestSuggestEvidence:
-    def test_ranked_by_hits_then_position(self):
-        doc = textprep.build_document("demo", (
-            "Otherwise, do not use the platform. "
-            "If you do not agree to these terms, you must stop using "
-            "the service. "
-            "The sky is blue."
-        ))
-        suggestions = suggest_evidence(doc, load_cue_lexicon())
-        denial = suggestions["explicit_denial"]
-        assert [(idx, hits) for idx, _, hits in denial] == [(1, 2), (0, 1)]
-        assert suggestions["reversibility_cue"] == []
-
-    def test_triples_reference_sentence_text(self):
-        doc = textprep.build_document(
-            "demo", "You can delete your account whenever you like.")
-        suggestions = suggest_evidence(doc, load_cue_lexicon())
-        idx, text, hits = suggestions["reversibility_cue"][0]
-        assert idx == 0
-        assert "delete your account" in text
-        assert hits == 1

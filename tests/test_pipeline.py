@@ -413,6 +413,17 @@ def generated_corpora(draw, root):
     return corpus_dir
 
 
+# The CLI run with POOL_MIN_PAYLOAD_BYTES set to argv[1]; it prints
+# whether the run started a pool, which alone imports multiprocessing.
+_FLOOR_PROBE = """
+import json, sys
+from tosaudit import cli, pipeline
+pipeline.POOL_MIN_PAYLOAD_BYTES = int(sys.argv[1])
+cli.main(sys.argv[2:])
+print(json.dumps("multiprocessing" in sys.modules))
+"""
+
+
 class TestPool:
     def test_same_bytes_as_golden(self, fixture_corpus, pooled_run,
                                   pipeline_run, tmp_path):
@@ -465,6 +476,35 @@ class TestPool:
                                              data):
         root = data.draw(generated_corpora(tmp_path))
         assert pooled_run(root) == run_pipeline(str(root))
+
+    def test_same_bytes_across_hash_seeds_and_the_pool(self, fixture_corpus,
+                                                        tmp_path):
+        """analyze in four child processes, under PYTHONHASHSEED 0 and
+        12345, each once serially and once with the pool forced on by a
+        zero POOL_MIN_PAYLOAD_BYTES: the four results files are the
+        golden bytes. With fewer than 2 usable CPUs the forced run is
+        serial too."""
+        src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
+        try:
+            pool_possible = len(os.sched_getaffinity(0)) >= 2
+        except AttributeError:  # no sched_getaffinity (macOS, Windows)
+            pool_possible = False
+        digests = set()
+        for seed in ("0", "12345"):
+            for floor in (0, 10**12):
+                out = tmp_path / f"results-{seed}-{floor}.json"
+                completed = subprocess.run(
+                    [sys.executable, "-c", _FLOOR_PROBE, str(floor),
+                     "analyze", "--corpus", str(fixture_corpus),
+                     "--out", str(out)],
+                    capture_output=True, text=True, timeout=60,
+                    env={**os.environ, "PYTHONPATH": src_dir,
+                         "PYTHONHASHSEED": seed})
+                assert completed.returncode == 0, completed.stderr
+                pooled = json.loads(completed.stdout.splitlines()[-1])
+                assert pooled == (floor == 0 and pool_possible)
+                digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests == {RESULTS_SHA256}
 
     def test_dead_worker_fails_the_run(self, fixture_corpus, forced_pool,
                                        monkeypatch):

@@ -158,18 +158,18 @@ class TestReaderGroups:
                 groups["adult_silent"].wpm_high) == (238.0, 238.0)
 
     def test_custom_file(self, tmp_path):
-        path = tmp_path / "groups.json"
+        path = tmp_path / "reader_groups.json"
         path.write_text(
             '{"groups": [{"name": "fast", "wpm_low": 300, "wpm_high": 400}]}')
-        groups = readability.load_reader_groups(str(path))
+        groups = readability.load_reader_groups(str(tmp_path))
         assert groups[0] == ReaderGroup("fast", 300.0, 400.0)
 
     def test_inverted_range_rejected(self, tmp_path):
-        path = tmp_path / "groups.json"
+        path = tmp_path / "reader_groups.json"
         path.write_text(
             '{"groups": [{"name": "bad", "wpm_low": 400, "wpm_high": 300}]}')
         with pytest.raises(LexiconError):
-            readability.load_reader_groups(str(path))
+            readability.load_reader_groups(str(tmp_path))
 
 
     @pytest.mark.parametrize("group", [
@@ -184,16 +184,16 @@ class TestReaderGroups:
         {"name": "x", "wpm_low": 100, "wpm_high": float("inf")},
     ])
     def test_malformed_group_rejected(self, tmp_path, group):
-        path = tmp_path / "groups.json"
+        path = tmp_path / "reader_groups.json"
         path.write_text(json.dumps({"groups": [group]}))
         with pytest.raises(LexiconError, match="reader group needs"):
-            readability.load_reader_groups(str(path))
+            readability.load_reader_groups(str(tmp_path))
 
     def test_malformed_json_rejected(self, tmp_path):
-        path = tmp_path / "groups.json"
+        path = tmp_path / "reader_groups.json"
         path.write_text("{nope")
         with pytest.raises(LexiconError, match="malformed reader groups"):
-            readability.load_reader_groups(str(path))
+            readability.load_reader_groups(str(tmp_path))
 
 
 class TestSmogUsesSqrt:

@@ -134,29 +134,29 @@ class TestCountSyllables:
 
 class TestSyllableOverridesFile:
     def test_load(self, tmp_path):
-        path = tmp_path / "syl.txt"
+        path = tmp_path / "syllable_exceptions.txt"
         path.write_text("# comment\n\nqueue\t2\nBusiness\t2\n")
-        overrides = textprep.load_syllable_overrides(str(path))
+        overrides = textprep.load_syllable_overrides(str(tmp_path))
         assert overrides == {"queue": 2, "business": 2}
 
     def test_malformed_line(self, tmp_path):
-        path = tmp_path / "syl.txt"
+        path = tmp_path / "syllable_exceptions.txt"
         path.write_text("queue 2\n")
         with pytest.raises(LexiconError):
-            textprep.load_syllable_overrides(str(path))
+            textprep.load_syllable_overrides(str(tmp_path))
 
     def test_word_repeated_after_case_folding(self, tmp_path):
-        path = tmp_path / "syl.txt"
+        path = tmp_path / "syllable_exceptions.txt"
         path.write_text("data\t2\nqueue\t2\nDATA\t5\n")
         message = f"{path}:3: duplicate word 'data'"
         with pytest.raises(LexiconError, match=re.escape(message)):
-            textprep.load_syllable_overrides(str(path))
+            textprep.load_syllable_overrides(str(tmp_path))
 
     def test_non_integer_count(self, tmp_path):
-        path = tmp_path / "syl.txt"
+        path = tmp_path / "syllable_exceptions.txt"
         path.write_text("queue\ttwo\n")
         with pytest.raises(LexiconError):
-            textprep.load_syllable_overrides(str(path))
+            textprep.load_syllable_overrides(str(tmp_path))
 
 
 class TestExtractionConfigFile:
