@@ -230,18 +230,15 @@ def load_or_create_manifest(corpus_dir):
 
 
 def read_payload(corpus_dir, entry):
+    """The payload's bytes; one that cannot be read, resolves to a path
+    outside the corpus or fails its digest check raises CorpusError."""
     path = os.path.join(corpus_dir, entry.payload_path)
-    try:
-        with open(path, "rb") as fh:
-            payload = fh.read()
-    except FileNotFoundError:
-        raise CorpusError(f"payload missing: {path}") from None
-    except OSError as exc:
-        raise CorpusError(
-            f"cannot read payload {path}: {exc.strerror}") from None
-    except ValueError:  # a NUL byte or a lone surrogate in the path
-        raise CorpusError(
-            f"cannot read payload {path!r}: invalid path") from None
+    with inputs._reading(path, CorpusError, "payload") as fh:
+        root = os.path.realpath(corpus_dir)
+        if os.path.commonpath([root, os.path.realpath(path)]) != root:
+            raise CorpusError(
+                f"cannot read payload {path}: resolves outside the corpus")
+        payload = fh.read()
     if digest_bytes(payload) != entry.content_digest:
         raise CorpusError(
             f"payload digest mismatch for platform {entry.platform!r}")

@@ -1,12 +1,15 @@
 """Files from outside the program: shipped data, reading and writing.
 
-A file that is missing, unreadable, not UTF-8 or not JSON raises the
-caller's TosAuditError subclass, never OSError or a decoding error.
+A file that is missing, unreadable, neither a regular file nor a pipe,
+not UTF-8 or not JSON raises the caller's TosAuditError subclass, never
+OSError or a decoding error.
 """
 
 import contextlib
+import io
 import json
 import os
+import stat
 from importlib import resources
 
 from .errors import LexiconError, TosAuditError
@@ -29,10 +32,24 @@ def lexicon_file(lexicons_dir, name):
 
 @contextlib.contextmanager
 def _reading(path, error, what):
-    """path open as UTF-8 text; a failure raises error naming what and path."""
+    """path open as a binary file; a failure raises error naming what and
+    path. Every input is read here. A FIFO opens without a writer; what
+    is neither a regular file nor a pipe is refused before it is read."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+        try:
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        except ValueError:  # a NUL byte or a lone surrogate in the path
+            raise error(f"cannot read {what} {path!r}: invalid path") from None
+        try:
+            mode = os.fstat(fd).st_mode
+            if not (stat.S_ISREG(mode) or stat.S_ISFIFO(mode)):
+                raise error(f"cannot read {what} {path}: "
+                            "not a regular file or a pipe")
+            os.set_blocking(fd, True)
+            with open(fd, "rb", closefd=False) as fh:
+                yield fh
+        finally:
+            os.close(fd)
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -44,14 +61,15 @@ def _reading(path, error, what):
 
 def read_lines(path, error, what):
     """The lines of a UTF-8 text file, read as they are consumed."""
-    with _reading(path, error, what) as fh:
-        yield from fh
+    with _reading(path, error, what) as fh, \
+            io.TextIOWrapper(fh, encoding="utf-8") as text:
+        yield from text
 
 
 def read_json(path, error, what, top=dict):
     """Parsed JSON of path, whose top level must be an instance of top."""
     with _reading(path, error, what) as fh:
-        data = json.load(fh)
+        data = json.loads(fh.read().decode("utf-8"))
     if not isinstance(data, top):
         raise error(f"malformed {what} file: {path} is not a JSON object")
     return data

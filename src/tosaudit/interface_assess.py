@@ -54,6 +54,7 @@ def validate_assessment(assessment, doc=None):
     if doc is not None and assessment.platform != doc.platform:
         errors.append(f"platform {assessment.platform!r} is not the "
                       f"document's {doc.platform!r}")
+    scored = []  # metrics with a positive integer score
     for metric, (lo, hi) in METRIC_RANGES.items():
         value = getattr(assessment, metric)
         if not isinstance(value, int) or isinstance(value, bool):
@@ -61,7 +62,9 @@ def validate_assessment(assessment, doc=None):
             continue
         if not lo <= value <= hi:
             errors.append(f"{metric}: score {value} out of range {lo}..{hi}")
-    evidence_by_metric = {}
+        if value > 0:
+            scored.append(metric)
+    evidenced = set()
     for i, ev in enumerate(assessment.evidence):
         if ev.metric not in METRIC_RANGES:
             errors.append(f"evidence[{i}]: unknown metric {ev.metric!r}")
@@ -69,16 +72,13 @@ def validate_assessment(assessment, doc=None):
         if not ev.excerpt:
             errors.append(f"evidence[{i}]: empty excerpt")
             continue
-        evidence_by_metric.setdefault(ev.metric, []).append(ev)
+        evidenced.add(ev.metric)
         if doc is not None and ev.excerpt not in doc.text:
             errors.append(
                 f"evidence[{i}]: excerpt is not a verbatim substring "
                 "of the document")
-    for metric in METRIC_RANGES:
-        value = getattr(assessment, metric)
-        if isinstance(value, int) and not isinstance(value, bool) \
-                and value > 0 and not evidence_by_metric.get(metric):
-            errors.append(f"{metric}: nonzero score without evidence")
+    errors.extend(f"{metric}: nonzero score without evidence"
+                  for metric in scored if metric not in evidenced)
     return errors
 
 

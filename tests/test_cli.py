@@ -547,6 +547,20 @@ def _payload_outside(path_of):
     return case
 
 
+def _payload_symlinked_outside(tmp_path, results_path):
+    """analyze after the first entry's payload is moved to outside/t.txt,
+    next to the corpus, and a symlink to it is left in its place."""
+    corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+    entry = json.loads(
+        (corpus_dir / "manifest.json").read_text())["entries"][0]
+    stored = corpus_dir / entry["payload_path"]
+    (tmp_path / "outside").mkdir()
+    stored.rename(tmp_path / "outside" / "t.txt")
+    stored.symlink_to(tmp_path / "outside" / "t.txt")
+    return ["analyze", "--corpus", str(corpus_dir),
+            "--out", str(tmp_path / "r.json")]
+
+
 def _analyze_with_lexicon(name, content):
     def case(tmp_path, results_path):
         corpus_dir = build_fixture_corpus(tmp_path / "corpus")
@@ -780,6 +794,8 @@ FAIL_CLOSED_CASES = {
             {**manifest["entries"][0], "payload_path": "a\ud800"},
             *manifest["entries"][1:]]}),
         1, "invalid path"),
+    "payload_symlink_leaves_corpus": (
+        _payload_symlinked_outside, 1, "resolves outside the corpus"),
     # A payload_path must stay inside the corpus, even where the file
     # it names outside holds the pinned bytes.
     **{f"payload_path_{name}": (
@@ -1058,6 +1074,113 @@ class TestUnencodableText:
         assert completed.returncode == code, stderr
         assert "Traceback" not in stderr
         assert {"stdout": stdout, "stderr": stderr}[stream].endswith(line)
+
+
+def _in_corpus(relpath_of):
+    """analyze on a fresh fixture corpus, and the path of the corpus
+    file relpath_of(the first manifest entry) names."""
+    def case(tmp_path, results_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        entry = json.loads(
+            (corpus_dir / "manifest.json").read_text())["entries"][0]
+        return ["analyze", "--corpus", str(corpus_dir),
+                "--out", str(tmp_path / "r.json")], \
+            corpus_dir / relpath_of(entry)
+    return case
+
+
+def _lexicon_input(tmp_path, results_path):
+    corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+    lexdir = tmp_path / "lex"
+    lexdir.mkdir()
+    return ["analyze", "--corpus", str(corpus_dir), "--lexicons",
+            str(lexdir), "--out", str(tmp_path / "r.json")], \
+        lexdir / "vague_terms.json"
+
+
+# Each kind of input file: (argv and the file's path, exit code).
+INPUT_KINDS = {
+    "payload": (_in_corpus(lambda entry: entry["payload_path"]), 1),
+    "manifest": (_in_corpus(lambda entry: "manifest.json"), 2),
+    "extraction_config": (
+        _in_corpus(lambda entry: "extraction_config.json"), 2),
+    "lexicon": (_lexicon_input, 2),
+    "assessment": (
+        _in_corpus(lambda entry: f"assessments/{entry['platform']}.json"), 1),
+    "results": (lambda tmp, res: (_export(tmp / "input"), tmp / "input"), 2),
+    "review": (lambda tmp, res: (
+        _apply(res, tmp / "input", tmp), tmp / "input"), 2),
+    "assess_validate_file": (lambda tmp, res: (
+        ["assess", "validate", "--file", str(tmp / "input")],
+        tmp / "input"), 2),
+}
+
+# Made at a path that does not exist. No process writes the FIFO.
+SPECIAL_FILES = {
+    "fifo": lambda path: os.mkfifo(path),
+    "directory": os.mkdir,
+    "devnull_symlink": lambda path: os.symlink(os.devnull, path),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+class TestSpecialInputFiles:
+    """An input that is not a regular file never hangs a run or ends in
+    a traceback. A FIFO reads as empty; a directory or a device is
+    refused. Fresh processes with a timeout, so a hang fails the test."""
+
+    @pytest.mark.parametrize("special", SPECIAL_FILES)
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_ends_with_its_exit_code(self, analyzed, tmp_path, kind,
+                                     special):
+        build, code = INPUT_KINDS[kind]
+        argv, path = build(tmp_path, analyzed[1])
+        path.unlink(missing_ok=True)
+        SPECIAL_FILES[special](path)
+        completed = subprocess.run(
+            [sys.executable, "-m", "tosaudit.cli", *argv],
+            capture_output=True, text=True, env=_env_with_src(), timeout=30)
+        assert completed.returncode == code, completed.stderr
+        line, = completed.stderr.splitlines()
+        assert line.startswith("error: " if code == 2 else "failed ")
+        if special != "fifo":
+            assert line.endswith("not a regular file or a pipe"), line
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_review_from_a_pipe(self, analyzed, tmp_path):
+        """--review /dev/fd/N, as from <(...) in a shell, gives the bytes
+        that the same review read from a regular file gives."""
+        _, results_path = analyzed
+        review_path = tmp_path / "review.jsonl"
+        assert run_cli(_export(results_path, review_path)).exit_code == 0
+        header, *lines = review_path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        next(r for r in records
+             if r["auto_label"] == "specific")["human_label"] = "rejected"
+        text = "\n".join([header] + [json.dumps(r) for r in records]) + "\n"
+        review_path.write_text(text)
+        from_file, from_pipe = tmp_path / "file.json", tmp_path / "pipe.json"
+        outcome = run_cli(["review", "apply", "--results", str(results_path),
+                           "--review", str(review_path),
+                           "--out", str(from_file)])
+        assert outcome.exit_code == 0, outcome.stderr
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as writer:
+            try:
+                child = subprocess.Popen(
+                    [sys.executable, "-m", "tosaudit.cli", "review", "apply",
+                     "--results", str(results_path),
+                     "--review", f"/dev/fd/{read_end}",
+                     "--out", str(from_pipe)],
+                    pass_fds=(read_end,), stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE, text=True, env=_env_with_src())
+            finally:
+                os.close(read_end)
+            writer.write(text.encode())
+        _, stderr = child.communicate(timeout=60)
+        assert child.returncode == 0, stderr
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+        assert from_file.read_bytes() != results_path.read_bytes()
 
 
 _JSON_VALUES = st.recursive(

@@ -225,7 +225,7 @@ class TestReadAndVerify:
     def test_read_missing_raises(self, tmp_path):
         manifest, entry = self.build(tmp_path)
         (tmp_path / entry.payload_path).unlink()
-        with pytest.raises(CorpusError, match="payload missing"):
+        with pytest.raises(CorpusError, match="payload not found"):
             read_payload(str(tmp_path), entry)
 
     def test_unreadable_payload_raises(self, tmp_path):
@@ -233,6 +233,23 @@ class TestReadAndVerify:
         entry = entry._replace(payload_path="payloads")
         with pytest.raises(CorpusError, match="cannot read payload"):
             read_payload(str(tmp_path), entry)
+
+    def test_symlink_inside_corpus_reads(self, tmp_path):
+        manifest, entry = self.build(tmp_path / "corpus")
+        stored = tmp_path / "corpus" / entry.payload_path
+        stored.rename(stored.parent / "real")
+        stored.symlink_to("real")
+        (tmp_path / "link").symlink_to("corpus")
+        assert read_payload(str(tmp_path / "link"), entry) == b"hello"
+
+    def test_symlink_out_of_corpus_raises(self, tmp_path):
+        manifest, entry = self.build(tmp_path / "corpus")
+        stored = tmp_path / "corpus" / entry.payload_path
+        stored.rename(tmp_path / "outside")
+        stored.symlink_to(tmp_path / "outside")
+        with pytest.raises(CorpusError, match=(
+                f"cannot read payload {stored}: resolves outside the corpus")):
+            read_payload(str(tmp_path / "corpus"), entry)
 
     def test_read_tampered_raises(self, tmp_path):
         manifest, entry = self.build(tmp_path)

@@ -7,8 +7,10 @@ review apply encode them: the file parses to the payload, and each
 record sits on a line of its own.
 """
 
+import contextlib
 import json
 import os
+import signal
 import stat
 import tempfile
 
@@ -213,6 +215,65 @@ def test_special_file_at_path_is_refused(tmp_path, make, kind):
         write_atomic(str(out), ["x"])
     assert kind(os.lstat(out).st_mode)
     assert os.listdir(tmp_path) == ["out"]
+
+
+def _open_fds():
+    return sorted(os.listdir("/dev/fd"))
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail the test, not hang it, where the body blocks for seconds."""
+    def expire(signum, frame):
+        raise AssertionError(f"blocked for {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("make, refused", [
+    (os.mkfifo, False), (os.mkdir, True),
+    (lambda path: os.symlink(os.devnull, path), True),
+], ids=["fifo", "directory", "devnull_symlink"])
+def test_special_file_at_input_path(tmp_path, make, refused):
+    """A FIFO with no writer reads as empty at once; a directory or a
+    device is refused. Neither leaves a descriptor open."""
+    path = tmp_path / "in"
+    make(path)
+    before = _open_fds()
+    with _within(10):
+        if refused:
+            with pytest.raises(TosAuditError, match=(
+                    f"cannot read thing {path}: not a regular file or a "
+                    "pipe")):
+                list(inputs.read_lines(path, TosAuditError, "thing"))
+        else:
+            assert list(inputs.read_lines(path, TosAuditError, "thing")) == []
+    assert _open_fds() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("name, content, message", [
+    ("missing", None, "thing not found: "),
+    ("a\0b", None, "invalid path"),
+    ("in.json", b"\xff", "malformed thing file"),
+], ids=["missing", "nul_in_path", "not_utf8"])
+def test_refused_input_leaves_no_descriptor(tmp_path, name, content,
+                                            message):
+    path = os.path.join(tmp_path, name)
+    if content is not None:
+        with open(path, "wb") as fh:
+            fh.write(content)
+    before = _open_fds()
+    with pytest.raises(TosAuditError, match=message):
+        inputs.read_json(path, TosAuditError, "thing")
+    assert _open_fds() == before
 
 
 def test_symlink_at_path_is_replaced(tmp_path):

@@ -464,7 +464,7 @@ class TestPool:
                              platform="zeta", explicit_denial=1))
         serial = run_pipeline(str(tmp_path))
         assert [(p, m.split(":")[0]) for p, m in serial[1]] == [
-            ("alpha", "degenerate document"), ("mu", "payload missing"),
+            ("alpha", "degenerate document"), ("mu", "payload not found"),
             ("zeta", "invalid assessment")]
         assert pooled_run(tmp_path) == serial
 
