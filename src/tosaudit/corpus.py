@@ -224,20 +224,28 @@ def load_manifest(path):
 
 def load_or_create_manifest(corpus_dir):
     path = os.path.join(corpus_dir, MANIFEST_NAME)
-    if os.path.exists(path):
+    if os.path.lexists(path):
         return load_manifest(path)
     return new_manifest()
 
 
 def read_payload(corpus_dir, entry):
     """The payload's bytes; one that cannot be read, resolves to a path
-    outside the corpus or fails its digest check raises CorpusError."""
+    outside the corpus or fails its digest check raises CorpusError.
+
+    The file read is the one the checked path names: a symlink swapped
+    between the open and the check is refused, not read."""
     path = os.path.join(corpus_dir, entry.payload_path)
     with inputs._reading(path, CorpusError, "payload") as fh:
         root = os.path.realpath(corpus_dir)
-        if os.path.commonpath([root, os.path.realpath(path)]) != root:
+        real = os.path.realpath(path)
+        if os.path.commonpath([root, real]) != root:
             raise CorpusError(
                 f"cannot read payload {path}: resolves outside the corpus")
+        opened, named = os.fstat(fh.fileno()), os.stat(real)
+        if (opened.st_dev, opened.st_ino) != (named.st_dev, named.st_ino):
+            raise CorpusError(
+                f"cannot read payload {path}: changed while it was opened")
         payload = fh.read()
     if digest_bytes(payload) != entry.content_digest:
         raise CorpusError(

@@ -27,7 +27,7 @@ def lexicon_file(lexicons_dir, name):
     if not os.path.isdir(lexicons_dir):
         raise LexiconError(f"lexicon not found: {lexicons_dir}")
     path = os.path.join(lexicons_dir, name)
-    return path if os.path.exists(path) else shipped(name)
+    return path if os.path.lexists(path) else shipped(name)
 
 
 @contextlib.contextmanager

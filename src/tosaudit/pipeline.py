@@ -6,15 +6,18 @@ doc_stats, readability and fluency, clarity and specificity, with
 sets "interface" to the platform's assessment when that is valid,
 names an invalid one as the platform's failure, and encodes the
 record to its one-line results-file bytes with results.encode_record,
-in the process that analyzed it: one of a pool of forked workers, one
-per usable CPU, for a large corpus, this process for a small one. No
-timestamps are generated, platforms are reported in alphabetical
-order, and serialization is canonical, so re-runs over a frozen
-corpus are byte-identical. The results and review files live in the
-results module, which loads no text-analysis layer; its results-file
-functions are bound here too, as the same objects.
+in the process that analyzed it. A small corpus is analyzed in this
+process. For a large one, run_pipeline forks one worker per usable CPU
+with os.fork: each takes the next platform from a shared task pipe and
+sends its outcomes back on a pipe of its own, and a worker that dies
+fails the run. No timestamps are generated, platforms are reported in
+alphabetical order, and serialization is canonical, so re-runs over a
+frozen corpus are byte-identical. The results and review files live in
+the results module, which loads no text-analysis layer; its
+results-file functions are bound here too, as the same objects.
 """
 
+import marshal
 import os
 
 from . import clarity as clarity_mod
@@ -33,12 +36,14 @@ from .results import (  # noqa: F401 (the results-file API, bound here too)
 EXTRACTION_CONFIG_NAME = "extraction_config.json"
 ASSESSMENTS_DIR = "assessments"
 
-# Starting a worker pool costs about 55-75 ms per run. On 2 CPUs
-# (Python 3.11) serial analysis takes about 0.3 s per MB of plain text and
-# 0.10 s per MB of markup-heavy HTML, the least work per payload byte, so
-# the pool pays back from about 0.4-0.5 MB of text and 1.1-1.5 MB of such
-# HTML. At 400 kB it loses up to about 15 ms on text and 55 ms on that
-# HTML; a smaller corpus is analyzed in this process.
+# On 2 CPUs (Python 3.11), forking 2 workers, feeding them 13 tasks and
+# reaping them took 6-12 ms in a fresh process; with the work's
+# copy-on-write faults, a forced pool on the 13 fixture documents took
+# about 20 ms longer than a serial run (medians of 16 fresh processes).
+# Serial analysis takes about 0.3 s per MB of plain text and 0.10 s per
+# MB of markup-heavy HTML, so a pool can pay back only on a corpus of a
+# few hundred kB or more, and only where the CPUs run in parallel. A
+# smaller corpus is analyzed in this process.
 POOL_MIN_PAYLOAD_BYTES = 400_000
 
 
@@ -61,7 +66,7 @@ class PipelineContext:
         self.extraction_config = None
         if corpus_dir is not None:
             cfg_path = os.path.join(corpus_dir, EXTRACTION_CONFIG_NAME)
-            if os.path.exists(cfg_path):
+            if os.path.lexists(cfg_path):
                 self.extraction_config = textprep.load_extraction_config(cfg_path)
 
 
@@ -116,7 +121,7 @@ def _entry_outcome(ctx, corpus_dir, entry):
         return None, str(exc)
     path = os.path.join(corpus_dir, ASSESSMENTS_DIR, f"{entry.platform}.json")
     problem = None
-    if os.path.exists(path):
+    if os.path.lexists(path):
         try:
             assessment = interface_assess.load_assessment(path)
         except AssessmentError as exc:
@@ -129,19 +134,6 @@ def _entry_outcome(ctx, corpus_dir, entry):
                     assessment)
     return (encode_record(record),
             f"invalid assessment: {problem}" if problem else None)
-
-
-# (ctx, corpus_dir) in a pool worker; set by _init_worker, only there.
-_worker_args = None
-
-
-def _init_worker(ctx, corpus_dir):
-    global _worker_args
-    _worker_args = (ctx, corpus_dir)
-
-
-def _worker_outcome(entry):
-    return _entry_outcome(*_worker_args, entry)
 
 
 def _pool_size(corpus_dir, entries):
@@ -163,6 +155,115 @@ def _pool_size(corpus_dir, entries):
     return workers if total >= POOL_MIN_PAYLOAD_BYTES else 1
 
 
+# A task is one entry index as fixed-width digits. A pipe write of at
+# most PIPE_BUF bytes (512 or more under POSIX) is atomic and every read
+# takes one whole task, so a worker never reads part of an index.
+_TASK_BYTES = 8
+_TASKS_PER_WRITE = 512 // _TASK_BYTES
+
+
+def _forked_outcomes(ctx, corpus_dir, entries, workers):
+    """_entry_outcome of each entry, in order, from forked workers.
+
+    Each worker inherits ctx, so nothing is pickled or loaded again, and
+    takes the next entry index from one task pipe, so one that finishes
+    early takes more. When the tasks run out it sends its (index,
+    outcome) triples back as one marshal frame on a pipe of its own. An
+    exception a worker raised is raised here with its type and args (of
+    several, the one of the first entry); a worker that dies before
+    sending its frame fails the run with its exit status. Fork is safe
+    here: the CLI runs no other thread.
+    """
+    tasks, feed = os.pipe()
+    held = {tasks, feed}  # descriptors this process has yet to close
+    children = []  # (pid, read end of its result pipe), until reaped
+
+    def close(fd):
+        held.discard(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(workers):
+            result, out = os.pipe()
+            held |= {result, out}
+            pid = os.fork()
+            if pid == 0:
+                _work(ctx, corpus_dir, entries, tasks, out, held - {tasks, out})
+            children.append((pid, result))
+            close(out)
+        close(tasks)
+        try:
+            for start in range(0, len(entries), _TASKS_PER_WRITE):
+                os.write(feed, b"".join(b"%08d" % i for i in range(
+                    start, min(start + _TASKS_PER_WRITE, len(entries)))))
+        except BrokenPipeError:
+            pass  # no worker is left to read; each exit status is checked
+        close(feed)
+        outcomes = [None] * len(entries)
+        died = None
+        raised = []
+        while children:
+            pid, result = children[0]
+            with open(result, "rb", closefd=False) as fh:
+                frame = fh.read()
+            close(result)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code or not frame:
+                died = died or (f"killed by signal {-code}" if code < 0
+                                else f"exited with status {code}")
+                continue
+            done, error = marshal.loads(frame)
+            for i, record, failure in done:
+                outcomes[i] = record, failure
+            if error is not None:
+                raised.append(error)
+    finally:
+        if children:
+            import signal
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in list(held):
+            close(fd)
+    if died:
+        raise TosAuditError(
+            f"an analysis worker {died} before sending its results")
+    if raised:
+        import pickle
+        raise pickle.loads(min(raised)[1])
+    return outcomes
+
+
+def _work(ctx, corpus_dir, entries, tasks, out, inherited):
+    """A forked worker: the outcome of each index read from tasks, then
+    one marshal frame of (done, error) on out. done holds (index,
+    record, failure) triples; error is None or (index, the pickled
+    exception _entry_outcome raised), after which the worker takes no
+    more tasks. It leaves only through os._exit, so no cleanup, atexit
+    hook or buffered output of its parent runs twice."""
+    status = 1
+    try:
+        # With no other process holding them, the parent's pipes end
+        # when it does, so no worker blocks on them after it is gone.
+        for fd in inherited:
+            os.close(fd)
+        done, error = [], None
+        while task := os.read(tasks, _TASK_BYTES):
+            i = int(task)
+            try:  # _entry_outcome as the module global, to be patched
+                done.append((i, *_entry_outcome(ctx, corpus_dir, entries[i])))
+            except BaseException as exc:
+                import pickle  # only a worker that raised pays for it
+                error = i, pickle.dumps(exc)
+                break
+        with open(out, "wb") as fh:
+            fh.write(marshal.dumps((done, error)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_pipeline(corpus_dir, lexicons_dir=None, classic_lensear=False):
     """Analyze every platform in the corpus.
 
@@ -175,7 +276,7 @@ def run_pipeline(corpus_dir, lexicons_dir=None, classic_lensear=False):
 
     A forked worker inherits the PipelineContext built here and sends
     back only encoded records, so nothing is loaded twice, no Document
-    is pickled and the records are encoded on every CPU.
+    leaves its worker and the records are encoded on every CPU.
     """
     manifest = corpus_mod.load_manifest(
         os.path.join(corpus_dir, corpus_mod.MANIFEST_NAME))
@@ -184,18 +285,7 @@ def run_pipeline(corpus_dir, lexicons_dir=None, classic_lensear=False):
     entries = sorted(manifest.entries, key=lambda e: e.platform)
     workers = _pool_size(corpus_dir, entries)
     if workers > 1:
-        # Imported here, so a small corpus does not pay for them. A forked
-        # worker inherits ctx with nothing pickled or loaded again. Fork
-        # is safe here: the CLI runs no other thread, and the executor
-        # forks its workers before it starts its own. A worker that dies
-        # raises BrokenProcessPool here instead of hanging the run.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(ctx, corpus_dir)) as pool:
-            outcomes = list(pool.map(_worker_outcome, entries))
+        outcomes = _forked_outcomes(ctx, corpus_dir, entries, workers)
     else:
         outcomes = (_entry_outcome(ctx, corpus_dir, e) for e in entries)
     records = []

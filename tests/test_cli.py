@@ -612,6 +612,22 @@ def _fetch_with(**fields):
     return case
 
 
+def _dangling_symlink(where):
+    """analyze with --lexicons lex, or fetch for the manifest, after the
+    file at where, under tmp_path, is made a symlink to nothing."""
+    def case(tmp_path, results_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        (tmp_path / "lex").mkdir()
+        link = tmp_path / where
+        link.unlink(missing_ok=True)
+        link.symlink_to(tmp_path / "gone")
+        if where == "corpus/manifest.json":
+            return _fetch_with()(tmp_path, results_path)
+        return ["analyze", "--corpus", str(corpus_dir), "--lexicons",
+                str(tmp_path / "lex"), "--out", str(tmp_path / "r.json")]
+    return case
+
+
 # One case per bad input: (argv builder, exit code, message in stderr).
 FAIL_CLOSED_CASES = {
     "table_results_list": (
@@ -796,6 +812,21 @@ FAIL_CLOSED_CASES = {
         1, "invalid path"),
     "payload_symlink_leaves_corpus": (
         _payload_symlinked_outside, 1, "resolves outside the corpus"),
+    # A symlink to nothing is a file that cannot be read, not one that
+    # is absent: no shipped lexicon, empty config or missing record
+    # stands in for it.
+    "lexicon_dangling_symlink": (
+        _dangling_symlink("lex/vague_terms.json"),
+        2, "lexicon not found: "),
+    "extraction_config_dangling_symlink": (
+        _dangling_symlink("corpus/extraction_config.json"),
+        2, "extraction config not found: "),
+    "assessment_dangling_symlink": (
+        _dangling_symlink("corpus/assessments/bluesky.json"),
+        1, "failed bluesky: invalid assessment: assessment not found: "),
+    "manifest_dangling_symlink": (
+        _dangling_symlink("corpus/manifest.json"),
+        2, "manifest not found: "),
     # A payload_path must stay inside the corpus, even where the file
     # it names outside holds the pinned bytes.
     **{f"payload_path_{name}": (
@@ -1452,6 +1483,30 @@ class TestEntryPoint:
         assert "analyzed 13 platform(s), 0 failure(s)" in completed.stdout
         loaded = json.loads(completed.stdout.splitlines()[-1])
         assert loaded == [False, False]
+
+    def test_pooled_analyze_loads_no_multiprocessing(self, tmp_path):
+        """With the pool forced on, analyze forks its own workers: it
+        loads no executor, and pickle only for a worker's exception."""
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        probe = (
+            "import json, os, sys\n"
+            "from tosaudit import cli, pipeline\n"
+            "pipeline.POOL_MIN_PAYLOAD_BYTES = 0\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks = []\n"
+            "fork = os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "cli.main(sys.argv[1:])\n"
+            "unwanted = ['multiprocessing', 'concurrent.futures', 'pickle']\n"
+            "print(json.dumps([len(forks),\n"
+            "                  [m for m in unwanted if m in sys.modules]]))\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe, "analyze", "--corpus",
+             str(corpus_dir), "--out", str(tmp_path / "results.json")],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert "analyzed 13 platform(s), 0 failure(s)" in completed.stdout
+        assert json.loads(completed.stdout.splitlines()[-1]) == [2, []]
 
     @pytest.mark.parametrize("command",
                              ["analyze", "export", "apply", "validate"])

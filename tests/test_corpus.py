@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import urllib.request
 from urllib.error import URLError
@@ -249,6 +250,21 @@ class TestReadAndVerify:
         stored.symlink_to(tmp_path / "outside")
         with pytest.raises(CorpusError, match=(
                 f"cannot read payload {stored}: resolves outside the corpus")):
+            read_payload(str(tmp_path / "corpus"), entry)
+
+    def test_swapped_after_open_raises(self, tmp_path, monkeypatch):
+        """The path checked after the open names another file inside the
+        corpus, as if a symlink were swapped in between: refused, even
+        where that file holds the same bytes."""
+        manifest, entry = self.build(tmp_path / "corpus")
+        stored = tmp_path / "corpus" / entry.payload_path
+        other = tmp_path / "corpus" / "other.txt"
+        other.write_bytes(stored.read_bytes())
+        realpath = os.path.realpath
+        monkeypatch.setattr(os.path, "realpath", lambda path: (
+            str(other) if path == str(stored) else realpath(path)))
+        with pytest.raises(CorpusError, match=(
+                f"cannot read payload {stored}: changed while it was opened")):
             read_payload(str(tmp_path / "corpus"), entry)
 
     def test_read_tampered_raises(self, tmp_path):

@@ -3,10 +3,11 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
-from concurrent.futures.process import BrokenProcessPool
+import time
 from pathlib import Path
 
 import pytest
@@ -414,14 +415,36 @@ def generated_corpora(draw, root):
 
 
 # The CLI run with POOL_MIN_PAYLOAD_BYTES set to argv[1]; it prints
-# whether the run started a pool, which alone imports multiprocessing.
+# how many worker processes the run forked.
 _FLOOR_PROBE = """
-import json, sys
+import json, os, sys
 from tosaudit import cli, pipeline
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
 pipeline.POOL_MIN_PAYLOAD_BYTES = int(sys.argv[1])
 cli.main(sys.argv[2:])
-print(json.dumps("multiprocessing" in sys.modules))
+print(json.dumps(len(forks)))
 """
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_descriptors():
+    """How many descriptors this process has open; None without
+    /proc/self/fd (not Linux)."""
+    if os.path.isdir("/proc/self/fd"):
+        return len(os.listdir("/proc/self/fd"))
+    return None
 
 
 class TestPool:
@@ -486,9 +509,10 @@ class TestPool:
         serial too."""
         src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
         try:
-            pool_possible = len(os.sched_getaffinity(0)) >= 2
+            workers = min(len(os.sched_getaffinity(0)),
+                          len(fixture_docs.PLATFORMS))
         except AttributeError:  # no sched_getaffinity (macOS, Windows)
-            pool_possible = False
+            workers = 1
         digests = set()
         for seed in ("0", "12345"):
             for floor in (0, 10**12):
@@ -501,8 +525,8 @@ class TestPool:
                     env={**os.environ, "PYTHONPATH": src_dir,
                          "PYTHONHASHSEED": seed})
                 assert completed.returncode == 0, completed.stderr
-                pooled = json.loads(completed.stdout.splitlines()[-1])
-                assert pooled == (floor == 0 and pool_possible)
+                forks = json.loads(completed.stdout.splitlines()[-1])
+                assert forks == (workers if floor == 0 and workers > 1 else 0)
                 digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
         assert digests == {RESULTS_SHA256}
 
@@ -511,9 +535,72 @@ class TestPool:
         def die(ctx, corpus_dir, entry):
             os._exit(3)
 
-        monkeypatch.setattr(pipeline, "_entry_outcome", die)
-        with pytest.raises(BrokenProcessPool):
+        def killed(ctx, corpus_dir, entry):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        for end, status in ((die, "exited with status 3"),
+                            (killed, f"killed by signal {signal.SIGKILL}")):
+            monkeypatch.setattr(pipeline, "_entry_outcome", end)
+            with pytest.raises(TosAuditError, match=f"^an analysis worker "
+                               f"{status} before sending its results$"):
+                run_pipeline(str(fixture_corpus))
+            assert_no_child()
+
+    def test_worker_exception_reaches_the_caller(self, fixture_corpus,
+                                                 forced_pool, monkeypatch):
+        """The exception of the first entry to raise, as the serial run
+        raises it, whichever worker raised first."""
+        first = fixture_docs.PLATFORMS[0]
+
+        def fail(ctx, corpus_dir, entry):
+            raise KeyError("x") if entry.platform == first else \
+                ValueError(entry.platform)
+
+        monkeypatch.setattr(pipeline, "_entry_outcome", fail)
+        with pytest.raises(KeyError) as raised:
             run_pipeline(str(fixture_corpus))
+        assert raised.value.args == ("x",)
+        assert_no_child()
+
+    def test_pooled_run_leaves_no_child_or_descriptor(self, fixture_corpus,
+                                                      pooled_run):
+        before = open_descriptors()
+        pooled_run(fixture_corpus)
+        assert_no_child()
+        assert open_descriptors() == before
+
+    def test_interrupt_kills_the_workers(self, fixture_corpus, forced_pool,
+                                         monkeypatch, tmp_path):
+        """A KeyboardInterrupt while workers run ends every worker at
+        once: the run does not wait for them and leaves none behind."""
+        pids = tmp_path / "pids"
+
+        def hang(ctx, corpus_dir, entry):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(60)
+
+        def interrupt(signum, frame):
+            # Once both workers run; until then, look again shortly.
+            if pids.exists() and \
+                    len(pids.read_text(encoding="utf-8").split()) == 2:
+                raise KeyboardInterrupt
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+
+        monkeypatch.setattr(pipeline, "_entry_outcome", hang)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        descriptors = open_descriptors()
+        started = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(str(fixture_corpus))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30
+        assert_no_child()
+        assert open_descriptors() == descriptors
 
     @pytest.mark.parametrize("cpus, floor, platforms, expected", [
         ({0, 1, 2}, 0, 3, 3),
