@@ -50,9 +50,10 @@ def load_vague_lexicon(lexicons_dir=None):
     for item in raw_terms:
         if not isinstance(item, dict):
             raise LexiconError(f"term entry is not an object: {item!r}")
-        canonical = item.get("canonical") or ""
+        canonical = item.get("canonical")
         if not isinstance(canonical, str) or not canonical.strip():
-            raise LexiconError("empty term")
+            raise LexiconError(f"empty term: canonical {canonical!r} "
+                               "is not a non-empty string")
         canonical = canonical.strip()
         category = item.get("category", "other")
         if category not in CATEGORIES:

@@ -12,7 +12,6 @@ import ntpath
 import os
 import time
 from typing import NamedTuple
-from urllib.parse import quote, urlparse
 
 from . import inputs
 from .errors import CorpusError, FetchError
@@ -85,6 +84,7 @@ def fetch_snapshot(url, timeout=30, platform=None, user_agent=None):
     # command needs.
     import http.client
     from urllib.error import HTTPError
+    from urllib.parse import quote, urlparse
     from urllib.request import Request, urlopen
 
     try:

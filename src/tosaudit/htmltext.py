@@ -82,8 +82,6 @@ def parse_selector(selector):
     if not m or not m.group(0):
         raise ValueError(f"unsupported selector: {selector!r}")
     tag, cls, node_id = m.groups()
-    if tag is None and cls is None and node_id is None:
-        raise ValueError(f"unsupported selector: {selector!r}")
     return (tag.lower() if tag else None, cls, node_id)
 
 

@@ -10,14 +10,13 @@ import io
 import json
 import os
 import stat
-from importlib import resources
 
 from .errors import LexiconError, TosAuditError
 
 
 def shipped(name):
     """Path of a data file that ships inside the package."""
-    return resources.files("tosaudit.data").joinpath(name)
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 def lexicon_file(lexicons_dir, name):

@@ -42,14 +42,9 @@ class PhraseMatcher:
     def __init__(self, fold_case=True):
         self._fold_case = fold_case
         self._index = LexiconIndex()
-        self._size = 0
 
     def add(self, phrase, payload):
         self._index.add(None, phrase, payload, self._fold_case)
-        self._size += 1
-
-    def __len__(self):
-        return self._size
 
     def find(self, view):
         """All matches as (char_start, char_end, payload, surface).

@@ -29,8 +29,8 @@ from . import textprep
 from .errors import AssessmentError, TosAuditError
 from .matching import LexiconIndex
 from .results import (  # noqa: F401 (the results-file API, bound here too)
-    _specificity_block, apply_review_to_results, encode_record,
-    export_review_from_results, load_results, results_payload, save_results,
+    apply_review_to_results, encode_record, export_review_from_results,
+    load_results, results_payload, save_results,
 )
 
 EXTRACTION_CONFIG_NAME = "extraction_config.json"
@@ -103,7 +103,8 @@ def analyze_entry(entry, payload, ctx):
         "readability": {"scores": profile._asdict(), "bands": bands},
         "fluency": fluency,
         "clarity": clarity_report._asdict(),
-        "specificity": _specificity_block(findings, doc.stats.sentence_count),
+        "specificity": specificity_mod.score_findings(
+            findings, doc.stats.sentence_count),
         "interface": None,
     }
 

@@ -9,8 +9,10 @@ one finding per line. Both files write a finding with one template,
 _FINDING, and the rest of a record with the C JSON encoder. `review
 apply` decodes only the review lines that differ from every finding's text.
 
-Only the specificity layer is loaded here, so `review export` and
-`review apply` import none of the text-analysis layers.
+`review apply` rescores each platform with specificity.score_findings,
+the scoring analyze uses. Only the specificity layer is loaded here, so
+`review export` and `review apply` import none of the text-analysis
+layers.
 """
 
 import itertools
@@ -93,24 +95,6 @@ def finding_from_dict(d):
         human_label=_optional_text(d, "human_label"),
         reviewer_note=_optional_text(d, "reviewer_note"),
     )
-
-
-def _specificity_block(findings, sentence_count):
-    """Results-file specificity block of a document's findings, scored
-    by specificity.score_findings; encode_record writes the findings."""
-    scores = specificity_mod.score_findings(findings, sentence_count)
-    return {
-        "findings": findings,
-        "auto": {
-            "counts": scores.auto_counts._asdict(),
-            "scores": scores.auto_scores._asdict(),
-        },
-        "post_review": {
-            "counts": scores.post_counts._asdict(),
-            "scores": scores.post_scores._asdict(),
-        },
-        "coverage": scores.coverage,
-    }
 
 
 # One finding as a JSON object: its fields under their keys in sorted
@@ -380,7 +364,7 @@ def apply_review_to_results(payload, review_path):
         reviewed = apply_review_records(
             list(findings), by_platform.get(result["platform"], []))
         revised.append(encode_record({**result, "specificity": {
-            **result["specificity"], **_specificity_block(
+            **result["specificity"], **specificity_mod.score_findings(
                 reviewed, result["doc_stats"]["sentence_count"])}}, [
             text if new is old else _finding_text(new)
             for text, old, new in zip(texts, findings, reviewed)]))

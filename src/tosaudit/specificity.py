@@ -5,7 +5,9 @@ retention statements, and sharing conditions. Findings aggregate to
 document counts, map onto 0..2 sub-scores, and average into a
 composite. Human labels, carried in by a review file (see `results`),
 override automatic ones in the post-review counts and scores, which
-are kept beside the automatic ones.
+are kept beside the automatic ones. score_findings makes the
+results-file specificity block that analyze and review apply both
+write.
 """
 
 import re
@@ -110,14 +112,6 @@ class SpecificityScores(NamedTuple):
     s_s: int
     composite: float
     stage: str
-
-
-class FindingScores(NamedTuple):
-    auto_counts: SpecificityCounts
-    auto_scores: SpecificityScores
-    post_counts: SpecificityCounts
-    post_scores: SpecificityScores
-    coverage: dict
 
 
 def _phrase_list(name, values):
@@ -435,13 +429,20 @@ def map_scores(counts, stage="auto"):
 
 
 def score_findings(findings, sentence_count):
-    """Auto and post-review counts and scores, plus sentence coverage."""
+    """The results-file specificity block of a document's findings:
+    auto and post-review counts and scores, as dicts, plus sentence
+    coverage. results.encode_record writes the findings."""
     auto_counts = aggregate_counts(findings, use_review=False)
     post_counts = aggregate_counts(findings, use_review=True)
-    return FindingScores(
-        auto_counts=auto_counts,
-        auto_scores=map_scores(auto_counts, "auto"),
-        post_counts=post_counts,
-        post_scores=map_scores(post_counts, "post_review"),
-        coverage=sentence_coverage(findings, sentence_count),
-    )
+    return {
+        "findings": findings,
+        "auto": {
+            "counts": auto_counts._asdict(),
+            "scores": map_scores(auto_counts, "auto")._asdict(),
+        },
+        "post_review": {
+            "counts": post_counts._asdict(),
+            "scores": map_scores(post_counts, "post_review")._asdict(),
+        },
+        "coverage": sentence_coverage(findings, sentence_count),
+    }

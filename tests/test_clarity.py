@@ -77,6 +77,17 @@ class TestLexiconLoading:
         with pytest.raises(LexiconError, match="empty term"):
             clarity.load_vague_lexicon(str(tmp_path))
 
+    @pytest.mark.parametrize("canonical, shown", [
+        (5, "5"), ([], r"\[\]"), (None, "None")], ids=["int", "list", "null"])
+    def test_non_string_canonical_is_named(self, tmp_path, canonical, shown):
+        path = tmp_path / "vague_terms.json"
+        path.write_text(json.dumps([
+            {"canonical": canonical, "variants": [], "category": "other"},
+        ]))
+        with pytest.raises(LexiconError, match=f"^empty term: canonical "
+                           f"{shown} is not a non-empty string$"):
+            clarity.load_vague_lexicon(str(tmp_path))
+
     @pytest.mark.parametrize("variants", ["abc", [""], [" "], [3], None])
     def test_variants_must_be_list_of_strings(self, tmp_path, variants):
         path = tmp_path / "vague_terms.json"

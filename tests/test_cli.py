@@ -628,6 +628,26 @@ def _dangling_symlink(where):
     return case
 
 
+def _symlink_loop(what):
+    """analyze with --lexicons lex after lex/vague_terms.json (what ==
+    "lexicon") or the first entry's payload (what == "payload") is made
+    a symlink to itself."""
+    def case(tmp_path, results_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        (tmp_path / "lex").mkdir()
+        if what == "lexicon":
+            link = tmp_path / "lex" / "vague_terms.json"
+        else:
+            entry = json.loads(
+                (corpus_dir / "manifest.json").read_text())["entries"][0]
+            link = corpus_dir / entry["payload_path"]
+            link.unlink()
+        link.symlink_to(link.name)
+        return ["analyze", "--corpus", str(corpus_dir), "--lexicons",
+                str(tmp_path / "lex"), "--out", str(tmp_path / "r.json")]
+    return case
+
+
 # One case per bad input: (argv builder, exit code, message in stderr).
 FAIL_CLOSED_CASES = {
     "table_results_list": (
@@ -827,6 +847,13 @@ FAIL_CLOSED_CASES = {
     "manifest_dangling_symlink": (
         _dangling_symlink("corpus/manifest.json"),
         2, "manifest not found: "),
+    # A symlink to itself never resolves to a file: the open fails.
+    "lexicon_symlink_loop": (
+        _symlink_loop("lexicon"), 2,
+        "/lex/vague_terms.json: Too many levels of symbolic links"),
+    "payload_symlink_loop": (
+        _symlink_loop("payload"), 1,
+        ".txt: Too many levels of symbolic links"),
     # A payload_path must stay inside the corpus, even where the file
     # it names outside holds the pinned bytes.
     **{f"payload_path_{name}": (
@@ -1507,6 +1534,25 @@ class TestEntryPoint:
         assert completed.returncode == 0, completed.stderr
         assert "analyzed 13 platform(s), 0 failure(s)" in completed.stdout
         assert json.loads(completed.stdout.splitlines()[-1]) == [2, []]
+
+    def test_analyze_without_site_loads_no_path_or_url_module(self, tmp_path):
+        """Under -S, where no site hook imports them first, analyze
+        loads neither importlib.resources, pathlib nor urllib.parse:
+        shipped data is found by path, and only fetch parses a URL."""
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        probe = (
+            "import json, sys\n"
+            "import tosaudit.cli\n"
+            "tosaudit.cli.main(sys.argv[1:])\n"
+            "unwanted = ['importlib.resources', 'pathlib', 'urllib.parse']\n"
+            "print(json.dumps([m for m in unwanted if m in sys.modules]))\n")
+        completed = subprocess.run(
+            [sys.executable, "-S", "-c", probe, "analyze", "--corpus",
+             str(corpus_dir), "--out", str(tmp_path / "results.json")],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert "analyzed 13 platform(s), 0 failure(s)" in completed.stdout
+        assert json.loads(completed.stdout.splitlines()[-1]) == []
 
     @pytest.mark.parametrize("command",
                              ["analyze", "export", "apply", "validate"])

@@ -87,9 +87,6 @@ class TestPhraseMatcher:
         with pytest.raises(LexiconError):
             matcher.add("!!!", "x")
 
-    def test_len(self):
-        assert len(build(["a", "b", "c d"])) == 3
-
 
 def reference_find(table, text, fold_case):
     """The longest-match scan that tries every length at every token.
@@ -271,7 +268,6 @@ class TestLexiconIndexMatchesEachMatcher:
                 kept[n][1].append((phrase, phrase))
         index.add_words("words", words)
         kept["words"] = (True, [(w, w) for w in set(words)])
-        matchers = {name: matcher
-                    for name, matcher in matchers_of(kept).items()
-                    if len(matcher)}
+        matchers = matchers_of(
+            {name: lexicon for name, lexicon in kept.items() if lexicon[1]})
         assert_scan_matches_each_matcher(index, matchers, text)

@@ -41,15 +41,15 @@ def document_text(platform):
 def measures(platform, text):
     doc = textprep.build_document(platform, text)
     profile = readability.compute_readability_profile(doc.stats)
-    scores = specificity.score_findings(
+    block = specificity.score_findings(
         specificity.analyze_document(doc, SPEC), doc.stats.sentence_count)
     return {
         "doc": doc,
         "profile": profile,
         "bands": readability.profile_bands(profile),
         "clarity": clarity.scan_vague_terms(doc, VAGUE),
-        "counts": scores.auto_counts,
-        "coverage": scores.coverage,
+        "counts": block["auto"]["counts"],
+        "coverage": block["coverage"],
         "minutes": [readability.estimate_reading_time(
             doc.stats.word_count, group) for group in GROUPS],
     }
@@ -78,10 +78,9 @@ def assert_repetition(platform, text):
     assert twice["clarity"].vague_count == 2 * once["clarity"].vague_count
     assert twice["coverage"] == pytest.approx(once["coverage"], rel=1e-9)
     counts, doubled = once["counts"], twice["counts"]
-    assert (doubled.dt, doubled.en) == (counts.dt, counts.en)
-    assert (doubled.re_explicit, doubled.re_vague, doubled.sg, doubled.ss) == (
-        2 * counts.re_explicit, 2 * counts.re_vague, 2 * counts.sg,
-        2 * counts.ss)
+    assert (doubled["dt"], doubled["en"]) == (counts["dt"], counts["en"])
+    for total in ("re_explicit", "re_vague", "sg", "ss"):
+        assert doubled[total] == 2 * counts[total], total
 
     stats, doubled_stats = once["doc"].stats, twice["doc"].stats
     assert doubled_stats.word_count == 2 * stats.word_count
@@ -149,8 +148,7 @@ FILLER = ("Blue river stones rest quietly beneath tall green hills. "
 def findings_and_counts(platform, text):
     doc = textprep.build_document(platform, text)
     findings = specificity.analyze_document(doc, SPEC)
-    counts = specificity.score_findings(
-        findings, doc.stats.sentence_count).auto_counts
+    counts = specificity.aggregate_counts(findings, use_review=False)
     return findings, counts, clarity.scan_vague_terms(doc, VAGUE).vague_count
 
 

@@ -28,9 +28,7 @@ from tosaudit.pipeline import (
     apply_review_to_results, export_review_from_results,
     analyze_entry, load_results, results_payload, run_pipeline, save_results,
 )
-from tosaudit.results import (
-    _specificity_block, encode_record, finding_from_dict,
-)
+from tosaudit.results import encode_record, finding_from_dict
 
 
 def store_text(root, platform, text, media_kind="plain_text"):
@@ -875,7 +873,8 @@ def review_payloads(draw):
         records.append({
             "platform": platform, "doc_stats": {"sentence_count": sentence_count},
             "readability": {}, "fluency": {}, "clarity": {},
-            "specificity": _specificity_block(findings, sentence_count)})
+            "specificity": specificity.score_findings(
+                findings, sentence_count)})
     return records
 
 

@@ -142,6 +142,21 @@ def test_unedited_review_applies_to_the_results_bytes(exported, tmp_path):
         0, "", results.read_bytes())
 
 
+def test_blank_review_lines_are_skipped(exported, tmp_path):
+    """Blank and whitespace-only lines, before the header, between
+    records and at the end, leave the output bytes as they were."""
+    results, (header, *lines) = exported
+    lines[0] = export_layout(EDITS["reject"](json.loads(lines[0])))
+    plain = apply(results, [header, *lines], tmp_path / "plain")
+    blanks = ["", " ", "\t", "\r", " \t\f\v "]
+    padded = apply(results, [
+        blanks[0], header, blanks[1], lines[0], blanks[2], blanks[3],
+        *lines[1:], blanks[4]], tmp_path / "padded")
+    assert plain[0] == 0, plain[1]
+    assert plain[2] != results.read_bytes()
+    assert padded == plain
+
+
 def _twice(results, header, lines, tmp_path):
     return results, with_header([lines[0], *lines])
 

@@ -502,8 +502,8 @@ class TestReviewRoundTrip:
             [lines[0]] + [json.dumps(r) for r in records]) + "\n")
         apply_review_records(findings, parse_review_file(str(path), {}))
         scored = score_findings(findings, 3)
-        assert scored.auto_scores.stage == "auto"
-        assert scored.post_scores.stage == "post_review"
+        assert scored["auto"]["scores"]["stage"] == "auto"
+        assert scored["post_review"]["scores"]["stage"] == "post_review"
         assert aggregate_counts(findings, use_review=False).ss == 2
         assert aggregate_counts(findings, use_review=True).ss == 1
 
@@ -562,9 +562,9 @@ class TestReviewRoundTrip:
             [lines[0]] + [json.dumps(r) for r in records]) + "\n")
         records = parse_review_file(str(path), {})
         apply_review_records(findings, records)
-        post1 = score_findings(findings, 3).post_scores
+        post1 = score_findings(findings, 3)["post_review"]["scores"]
         apply_review_records(findings, records)
-        post2 = score_findings(findings, 3).post_scores
+        post2 = score_findings(findings, 3)["post_review"]["scores"]
         assert post1 == post2
         assert aggregate_counts(findings, use_review=True).ss == 0
 
@@ -665,10 +665,11 @@ class TestEmptyReview:
     def test_post_review_equals_auto(self, findings, sentence_count):
         apply_review_records(findings, [])
         scored = score_findings(findings, sentence_count)
-        assert scored.post_counts == scored.auto_counts
-        assert (scored.auto_scores.stage, scored.post_scores.stage) == (
+        auto, post = scored["auto"], scored["post_review"]
+        assert post["counts"] == auto["counts"]
+        assert (auto["scores"]["stage"], post["scores"]["stage"]) == (
             "auto", "post_review")
-        assert scored.post_scores._replace(stage="auto") == scored.auto_scores
+        assert {**post["scores"], "stage": "auto"} == auto["scores"]
 
 
 def reference_duration_ranges(folded_tokens, units):
