@@ -6,10 +6,18 @@ findings, 2 usage errors and every TosAuditError (a bad input file).
 Each command imports the modules it runs, so the review commands load
 no text-analysis layer and only `report` loads the report writers.
 Every line, argparse's usage and help included, goes out through
-`_write`, so text the stream cannot encode is escaped, not fatal.
+`_write`, so text the stream cannot encode is escaped, not fatal. A
+message, argparse's error included, is one line: a line break it
+quotes is written as its escape.
+
+`main` runs the command with the cyclic garbage collector off, and the
+analysis workers that `analyze` forks inherit that. No command builds
+reference cycles that grow with its input, so the collector's passes
+would reclaim nothing; the caller's setting is restored on every exit.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -31,16 +39,28 @@ def _write(text, stream):
     stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
+# Every character str.splitlines() breaks a line at, to its escape.
+_LINE_BREAKS = str.maketrans({
+    char: char.encode("unicode_escape").decode("ascii")
+    for char in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _echo(message, err=False):
-    _write(message + "\n", sys.stderr if err else sys.stdout)
+    """Print message as one line: a line break in it, such as one a
+    path or an error quotes from an input, is written as its escape."""
+    _write(message.translate(_LINE_BREAKS) + "\n",
+           sys.stderr if err else sys.stdout)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Options are matched whole, never by prefix, and messages go
-    through _write."""
+    """Options are matched whole, never by prefix, messages go through
+    _write, and an error message is one line, as _echo prints it."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        super().error(message.translate(_LINE_BREAKS))
 
     def _print_message(self, message, file=None):
         if message:
@@ -224,14 +244,22 @@ def main(args=None, prog_name="tosaudit", standalone_mode=True):
     Returns on success; any other outcome raises SystemExit with the
     exit code. standalone_mode is accepted, and ignored, for callers
     written against click's `main`, such as perfbench/traced_cli.py.
+    The cyclic garbage collector is off while the command runs, and the
+    caller's setting is restored when main returns or exits.
     """
-    options = vars(_parser(prog_name).parse_args(args))
-    run = options.pop("run")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        run(**options)
-    except TosAuditError as exc:
-        _echo("error: " + str(exc).replace("\n", "\\n"), err=True)
-        sys.exit(2)
+        options = vars(_parser(prog_name).parse_args(args))
+        run = options.pop("run")
+        try:
+            run(**options)
+        except TosAuditError as exc:
+            _echo("error: " + str(exc), err=True)
+            sys.exit(2)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ def finding_from_dict(d):
     A field of the wrong type raises TypeError, an unknown detector
     ValueError: export_review writes no line apply would reject.
     """
-    try:  # one test of every field; the code after it words the error
+    try:  # one test of every field; _checked_finding words the error
         span, label, note = (d["evidence_span"], d.get("human_label"),
                              d.get("reviewer_note"))
         f = SentenceFinding(d["platform"], d["sentence_index"], d["detector"],
@@ -80,6 +80,12 @@ def finding_from_dict(d):
             return f
     except (LookupError, TypeError, AttributeError):
         pass
+    return _checked_finding(d)
+
+
+def _checked_finding(d):
+    """finding_from_dict's checks one field at a time, each with its
+    own error."""
     span, detector = d["evidence_span"], d["detector"]
     if detector not in DETECTORS:
         raise ValueError(f"finding detector is not one of {DETECTORS}: "

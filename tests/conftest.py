@@ -66,6 +66,12 @@ def run_cli(argv):
                   err.buffer.getvalue().decode("utf-8"))
 
 
+def force_pool(monkeypatch):
+    """run_pipeline uses a pool of 2 workers for any corpus, on any host."""
+    monkeypatch.setattr(pipeline, "POOL_MIN_PAYLOAD_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 def value_paths(node, path=()):
     """Key paths of node, a parsed JSON document, and of every value
     inside it."""

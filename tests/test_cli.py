@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import gc
 import importlib.metadata
+import io
 import json
 import os
 import re
@@ -15,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fixture_docs
 import tosaudit
-from conftest import build_fixture_corpus, run_cli, value_paths
+from conftest import build_fixture_corpus, force_pool, run_cli, value_paths
 from tosaudit import cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -472,6 +475,56 @@ class TestReport:
             "--out", str(tmp_path / "x.csv")])
         assert outcome.exit_code == 2
         assert "error: results not found" in outcome.stderr
+
+
+class TestOneLine:
+    """Every line the CLI prints stays one line; a line break it quotes
+    is printed as its escape."""
+
+    def test_every_line_break_is_escaped(self):
+        breaks = [char for char in map(chr, range(sys.maxunicode + 1))
+                  if len(f"a{char}b".splitlines()) > 1]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._echo("|".join(breaks))
+        assert out.getvalue().splitlines() == [out.getvalue()[:-1]]
+        assert out.getvalue() == "|".join(
+            char.encode("unicode_escape").decode() for char in breaks) + "\n"
+
+    def test_failed_platform_quoting_a_newline(self, tmp_path):
+        corpus_dir = build_fixture_corpus(tmp_path / "corpus")
+        path = corpus_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["entries"]:
+            if entry["platform"] == "bluesky":
+                entry["payload_path"] = "payloads/x\ny.txt"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "r.json"
+        outcome = run_cli([
+            "analyze", "--corpus", str(corpus_dir), "--out", str(out)])
+        assert outcome.exit_code == 1
+        assert len(outcome.stderr.splitlines()) == 1, outcome.stderr
+        assert outcome.stderr.startswith(
+            "failed bluesky: payload not found: ")
+        assert outcome.stderr.endswith("/x\\ny.txt\n")
+        # The results file keeps the message as it was.
+        [failure] = json.loads(out.read_text(encoding="utf-8"))["failures"]
+        assert failure["error"].endswith("/x\ny.txt")
+
+    def test_error_quoting_a_carriage_return(self, tmp_path):
+        outcome = run_cli([
+            "analyze", "--corpus", "no\rsuch",
+            "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 2
+        assert len(outcome.stderr.splitlines()) == 1, outcome.stderr
+        assert outcome.stderr.startswith("error: manifest not found")
+        assert "no\\rsuch" in outcome.stderr
+
+    def test_usage_error_quoting_a_newline(self):
+        outcome = run_cli(["analyze", "--corpus", "c", "--out", "o", "x\ny"])
+        assert outcome.exit_code == 2
+        assert outcome.stderr.splitlines()[-1] == (
+            "tosaudit: error: unrecognized arguments: x\\ny")
 
 
 _SHIPPED = Path(tosaudit.__file__).parent / "data"
@@ -1309,13 +1362,14 @@ LEXICON_FILES = ("vague_terms.json", "data_types.json", "entities.json",
                  "syllable_exceptions.txt")
 
 
-def _stored_corpus(root, platforms):
-    """A corpus of the fixture documents of platforms under root."""
+def _stored_corpus(root, platforms, times=1):
+    """A corpus of the fixture documents of platforms under root, each
+    given times over."""
     from tosaudit import corpus
     manifest = corpus.new_manifest()
     for platform in platforms:
         media_kind, text = fixture_docs.DOCS[platform]
-        payload = text.encode("utf-8")
+        payload = "\n\n".join([text] * times).encode("utf-8")
         entry = corpus.SnapshotEntry(
             platform=platform, source_url=f"https://example.org/{platform}",
             retrieved_at="2025-11-01T00:00:00Z",
@@ -1408,6 +1462,105 @@ class TestAnyBytes:
     def test_extraction_config_file(self, html_corpus, tmp_path, data):
         _analyze_with_any(html_corpus, tmp_path, data,
                           "extraction_config.json")
+
+
+def _unreachable_after(argv):
+    """How many unreachable objects a collection finds after argv ran
+    with the collector off: the reference cycles the command left."""
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = run_cli(argv)
+        assert outcome.exit_code == 0, outcome.stderr
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestCollector:
+    """main runs each command with the cyclic garbage collector off and
+    restores the caller's setting; no command builds cycles that grow
+    with its input, which is why the collector can stay off."""
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("path", ["success", "failure", "fatal", "usage"])
+    def test_callers_setting_is_restored(self, analyzed, tmp_path,
+                                         collecting, path):
+        corpus_dir, _ = analyzed
+        # One platform, whose payload is gone: a failed platform.
+        gone = _stored_corpus(tmp_path / "gone", ["bluesky"])
+        [entry] = json.loads(
+            (gone / "manifest.json").read_text(encoding="utf-8"))["entries"]
+        (gone / entry["payload_path"]).unlink()
+        argv, code = {
+            "success": (["assess", "validate", "--file", str(next(
+                (corpus_dir / "assessments").iterdir()))], 0),
+            "failure": (["analyze", "--corpus", str(gone),
+                         "--out", str(tmp_path / "r.json")], 1),
+            "fatal": (["analyze", "--corpus", str(tmp_path / "none"),
+                       "--out", str(tmp_path / "r.json")], 2),
+            "usage": (["analyze", "--corpus"], 2),
+        }[path]
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert run_cli(argv).exit_code == code
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_off_while_analyzing(self, fixture_corpus, tmp_path,
+                                 monkeypatch, pooled):
+        from tosaudit import pipeline
+        log = tmp_path / "collector"
+        entry_outcome = pipeline._entry_outcome
+
+        def recorded(*args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {gc.isenabled()}\n")
+            return entry_outcome(*args)
+
+        monkeypatch.setattr(pipeline, "_entry_outcome", recorded)
+        if pooled:
+            force_pool(monkeypatch)
+        assert gc.isenabled()
+        outcome = run_cli(["analyze", "--corpus", str(fixture_corpus),
+                           "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 0, outcome.stderr
+        assert gc.isenabled()
+        rows = [line.split() for line in log.read_text().splitlines()]
+        assert len(rows) == len(fixture_docs.DOCS)
+        assert {state for _, state in rows} == {"False"}
+        in_parent = {pid for pid, _ in rows} == {str(os.getpid())}
+        assert in_parent is not pooled
+
+    def test_analyze_leaves_no_cycle_per_document(self, fixture_corpus,
+                                                  tmp_path, monkeypatch):
+        from tosaudit import pipeline
+        # Serially, in this process, where a collection sees any cycle.
+        monkeypatch.setattr(pipeline, "POOL_MIN_PAYLOAD_BYTES", sys.maxsize)
+        larger = _stored_corpus(tmp_path / "larger", fixture_docs.DOCS, 4)
+        out = ["--out", str(tmp_path / "r.json")]
+        _unreachable_after(["analyze", "--corpus", str(fixture_corpus), *out])
+        assert _unreachable_after(
+            ["analyze", "--corpus", str(fixture_corpus), *out]) == \
+            _unreachable_after(["analyze", "--corpus", str(larger), *out])
+
+    def test_review_export_leaves_no_cycle_per_finding(self, analyzed,
+                                                       tmp_path):
+        _, results_path = analyzed
+        payload = json.loads(results_path.read_text(encoding="utf-8"))
+        assert len(payload["results"]) == 13
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({**payload,
+                                   "results": payload["results"][:1]}))
+        out = ["--out", str(tmp_path / "review.jsonl"), "--include-dt-en"]
+        _unreachable_after(["review", "export", "--results", str(one), *out])
+        assert _unreachable_after(
+            ["review", "export", "--results", str(one), *out]) == \
+            _unreachable_after(
+                ["review", "export", "--results", str(results_path), *out])
 
 
 def _env_with_src():

@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fixture_docs
 from conftest import (
-    GENERATED_SENTENCES, build_fixture_corpus, run_cli, store_assessment,
-    value_paths,
+    GENERATED_SENTENCES, build_fixture_corpus, force_pool, run_cli,
+    store_assessment, value_paths,
 )
 from test_golden import RESULTS_SHA256
 from tosaudit import (
@@ -338,12 +338,6 @@ class TestDeterminismAndOptions:
         classic = run_decoded(fixture_corpus, classic_lensear=True)[0]
         assert modern[0]["readability"]["scores"]["lensear"] != \
             classic[0]["readability"]["scores"]["lensear"]
-
-
-def force_pool(monkeypatch):
-    """run_pipeline uses a pool of 2 workers for any corpus, on any host."""
-    monkeypatch.setattr(pipeline, "POOL_MIN_PAYLOAD_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import build_fixture_corpus, run_cli, value_paths
-from tosaudit import specificity
+from tosaudit import results as results_mod, specificity
 from tosaudit.results import parse_review_file
 
 LABELS = {"retention": specificity.RETENTION_LABELS,
@@ -319,3 +319,80 @@ def test_known_lines_after_the_header_are_not_decoded(exported, tmp_path):
     known = {line: {"known": line} for line in (header, first)}
     assert parse_review_file(str(path), known) == [
         known[first], json.loads(second)]
+
+
+# finding_from_dict tests every field in one expression, and only when
+# that fails checks them one at a time to word the error. Both paths
+# must take the same findings to the same SentenceFinding.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4)
+_FIELDS = {
+    "platform": st.text(max_size=4),
+    "sentence_index": st.integers(0, 99),
+    "detector": st.sampled_from(specificity.DETECTORS),
+    "auto_label": st.text(max_size=4),
+    "evidence_span": st.fixed_dictionaries(
+        {"start": st.integers(0, 99), "end": st.integers(0, 99)}),
+    "sentence_text": st.text(max_size=8),
+    "human_label": st.sampled_from(["", "rejected", "generic"]) | st.none(),
+    "reviewer_note": st.sampled_from(["", "seen"]) | st.none(),
+}
+_TEXT_FIELDS = [(key,) for key in ("platform", "detector", "auto_label",
+                                   "sentence_text", "human_label",
+                                   "reviewer_note")]
+_INTEGER_FIELDS = [("sentence_index",), ("evidence_span", "start"),
+                   ("evidence_span", "end")]
+
+
+def _outcome(read, d):
+    try:
+        return read(d)
+    except (LookupError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _retype(path):
+    def mutate(d, draw):
+        parent, key = _parent(d, path), path[-1]
+        parent[key] = draw(_JSON.filter(
+            lambda value: type(value) is not type(parent[key])))
+    return mutate
+
+
+def _delete(path):
+    def mutate(d, draw):
+        del _parent(d, path)[path[-1]]
+    return mutate
+
+
+def _swap(text, number):
+    def mutate(d, draw):
+        parent = _parent(d, number)
+        d[text], parent[number[-1]] = parent[number[-1]], d[text]
+    return mutate
+
+
+# A valid finding, or one field given a value of another JSON type or
+# deleted, or a text field and an integer field swapped.
+_PATHS = [*_TEXT_FIELDS, *_INTEGER_FIELDS, ("evidence_span",)]
+_MUTATIONS = {
+    "valid": lambda d, draw: None,
+    **{f"retype {'.'.join(path)}": _retype(path) for path in _PATHS},
+    **{f"delete {'.'.join(path)}": _delete(path) for path in _PATHS},
+    **{f"swap {text} {'.'.join(number)}": _swap(text, number)
+       for (text,) in _TEXT_FIELDS for number in _INTEGER_FIELDS},
+}
+
+
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_finding_from_dict_agrees_with_its_checked_path(mutation, data):
+    d = data.draw(st.fixed_dictionaries(_FIELDS))
+    _MUTATIONS[mutation](d, data.draw)
+    assert _outcome(results_mod.finding_from_dict, d) == \
+        _outcome(results_mod._checked_finding, d)
