@@ -12,16 +12,6 @@ from typing import NamedTuple
 from . import inputs
 from .errors import DegenerateDocumentError, LexiconError
 
-METRICS = (
-    "flesch_reading_ease",
-    "gunning_fog",
-    "flesch_kincaid_grade",
-    "coleman_liau",
-    "smog",
-    "lensear",
-    "ari",
-)
-
 EASY = "easy"
 MODERATE = "moderate"
 HARD = "hard"
@@ -35,6 +25,9 @@ class ReadabilityProfile(NamedTuple):
     smog: float
     lensear: float
     ari: float
+
+
+METRICS = ReadabilityProfile._fields
 
 
 class ReaderGroup(NamedTuple):

@@ -9,7 +9,7 @@ always one per platform, alphabetical.
 import csv
 import io
 
-from . import inputs
+from . import inputs, interface_assess
 from . import svg as svg_mod
 from .errors import TosAuditError
 from .readability import METRICS as READABILITY_METRICS
@@ -22,9 +22,7 @@ CLARITY_HEADER = ("platform", "word_count", "vague_term_count",
                   "vague_term_density_pct", "unique_vague_terms")
 SPECIFICITY_HEADER = ("platform", "dt", "en", "re", "sg", "ss",
                       "dt_s", "en_s", "r_s", "s_s", "specificity")
-INTERFACE_HEADER = ("platform", "unticked_checkbox", "review_before_consent",
-                    "separate_consent_steps", "explicit_denial",
-                    "reversibility_cue")
+INTERFACE_HEADER = ("platform", *interface_assess.METRICS)
 
 ARROW = "→"
 

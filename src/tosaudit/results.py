@@ -9,6 +9,12 @@ one finding per line. Both files write a finding with one template,
 _FINDING, and the rest of a record with the C JSON encoder. `review
 apply` decodes only the review lines that differ from every finding's text.
 
+finding_from_dict reads and checks each field of a results finding once:
+texts are JSON strings, indices JSON integers (not true, 3.9 or "9"),
+the detector one of DETECTORS, and the label and note strings or null.
+apply_review_records holds a review record's key, label and note to the
+same types; a detector that no finding has makes an unmatched record.
+
 `review apply` rescores each platform with specificity.score_findings,
 the scoring analyze uses. Only the specificity layer is loaded here, so
 `review export` and `review apply` import none of the text-analysis
@@ -40,67 +46,47 @@ _REVIEW_LABELS = {
 }
 
 
-def _text(d, key):
-    value = d[key]
-    if not isinstance(value, str):
-        raise TypeError(f"finding {key} is not a string: {value!r}")
-    return value
-
-
-def _optional_text(d, key):
-    value = d.get(key)
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"finding {key} is not a string or null: {value!r}")
-    return value or None
-
-
-def _integer(value, name):
-    if type(value) is not int:  # JSON true, 3.9 and "9" are not indices
-        raise TypeError(f"finding {name} is not an integer: {value!r}")
-    return value
-
-
 def finding_from_dict(d):
     """The finding of a _finding_text object, from a results file.
 
-    A field of the wrong type raises TypeError, an unknown detector
-    ValueError: export_review writes no line apply would reject.
+    Each field is read once and checked as it is read: a missing field
+    raises KeyError, one of the wrong type TypeError and an unknown
+    detector ValueError, so export_review writes no line apply would
+    reject.
     """
-    try:  # one test of every field; _checked_finding words the error
-        span, label, note = (d["evidence_span"], d.get("human_label"),
-                             d.get("reviewer_note"))
-        f = SentenceFinding(d["platform"], d["sentence_index"], d["detector"],
-                            d["auto_label"], (span["start"], span["end"]),
-                            d["sentence_text"], label or None, note or None)
-        if (type(f.platform) is type(f.auto_label) is type(f.sentence_text)
-                is str and type(f.sentence_index) is type(span["start"])
-                is type(span["end"]) is int and f.detector in DETECTORS
-                and (label is None or type(label) is str)
-                and (note is None or type(note) is str)):
-            return f
-    except (LookupError, TypeError, AttributeError):
-        pass
-    return _checked_finding(d)
-
-
-def _checked_finding(d):
-    """finding_from_dict's checks one field at a time, each with its
-    own error."""
     span, detector = d["evidence_span"], d["detector"]
     if detector not in DETECTORS:
         raise ValueError(f"finding detector is not one of {DETECTORS}: "
                          f"{detector!r}")
-    return SentenceFinding(
-        platform=_text(d, "platform"),
-        sentence_index=_integer(d["sentence_index"], "sentence_index"),
-        detector=detector,
-        auto_label=_text(d, "auto_label"),
-        evidence_span=(_integer(span["start"], "evidence_span.start"),
-                       _integer(span["end"], "evidence_span.end")),
-        sentence_text=_text(d, "sentence_text"),
-        human_label=_optional_text(d, "human_label"),
-        reviewer_note=_optional_text(d, "reviewer_note"),
-    )
+    platform = d["platform"]
+    if type(platform) is not str:
+        raise TypeError(f"finding platform is not a string: {platform!r}")
+    index = d["sentence_index"]
+    if type(index) is not int:  # JSON true, 3.9 and "9" are not indices
+        raise TypeError(f"finding sentence_index is not an integer: {index!r}")
+    auto_label = d["auto_label"]
+    if type(auto_label) is not str:
+        raise TypeError(f"finding auto_label is not a string: {auto_label!r}")
+    start = span["start"]
+    if type(start) is not int:
+        raise TypeError(
+            f"finding evidence_span.start is not an integer: {start!r}")
+    end = span["end"]
+    if type(end) is not int:
+        raise TypeError(
+            f"finding evidence_span.end is not an integer: {end!r}")
+    text = d["sentence_text"]
+    if type(text) is not str:
+        raise TypeError(f"finding sentence_text is not a string: {text!r}")
+    label, note = d.get("human_label"), d.get("reviewer_note")
+    if label is not None and type(label) is not str:
+        raise TypeError(
+            f"finding human_label is not a string or null: {label!r}")
+    if note is not None and type(note) is not str:
+        raise TypeError(
+            f"finding reviewer_note is not a string or null: {note!r}")
+    return SentenceFinding(platform, index, detector, auto_label,
+                           (start, end), text, label or None, note or None)
 
 
 # One finding as a JSON object: its fields under their keys in sorted
@@ -293,28 +279,32 @@ def apply_review_records(findings, records):
                              + "/".join(map(str, key)))
     seen = set()
     for rec in records:
+        # A record's key, label and note follow finding_from_dict's type
+        # rules; a detector no finding has is an unmatched record.
         try:
             span = rec["evidence_span"]
-            key = (rec["platform"],
-                   _integer(rec["sentence_index"], "sentence_index"),
-                   rec["detector"],
-                   _integer(span["start"], "evidence_span.start"),
-                   _integer(span["end"], "evidence_span.end"))
-            position = index.get(key)
-            label = (rec.get("human_label") or "").strip()
-            note = (rec.get("reviewer_note") or "").strip()
-        except (LookupError, TypeError, ValueError, ArithmeticError,
-                AttributeError):
-            raise ReviewError(f"malformed review record: {rec!r}") from None
+            key = platform, sentence, detector, start, end = (
+                rec["platform"], rec["sentence_index"], rec["detector"],
+                span["start"], span["end"])
+        except (KeyError, TypeError):  # a field missing, or span no object
+            key = None
+        label, note = rec.get("human_label"), rec.get("reviewer_note")
+        if key is None or not (
+                type(platform) is type(detector) is str
+                and type(sentence) is type(start) is type(end) is int
+                and (label is None or type(label) is str)
+                and (note is None or type(note) is str)):
+            raise ReviewError(f"malformed review record: {rec!r}")
+        position = index.get(key)
         if position is None:
             raise ReviewError(
-                "unmatched review record: "
-                f"{rec['platform']}/{rec['sentence_index']}/{rec['detector']}")
+                f"unmatched review record: {platform}/{sentence}/{detector}")
         if position in seen:
             raise ReviewError(
                 f"duplicate review record: {'/'.join(map(str, key))}")
         seen.add(position)
         finding = findings[position]
+        label, note = (label or "").strip(), (note or "").strip()
         if label:
             allowed = _REVIEW_LABELS.get(finding.detector)
             if allowed is not None and label not in allowed:

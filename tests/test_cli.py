@@ -1071,6 +1071,26 @@ class TestFailClosed:
         assert_fatal(outcome, "malformed review record")
         assert out.read_bytes() == b"earlier output"
 
+    @pytest.mark.parametrize("field", ["human_label", "reviewer_note"])
+    @pytest.mark.parametrize("bad", [False, 0, [], {}],
+                             ids=["false", "0", "list", "object"])
+    def test_review_record_label_not_a_string_leaves_out_untouched(
+            self, analyzed, tmp_path, field, bad):
+        # Read with `or ""`, each of these would apply as no label.
+        review = tmp_path / "review.jsonl"
+        outcome = run_cli(_export(analyzed[1], review))
+        assert outcome.exit_code == 0, outcome.stderr
+        header, line, *_ = review.read_text(encoding="utf-8").splitlines()
+        review = _review_file(tmp_path, json.dumps(
+            {**json.loads(line), field: bad}).encode())
+        out = tmp_path / "out"
+        out.write_bytes(b"earlier output")
+        outcome = run_cli([
+            "review", "apply", "--results", str(analyzed[1]),
+            "--review", str(review), "--out", str(out)])
+        assert_fatal(outcome, "malformed review record")
+        assert out.read_bytes() == b"earlier output"
+
     def test_duplicate_review_record_leaves_out_untouched(
             self, analyzed, tmp_path):
         # Applied in turn, the later record would win without a word.

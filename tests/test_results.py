@@ -321,9 +321,47 @@ def test_known_lines_after_the_header_are_not_decoded(exported, tmp_path):
         known[first], json.loads(second)]
 
 
-# finding_from_dict tests every field in one expression, and only when
-# that fails checks them one at a time to word the error. Both paths
-# must take the same findings to the same SentenceFinding.
+# finding_from_dict's former one-field-at-a-time path, kept as the
+# reference it must agree with: the same SentenceFinding, or the same
+# exception type and message.
+def _text(d, key):
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"finding {key} is not a string: {value!r}")
+    return value
+
+
+def _optional_text(d, key):
+    value = d.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"finding {key} is not a string or null: {value!r}")
+    return value or None
+
+
+def _integer(value, name):
+    if type(value) is not int:  # JSON true, 3.9 and "9" are not indices
+        raise TypeError(f"finding {name} is not an integer: {value!r}")
+    return value
+
+
+def reference_finding_from_dict(d):
+    span, detector = d["evidence_span"], d["detector"]
+    if detector not in specificity.DETECTORS:
+        raise ValueError(f"finding detector is not one of "
+                         f"{specificity.DETECTORS}: {detector!r}")
+    return specificity.SentenceFinding(
+        platform=_text(d, "platform"),
+        sentence_index=_integer(d["sentence_index"], "sentence_index"),
+        detector=detector,
+        auto_label=_text(d, "auto_label"),
+        evidence_span=(_integer(span["start"], "evidence_span.start"),
+                       _integer(span["end"], "evidence_span.end")),
+        sentence_text=_text(d, "sentence_text"),
+        human_label=_optional_text(d, "human_label"),
+        reviewer_note=_optional_text(d, "reviewer_note"),
+    )
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
     | st.text(max_size=3),
@@ -352,7 +390,7 @@ def _outcome(read, d):
     try:
         return read(d)
     except (LookupError, TypeError, ValueError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def _retype(path):
@@ -395,4 +433,4 @@ def test_finding_from_dict_agrees_with_its_checked_path(mutation, data):
     d = data.draw(st.fixed_dictionaries(_FIELDS))
     _MUTATIONS[mutation](d, data.draw)
     assert _outcome(results_mod.finding_from_dict, d) == \
-        _outcome(results_mod._checked_finding, d)
+        _outcome(reference_finding_from_dict, d)

@@ -568,13 +568,18 @@ class TestReviewRoundTrip:
         assert post1 == post2
         assert aggregate_counts(findings, use_review=True).ss == 0
 
-    @pytest.mark.parametrize("field", ["human_label", "reviewer_note"])
-    def test_non_string_label_or_note_raises(self, field):
+    # false, 0, [] and {} are not "no label": a results file refuses them.
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=field + suffix)
+        for field in ("human_label", "reviewer_note")
+        for suffix, value in (("", 5), ("-false", False), ("-0", 0),
+                              ("-list", []), ("-object", {}))])
+    def test_non_string_label_or_note_raises(self, field, value):
         finding = make_finding("sharing", "specific")
         with pytest.raises(ReviewError, match="malformed review record"):
             apply_review_records([finding], [{
                 "platform": "p", "sentence_index": 0, "detector": "sharing",
-                "evidence_span": {"start": 0, "end": 4}, field: 5}])
+                "evidence_span": {"start": 0, "end": 4}, field: value}])
 
     def test_reviewer_note_preserved(self):
         finding = make_finding("sharing", "specific")
