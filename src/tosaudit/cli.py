@@ -11,12 +11,15 @@ message, argparse's error included, is one line: a line break it
 quotes is written as its escape.
 
 `main` runs the command with the cyclic garbage collector off, and the
-analysis workers that `analyze` forks inherit that. No command builds
-reference cycles that grow with its input, so the collector's passes
-would reclaim nothing; the caller's setting is restored on every exit.
+analysis workers that `analyze` forks inherit that: no command builds
+reference cycles that grow with its input. The caller's setting is
+restored on every exit. At exit an atexit hook runs `gc.freeze`, so the
+last collection, which `gc.disable()` cannot skip, walks nothing:
+`write_atomic` has closed every output, and the streams are flushed.
 """
 
 import argparse
+import atexit
 import gc
 import os
 import sys
@@ -29,6 +32,8 @@ from .errors import TosAuditError
 TABLE_KINDS = ("readability", "clarity", "specificity", "interface")
 FIGURE_KINDS = ("words_vs_sentences", "reading_time", "clarity_bubble")
 FORMATS = ("csv", "md", "json")
+
+atexit.register(gc.freeze)
 
 
 def _write(text, stream):

@@ -1500,7 +1500,8 @@ def _unreachable_after(argv):
 class TestCollector:
     """main runs each command with the cyclic garbage collector off and
     restores the caller's setting; no command builds cycles that grow
-    with its input, which is why the collector can stay off."""
+    with its input, which is why the collector can stay off. At exit,
+    the heap is frozen, so the interpreter's last collection is empty."""
 
     @pytest.mark.parametrize("collecting", [True, False])
     @pytest.mark.parametrize("path", ["success", "failure", "fatal", "usage"])
@@ -1581,6 +1582,40 @@ class TestCollector:
             ["review", "export", "--results", str(one), *out]) == \
             _unreachable_after(
                 ["review", "export", "--results", str(results_path), *out])
+
+    @pytest.mark.parametrize("argv", [
+        ["assess", "validate", "--file", "{assessment}"],
+        ["analyze", "--corpus", "{corpus}", "--out", "{out}"],
+        ["analyze", "--corpus"]], ids=["validate", "analyze", "usage"])
+    def test_process_exit_finds_the_heap_frozen(self, fixture_corpus,
+                                                tmp_path, argv):
+        """cli's atexit hook freezes the heap, so the interpreter's last
+        collection has nothing to walk. A hook registered before cli is
+        imported runs after cli's, as atexit runs them last in first out,
+        and sees the frozen objects; on every exit path, a usage error's
+        SystemExit too."""
+        argv = [arg.format(
+            assessment=fixture_corpus / "assessments" / "bluesky.json",
+            corpus=fixture_corpus, out=tmp_path / "r.json") for arg in argv]
+        probe = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            "import tosaudit.cli\n"
+            "tosaudit.cli.main(sys.argv[1:])\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == (2 if argv[-1] == "--corpus" else 0)
+        label, count = completed.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_main_in_process_freezes_nothing(self, fixture_corpus, tmp_path):
+        """The freeze waits for the interpreter's exit: a caller of
+        cli.main keeps a heap the collector can walk."""
+        outcome = run_cli(["analyze", "--corpus", str(fixture_corpus),
+                           "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 0, outcome.stderr
+        assert gc.get_freeze_count() == 0
 
 
 def _env_with_src():
@@ -1737,7 +1772,8 @@ class TestEntryPoint:
         the text-analysis layers either, and assess validate loads
         neither those nor the results layer. No command loads
         dataclasses or inspect, which the records do not need, or
-        datetime, which only stamps fetched snapshots.
+        datetime, which only stamps fetched snapshots. Nor does any load
+        html and its entity table: no fixture document holds a '&'.
         """
         corpus_dir, results_path = analyzed
         argv = {
@@ -1749,7 +1785,7 @@ class TestEntryPoint:
                          str(corpus_dir / "assessments" / "bluesky.json")],
         }[command]
         unwanted = ["tosaudit.report", "tosaudit.svg", "csv", "dataclasses",
-                    "inspect", "datetime"]
+                    "inspect", "datetime", "html", "html.entities"]
         if command != "analyze":
             unwanted += [f"tosaudit.{name}" for name in (
                 "htmltext", "textprep", "matching", "clarity", "readability",
@@ -1770,6 +1806,44 @@ class TestEntryPoint:
             capture_output=True, text=True, env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout.splitlines()[-1]) == []
+
+    def test_text_with_an_entity_loads_the_entity_table(self, tmp_path):
+        """An HTML page with a '&' in its text and in a class that an
+        include selector matches: analyze decodes both, and only then
+        loads html and its entity table."""
+        from tosaudit import corpus
+        payload = (
+            '<html><body><div class="promo">Try Premium &amp; more.</div>'
+            '<section class="x&amp;a&#9;terms"><p>We collect your email'
+            ' address &amp; device identifier.</p></section></body></html>'
+        ).encode("utf-8")
+        entry = corpus.SnapshotEntry(
+            platform="example", source_url="https://example.org/terms",
+            retrieved_at="2025-11-01T00:00:00Z",
+            content_digest=corpus.digest_bytes(payload), payload_path="",
+            media_kind="html")
+        corpus.store_snapshot(corpus.new_manifest(), entry, payload,
+                              str(tmp_path))
+        (tmp_path / "extraction_config.json").write_text(
+            json.dumps({"example": {"include": ["section.terms"]}}),
+            encoding="utf-8")
+        probe = (
+            "import json, sys\n"
+            "import tosaudit.cli\n"
+            "tosaudit.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([m in sys.modules\n"
+            "                  for m in ('html', 'html.entities')]))\n")
+        out = tmp_path / "r.json"
+        completed = subprocess.run(
+            [sys.executable, "-c", probe, "analyze", "--corpus",
+             str(tmp_path), "--out", str(out)],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout.splitlines()[-1]) == [True, True]
+        [record] = json.loads(out.read_text(encoding="utf-8"))["results"]
+        assert {finding["sentence_text"]
+                for finding in record["specificity"]["findings"]} == {
+            "We collect your email address & device identifier."}
 
     def test_package_imports_no_submodule(self):
         """`import tosaudit` loads no `tosaudit.*` module, and the package
