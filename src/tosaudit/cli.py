@@ -13,9 +13,11 @@ quotes is written as its escape.
 `main` runs the command with the cyclic garbage collector off, and the
 analysis workers that `analyze` forks inherit that: no command builds
 reference cycles that grow with its input. The caller's setting is
-restored on every exit. At exit an atexit hook runs `gc.freeze`, so the
-last collection, which `gc.disable()` cannot skip, walks nothing:
-`write_atomic` has closed every output, and the streams are flushed.
+restored on every exit. Importing this module registers `gc.freeze`
+with atexit for the whole process, so the interpreter's last collection,
+which `gc.disable()` cannot skip, walks nothing and finalizes none of
+the importer's cyclic garbage. No command needs it: `write_atomic` has
+closed every output, and the standard streams are flushed.
 """
 
 import argparse

@@ -8,11 +8,11 @@ match of one regex, as does text before the end or any other '<', which
 a port of that parser's rule for the one construct there reads.
 Script/style/navigation boilerplate is dropped, block elements become
 paragraph breaks, and a deliberately small selector subset (tag, .class,
-#id, tag.class, tag#id) serves per-platform include/exclude rules. The
-html module, with its entity table, is imported on the first '&'.
+#id, tag.class, tag#id) serves per-platform include/exclude rules.
 """
 
 import re
+from html import unescape
 
 from .errors import ExtractionError
 
@@ -76,14 +76,6 @@ _OUTSIDE = 1  # include rules given, and not inside an included element
 _EMIT = 2     # text goes to the output
 
 
-def _unescape(text):
-    """html.unescape, which returns text with no '&' unchanged."""
-    if "&" not in text:
-        return text
-    from html import unescape
-    return unescape(text)
-
-
 def parse_selector(selector):
     """Parse one selector into (tag, class, id); unused parts are None."""
     m = _SELECTOR_RE.fullmatch(selector.strip())
@@ -132,7 +124,7 @@ def _construct(s, i):
                 elif (value[:1] == "'" == value[-1:]
                       or value[:1] == '"' == value[-1:]):
                     value = value[1:-1]
-                attrs[name.lower()] = _unescape(value) if value else value
+                attrs[name.lower()] = unescape(value) if value else value
                 j = m.end()
             end = s[j:k].strip()
             if end == ">" or end == "/>":
@@ -173,7 +165,7 @@ def _construct(s, i):
     k = s.find(">", i + 1) + 1 or s.find("<", i + 1)
     if k < 0:
         k = i + 1
-    return k, 1, _unescape(s[i:k]), None, False
+    return k, 1, unescape(s[i:k]), None, False
 
 
 def html_to_text(markup, include=None, exclude=None):
@@ -206,7 +198,7 @@ def html_to_text(markup, include=None, exclude=None):
         m = scan()
         kind = m.lastindex
         if stack[-1][1] == _EMIT and m[1]:
-            out.append(_unescape(m[1]))
+            out.append(unescape(m[1]))
         if kind == 1:
             if m.end() == len(markup):
                 break
@@ -244,7 +236,7 @@ def html_to_text(markup, include=None, exclude=None):
                 ex, inc, values = sels
                 if isinstance(attrs, str):
                     # No '&': a class or id can match only if its value occurs.
-                    attrs = {name.lower(): _unescape(value) for name, value
+                    attrs = {name.lower(): unescape(value) for name, value
                              in _ATTR.findall(attrs)} if values and (
                         "&" in attrs or any(map(attrs.__contains__, values))
                     ) else {}

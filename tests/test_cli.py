@@ -1772,8 +1772,7 @@ class TestEntryPoint:
         the text-analysis layers either, and assess validate loads
         neither those nor the results layer. No command loads
         dataclasses or inspect, which the records do not need, or
-        datetime, which only stamps fetched snapshots. Nor does any load
-        html and its entity table: no fixture document holds a '&'.
+        datetime, which only stamps fetched snapshots.
         """
         corpus_dir, results_path = analyzed
         argv = {
@@ -1785,7 +1784,7 @@ class TestEntryPoint:
                          str(corpus_dir / "assessments" / "bluesky.json")],
         }[command]
         unwanted = ["tosaudit.report", "tosaudit.svg", "csv", "dataclasses",
-                    "inspect", "datetime", "html", "html.entities"]
+                    "inspect", "datetime"]
         if command != "analyze":
             unwanted += [f"tosaudit.{name}" for name in (
                 "htmltext", "textprep", "matching", "clarity", "readability",
@@ -1806,44 +1805,6 @@ class TestEntryPoint:
             capture_output=True, text=True, env=_env_with_src(), timeout=60)
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout.splitlines()[-1]) == []
-
-    def test_text_with_an_entity_loads_the_entity_table(self, tmp_path):
-        """An HTML page with a '&' in its text and in a class that an
-        include selector matches: analyze decodes both, and only then
-        loads html and its entity table."""
-        from tosaudit import corpus
-        payload = (
-            '<html><body><div class="promo">Try Premium &amp; more.</div>'
-            '<section class="x&amp;a&#9;terms"><p>We collect your email'
-            ' address &amp; device identifier.</p></section></body></html>'
-        ).encode("utf-8")
-        entry = corpus.SnapshotEntry(
-            platform="example", source_url="https://example.org/terms",
-            retrieved_at="2025-11-01T00:00:00Z",
-            content_digest=corpus.digest_bytes(payload), payload_path="",
-            media_kind="html")
-        corpus.store_snapshot(corpus.new_manifest(), entry, payload,
-                              str(tmp_path))
-        (tmp_path / "extraction_config.json").write_text(
-            json.dumps({"example": {"include": ["section.terms"]}}),
-            encoding="utf-8")
-        probe = (
-            "import json, sys\n"
-            "import tosaudit.cli\n"
-            "tosaudit.cli.main(sys.argv[1:])\n"
-            "print(json.dumps([m in sys.modules\n"
-            "                  for m in ('html', 'html.entities')]))\n")
-        out = tmp_path / "r.json"
-        completed = subprocess.run(
-            [sys.executable, "-c", probe, "analyze", "--corpus",
-             str(tmp_path), "--out", str(out)],
-            capture_output=True, text=True, env=_env_with_src(), timeout=60)
-        assert completed.returncode == 0, completed.stderr
-        assert json.loads(completed.stdout.splitlines()[-1]) == [True, True]
-        [record] = json.loads(out.read_text(encoding="utf-8"))["results"]
-        assert {finding["sentence_text"]
-                for finding in record["specificity"]["findings"]} == {
-            "We collect your email address & device identifier."}
 
     def test_package_imports_no_submodule(self):
         """`import tosaudit` loads no `tosaudit.*` module, and the package
