@@ -5,13 +5,17 @@ nothing recurses, so nesting depth is unbounded. The tokenizer
 reproduces the token boundaries of Python 3.11's html.parser fed the
 whole markup and closed. A clean tag and the text before it take one
 match of one regex, as does text before the end or any other '<', which
-a port of that parser's rule for the one construct there reads.
-Script/style/navigation boilerplate is dropped, block elements become
-paragraph breaks, and a deliberately small selector subset (tag, .class,
-#id, tag.class, tag#id) serves per-platform include/exclude rules.
+a port of that parser's rule for the one construct there reads. A start
+tag's match also takes the text after it, plus its own end tag when that
+comes next, so an element such as <b>may</b> takes one loop turn. An end
+tag with no open element of its name is ignored without walking the open
+elements. Script/style/navigation boilerplate is dropped, block elements
+become paragraph breaks, and a deliberately small selector subset (tag,
+.class, #id, tag.class, tag#id) serves per-platform include/exclude rules.
 """
 
 import re
+from collections import Counter
 from html import unescape
 
 from .errors import ExtractionError
@@ -39,16 +43,19 @@ _SELECTOR_RE = re.compile(
     r"([a-zA-Z][a-zA-Z0-9-]*)?(?:\.([\w-]+)|#([\w-]+))?"
 )
 
-# A text run (1) and the clean tag after it, by m.lastindex: 1 none (at the
-# end or a '<' for _construct); 4 a start tag whose name (2) and attributes
-# (3) html.parser reads exactly so, with 4 the '/' of '/>'; 5 an end tag,
-# html.parser's endtagfind. Attributes are bare or double-quoted after ASCII
-# space, so its tolerant patterns end the tag at the same '>'. The possessive
-# repeats never backtrack, so a failed tag never rescans the text run.
+# A text run (1) and what follows it: nothing (at the end, or a '<' for
+# _construct), an end tag, html.parser's endtagfind, whose name is 7, or a
+# start tag whose name (2) and attributes (3) html.parser reads exactly so,
+# with 4 the '/' of '/>'. A start tag takes the text after it (5) and, when
+# not '/>', its own end tag written exactly '</name>' (6) if that comes
+# next, so that one match reads a whole inline element. Attributes are bare
+# or double-quoted after ASCII space, so its tolerant patterns end the tag
+# at the same '>'. The possessive repeats never backtrack, so a failed tag
+# or end tag never rescans a text run.
 _TOKEN = re.compile(
     r'([^<]*+)(?:<([a-zA-Z][-.:\w]*+)'
-    r'((?:[ \t\n\r\f]++[a-zA-Z_:][-.:\w]*+(?:="[^"]*+")?)*+)[ \t\n\r\f]*(/?)>'
-    r'|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|)')
+    r'((?:[ \t\n\r\f]++[a-zA-Z_:][-.:\w]*+(?:="[^"]*+")?)*+)[ \t\n\r\f]*(/)?>'
+    r'([^<]*+)(?(4)|(</\2>)?)|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|)')
 _ATTR = re.compile(r'([a-zA-Z_:][-.:\w]*)(?:="([^"]*)")?')
 # html.parser's raw-text elements and the end tag it searches for.
 _RAW_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I)
@@ -92,6 +99,23 @@ def _matches_any(attrs, selectors):
                 and (node_id is None or attrs.get("id") == node_id)):
             return True
     return False
+
+
+def _action(tag, exclude, include):
+    """What a start tag does: (tag, selectors, its state where it would
+    emit, opening and closing text, whether it is void, its raw-text end
+    tag or None). selectors is empty if none can match the tag, else
+    (exclude, include, their class and id values); each of the first two
+    is True if a bare tag selector matches, else (class, id) pairs."""
+    ex, inc = ([s[1:] for s in group if s[0] in (None, tag)]
+               for group in (exclude, include))
+    block = tag in BLOCK_TAGS and tag not in DROP_TAGS
+    return (tag, (ex or inc) and (
+                (None, None) in ex or ex, (None, None) in inc or inc,
+                [v for pair in ex + inc for v in pair if v]),
+            _MUTED if tag in DROP_TAGS else _EMIT,
+            "\n" if tag == "br" else "\n\n" if block else "",
+            "\n\n" if block else "", tag in VOID_TAGS, _RAW_END.get(tag))
 
 
 def _construct(s, i):
@@ -184,90 +208,104 @@ def html_to_text(markup, include=None, exclude=None):
     """
     exclude = [parse_selector(s) for s in exclude or ()]
     include = [parse_selector(s) for s in include or ()]
-    # Each open element is a (tag, state, closing) frame; closing is the
-    # text emitted when the element closes.
-    stack = [("#root", _OUTSIDE if include else _EMIT, "")]
+    # Each open element is a (tag, state, closing) frame, closing being the
+    # text emitted when it closes; top and state are the last frame's.
+    top, state = "#root", _OUTSIDE if include else _EMIT
+    stack = [(top, state, "")]
     out = []
+    append = out.append
     parts = 0
-    # tag -> (exclude, include, their class and id values), each of the
-    # first two True if a bare tag selector matches, else (class, id) pairs
-    selectors = {}
+    actions = {}  # tag name as written -> its _action
+    # Open elements per tag, counted from the first end tag that does not
+    # close the top one, so that an end tag with none open costs O(1).
+    counts = None
     # Pattern.scanner (as re.Scanner uses it) matches where the last ended.
     scan = _TOKEN.scanner(markup).match
     while True:
         m = scan()
-        kind = m.lastindex
-        if stack[-1][1] == _EMIT and m[1]:
-            out.append(unescape(m[1]))
-        if kind == 1:
-            if m.end() == len(markup):
-                break
-            pos, kind, tag, attrs, empty = _construct(markup, m.end())
-            scan = _TOKEN.scanner(markup, pos).match
-            m = None  # the tag, if any, ends at pos
-            if kind == 1:
-                if stack[-1][1] == _EMIT:
-                    out.append(tag)
-                continue
-        elif kind == 5:
-            tag = m[5].lower()
-        else:
-            tag, attrs, empty = m[2].lower(), m[3], m[4]
-        if kind == 5:
-            if stack[-1][0] == tag:
-                out.append(stack.pop()[2])
-                continue
-            for i in range(len(stack) - 2, 0, -1):
-                if stack[i][0] == tag:
-                    out.extend([frame[2] for frame in reversed(stack[i:])])
-                    del stack[i:]
+        text, name, attrs, empty, after, pair, end = m.groups()
+        if text and state == _EMIT:
+            append(unescape(text) if "&" in text else text)
+        if name is None:
+            if end is None:
+                if m.end() == len(markup):
                     break
-        elif kind == 4:
-            state = stack[-1][1]
+                pos, kind, name, attrs, empty = _construct(markup, m.end())
+                scan = _TOKEN.scanner(markup, pos).match
+                m = None  # the tag, if any, ends at pos
+                if kind == 5:
+                    end = name
+                elif kind != 4:
+                    if kind == 1 and state == _EMIT:
+                        append(name)
+                    continue
+            if end is not None:
+                tag = end.lower()
+                if tag != top:
+                    if counts is None:
+                        counts = Counter(frame[0] for frame in stack)
+                    if not counts[tag]:
+                        continue
+                    while stack[-1][0] != tag:
+                        frame = stack.pop()
+                        append(frame[2])
+                        counts[frame[0]] -= 1
+                append(stack.pop()[2])
+                if counts is not None:
+                    counts[tag] -= 1
+                top, state, _ = stack[-1]
+                continue
+        action = actions.get(name)
+        if action is None:
+            action = actions[name] = _action(name.lower(), exclude, include)
+        tag, sels, emitted, opening, closing, void, raw = action
+        new = state
+        if state != _MUTED and sels:
+            ex, inc, values = sels
+            if isinstance(attrs, str):
+                # No '&': a class or id can match only if its value occurs.
+                attrs = {name.lower(): unescape(value) for name, value
+                         in _ATTR.findall(attrs)} if values and (
+                    "&" in attrs or any(map(attrs.__contains__, values))
+                ) else {}
+            if ex is True or attrs and _matches_any(attrs, ex):
+                new = _MUTED
+            elif state == _OUTSIDE and (
+                    inc is True or attrs and _matches_any(attrs, inc)):
+                # An included element starts a part; parts are joined by a
+                # blank line and nested matches stay in their part.
+                if parts:
+                    append("\n\n")
+                parts += 1
+                new = _EMIT
+        if new == _EMIT:
+            new = emitted
+            append(opening)
+        else:
             closing = ""
-            if state != _MUTED:
-                sels = selectors.get(tag)
-                if sels is None:
-                    ex, inc = ([s[1:] for s in group if s[0] in (None, tag)]
-                               for group in (exclude, include))
-                    sels = selectors[tag] = (
-                        (None, None) in ex or ex, (None, None) in inc or inc,
-                        [v for pair in ex + inc for v in pair if v])
-                ex, inc, values = sels
-                if isinstance(attrs, str):
-                    # No '&': a class or id can match only if its value occurs.
-                    attrs = {name.lower(): unescape(value) for name, value
-                             in _ATTR.findall(attrs)} if values and (
-                        "&" in attrs or any(map(attrs.__contains__, values))
-                    ) else {}
-                if ex is True or attrs and _matches_any(attrs, ex):
-                    state = _MUTED
-                elif state == _OUTSIDE and (
-                        inc is True or attrs and _matches_any(attrs, inc)):
-                    # An included element starts a part; parts are joined
-                    # by a blank line and nested matches stay in their part.
-                    if parts:
-                        out.append("\n\n")
-                    parts += 1
-                    state = _EMIT
-                if state == _EMIT:
-                    if tag in DROP_TAGS:
-                        state = _MUTED
-                    elif tag == "br":
-                        out.append("\n")
-                    elif tag in BLOCK_TAGS:
-                        out.append("\n\n")
-                        closing = "\n\n"
-            if empty or tag in VOID_TAGS:
-                out.append(closing)
-            elif tag in _RAW_END:
-                # Raw text that no frame of a DROP_TAGS element emits:
-                # skip to the end tag, or drop the rest if there is none.
-                m = _RAW_END[tag].search(markup, m.end() if m else pos)
+        if empty or void:
+            # It closes at once, so the text after it is its parent's; the
+            # end tag of a void element closes nothing.
+            append(closing)
+            if after and state == _EMIT:
+                append(unescape(after) if "&" in after else after)
+        elif raw is not None:
+            # Raw text that no frame of a DROP_TAGS element emits: skip to
+            # the end tag, or drop the rest if there is none.
+            if pair is None:
+                m = raw.search(markup, m.end() if m else pos)
                 if m is None:
                     break
                 scan = _TOKEN.scanner(markup, m.end()).match
+        else:
+            if after and new == _EMIT:
+                append(unescape(after) if "&" in after else after)
+            if pair is None:
+                stack.append((tag, new, closing))
+                top, state = tag, new
+                if counts is not None:
+                    counts[tag] += 1
             else:
-                stack.append((tag, state, closing))
+                append(closing)
     out.extend([frame[2] for frame in reversed(stack[1:])])
     return "".join(out)

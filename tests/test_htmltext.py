@@ -262,9 +262,29 @@ _CLASSES = ["", ' class="a"', ' class="b a"', " class", ' id="x"',
             ' class="&#98;"', ' id="&#120;"']
 _TAGS = ["div", "p", "span", "section", "b", "li", "nav", "script",
          "br", "img", "hr", "main", "style", "DIV", "Script"]
+# Fewer names than _TAGS, so that an element's tag is more often open.
+_ELEMENT_TAGS = ["span", "div", "p", "b", "script", "br", "DIV"]
+_TEXTS = ["t", "u v", "", "\n", "&", "&am", "a&amp;b"]
+
+
+@st.composite
+def _elements(draw):
+    """A start tag, a text and an end tag in one piece, as one match of
+    the tokenizer may take them. The end tag names the start tag, the
+    same name in another case, or another name; a '/>' start tag closes
+    at once, so its end tag is another element's."""
+    tag = draw(st.sampled_from(_ELEMENT_TAGS))
+    attrs = draw(st.sampled_from(_CLASSES))
+    slash = draw(st.sampled_from(["", "/"]))
+    text = draw(st.sampled_from(_TEXTS))
+    end = draw(st.sampled_from([tag, tag.swapcase(), "b", "div"]))
+    return f"<{tag}{attrs}{slash}>{text}</{end}>"
+
+
 _PIECES = st.one_of(
     st.builds("<{}{}>".format, st.sampled_from(_TAGS),
               st.sampled_from(_CLASSES)),
+    _elements(),
     st.builds("<{}{}/>".format, st.sampled_from(_TAGS),
               st.sampled_from(_CLASSES)),
     st.builds("</{}>".format, st.sampled_from(_TAGS)),
@@ -273,7 +293,7 @@ _PIECES = st.one_of(
                      "</SCRIPT >", "</script x>", "</style\n>", "<a/b>",
                      "<p =x>", "</ x>", "</>", "<![CDATA[x]]>", "<![if x]>",
                      "<![x", "<?pi>", "-->", "<!-- c", "\xa0", "a < b",
-                     "<3", "<a ", '<p a="', "<a\x00b>"]),
+                     "<3", "<a ", '<p a="', "<a\x00b>", "</i>", "</font>"]),
 )
 _SELECTORS = st.lists(
     st.sampled_from(["div", ".a", ".b", "#x", "p.a", "span#x", "section",
@@ -306,6 +326,9 @@ class TestStreamingMatchesReference:
     # A NUL right after a tag name ends the construct there: "<a" is
     # text, as html.parser gives it.
     @example(pieces=["<p>", "one ", "<a\x00b>", "two", "</p>"], last="",
+             include=None, exclude=None)
+    # The end tag after '/>' closes the open <span>, not the empty one.
+    @example(pieces=["<span>", "<div>", "<span/></span>"], last="&",
              include=None, exclude=None)
     def test_same_text_as_reference(self, pieces, last, include, exclude):
         markup = "".join(pieces) + last

@@ -286,7 +286,9 @@ class TestPlainTextScaling:
 # HTML shapes that html_to_text reads in linear time, each with the text
 # one unit yields and the exclude rule it runs under: a stray '<' that
 # _construct reads as text, tags whose attributes hold no selector value,
-# end tags with nothing open to close, and entities beside inline tags.
+# end tags with nothing open to close, below open elements of other names
+# or none, entities beside inline tags, and start tags whose own end tag
+# does not follow as written.
 # Shapes that are still quadratic (ROADMAP item 4) are left out.
 _HTML_SCALING_SHAPES = {
     "stray_lt": ("we may share your data < ", "we may share your data < ",
@@ -296,6 +298,10 @@ _HTML_SCALING_SHAPES = {
                                 [".toc"]),
     "unmatched_end_tags": ("</x>", "", []),
     "entities_and_inline_tags": ("a &amp; b <i>c</i> ", "a & b c ", []),
+    "stray_end_tags_under_b": ("<b>x</i>", "x", []),
+    "stray_end_tags_under_em": ("<em>a</font>", "a", []),
+    "span_never_closed": ("<span>w w w ", "w w w ", []),
+    "end_tag_in_another_case": ("<SPAN>w</span>", "w", []),
 }
 _HTML_SCALING_PROBE = """
 import json, sys
