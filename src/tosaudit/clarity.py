@@ -1,16 +1,16 @@
 """Vague-term detection: density, diversity, and per-term frequencies.
 
-Reads each sentence's vague-term matches from its scan by the shared
-lexicon index, so matching is case-insensitive, word-bounded,
-longest-match-wins, and never crosses a sentence boundary. A
-multi-word match counts as one occurrence.
+scan_vague_terms reads each sentence's vague-term matches from its view
+scanned by the pipeline's lexicon index (see index_terms), so matching
+is case-insensitive, word-bounded, longest-match-wins, and never
+crosses a sentence boundary. A multi-word match counts as one
+occurrence. This module scans nothing itself.
 """
 
 from typing import NamedTuple
 
 from . import inputs
 from .errors import LexiconError
-from .matching import LexiconIndex
 
 CATEGORIES = ("uncertainty", "actor_ambiguity", "scope_ambiguity", "other")
 
@@ -90,18 +90,14 @@ def index_terms(index, lex):
             index.add("vague", variant, term.canonical)
 
 
-def scan_vague_terms(doc, lex, views=None):
-    """Scan a Document for vague terms and build its ClarityReport.
+def scan_vague_terms(doc, views):
+    """Build a Document's ClarityReport from its sentences' views.
 
-    views are the sentences' views scanned by a LexiconIndex that holds
-    lex (see index_terms); without them the sentences are scanned here.
-    Match spans are absolute offsets into doc.text. Variant hits are
-    attributed to their canonical term.
+    views are the sentences' views, in order, scanned by a LexiconIndex
+    that holds the vague-term lexicon (see index_terms). Match spans are
+    absolute offsets into doc.text. Variant hits are attributed to their
+    canonical term.
     """
-    if views is None:
-        index = LexiconIndex()
-        index_terms(index, lex)
-        views = map(index.scan, doc.sentences)
     per_term = {}
     matches = []
     for sentence, view in zip(doc.sentences, views):

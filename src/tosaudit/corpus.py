@@ -40,7 +40,6 @@ class SnapshotEntry(NamedTuple):
 class CorpusManifest(NamedTuple):
     entries: tuple = ()
     created_at: str = ""
-    schema_version: int = SCHEMA_VERSION
     extra: dict = None
 
     def entry_for(self, platform):
@@ -165,7 +164,7 @@ def store_snapshot(manifest, entry, payload, corpus_dir):
 
 def manifest_to_dict(manifest):
     d = dict(manifest.extra or {})
-    d["schema_version"] = manifest.schema_version
+    d["schema_version"] = SCHEMA_VERSION
     d["created_at"] = manifest.created_at
     d["entries"] = []
     for entry in manifest.entries:
@@ -181,10 +180,12 @@ def manifest_from_dict(data):
              if k not in ("schema_version", "created_at", "entries")}
     raw_entries = data.get("entries", [])
     schema_version = data.get("schema_version", SCHEMA_VERSION)
-    if not (isinstance(schema_version, int) and isinstance(raw_entries, list)
+    if not (type(schema_version) is int and schema_version == SCHEMA_VERSION
+            and isinstance(raw_entries, list)
             and all(isinstance(ed, dict) for ed in raw_entries)):
-        raise CorpusError("manifest needs an integer schema_version and "
-                          "entries that are a list of objects")
+        raise CorpusError(f"manifest needs integer schema_version "
+                          f"{SCHEMA_VERSION} and entries that are a list of "
+                          "objects")
     entries = []
     for ed in raw_entries:
         entry_extra = {k: v for k, v in ed.items() if k not in _ENTRY_FIELDS}
@@ -208,7 +209,6 @@ def manifest_from_dict(data):
     return CorpusManifest(
         entries=tuple(entries),
         created_at=data.get("created_at", ""),
-        schema_version=schema_version,
         extra=extra,
     )
 

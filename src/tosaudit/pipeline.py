@@ -52,11 +52,11 @@ class PipelineContext:
 
     def __init__(self, lexicons_dir=None, corpus_dir=None,
                  classic_lensear=False):
-        self.vague_lexicon = clarity_mod.load_vague_lexicon(lexicons_dir)
+        vague_lexicon = clarity_mod.load_vague_lexicon(lexicons_dir)
         self.spec_lexicons = specificity_mod.load_specificity_lexicons(
             lexicons_dir)
         self.index = LexiconIndex()
-        clarity_mod.index_terms(self.index, self.vague_lexicon)
+        clarity_mod.index_terms(self.index, vague_lexicon)
         specificity_mod.index_lexicons(self.index, self.spec_lexicons)
         self.reader_groups = readability_mod.load_reader_groups(lexicons_dir)
         # Forked workers inherit it empty; each fills its own copy.
@@ -93,8 +93,7 @@ def analyze_entry(entry, payload, ctx):
                                **estimate._asdict()}
     # One scan per sentence serves both clarity and specificity.
     views = list(map(ctx.index.scan, doc.sentences))
-    clarity_report = clarity_mod.scan_vague_terms(
-        doc, ctx.vague_lexicon, views)
+    clarity_report = clarity_mod.scan_vague_terms(doc, views)
     findings = specificity_mod.analyze_document(doc, ctx.spec_lexicons, views)
     return doc, {
         "platform": entry.platform,

@@ -1,13 +1,14 @@
 """Specificity scoring of data-practice disclosures.
 
 Sentence-level detectors find named data types, named entities,
-retention statements, and sharing conditions. Findings aggregate to
-document counts, map onto 0..2 sub-scores, and average into a
-composite. Human labels, carried in by a review file (see `results`),
-override automatic ones in the post-review counts and scores, which
-are kept beside the automatic ones. score_findings makes the
-results-file specificity block that analyze and review apply both
-write.
+retention statements, and sharing conditions in each sentence's view
+scanned by the pipeline's lexicon index (see index_lexicons); this
+module scans nothing itself. Findings aggregate to document counts, map
+onto 0..2 sub-scores, and average into a composite. Human labels,
+carried in by a review file (see `results`), override automatic ones in
+the post-review counts and scores, which are kept beside the automatic
+ones. score_findings makes the results-file specificity block that
+analyze and review apply both write.
 """
 
 import re
@@ -115,16 +116,16 @@ class SpecificityScores(NamedTuple):
 
 
 def _phrase_list(name, values):
+    """values, each stripped, if they are a list of non-blank strings."""
     if not inputs.is_phrase_list(values):
         raise LexiconError(f"{name}: must be a list of non-empty strings")
-    return tuple(values)
+    return tuple(value.strip() for value in values)
 
 
 def _unique_nonempty(name, values):
     out = []
     seen = set()
     for value in _phrase_list(name, values):
-        value = value.strip()
         folded = value.lower()
         if folded in seen:
             raise LexiconError(f"{name}: duplicate entry {value!r}")
@@ -155,7 +156,7 @@ def load_specificity_lexicons(lexicons_dir=None):
     for category, phrases in categories.items():
         data_types[category] = _phrase_list(
             f"data_types.categories.{category}", phrases)
-        all_phrases.extend(phrases)
+        all_phrases.extend(data_types[category])
     _unique_nonempty("data_types", all_phrases)
 
     return SpecificityLexicons(
@@ -342,18 +343,12 @@ def classify_sharing(view, lex):
     return []
 
 
-def analyze_document(doc, lex, views=None):
+def analyze_document(doc, lex, views):
     """Run all four detectors over every sentence of a document.
 
-    views are the sentences' views scanned by a LexiconIndex that holds
-    lex (see index_lexicons); without them the sentences are scanned
-    here.
+    views are the sentences' views, in order, scanned by a LexiconIndex
+    that holds lex (see index_lexicons).
     """
-    if views is None:
-        from .matching import LexiconIndex  # review needs no matcher
-        index = LexiconIndex()
-        index_lexicons(index, lex)
-        views = map(index.scan, doc.sentences)
     detectors = tuple(zip(DETECTORS, (
         detect_data_types, detect_entities, classify_retention,
         classify_sharing)))

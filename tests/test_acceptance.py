@@ -20,6 +20,7 @@ from tosaudit.interface_assess import (
     EvidenceRecord, InterfaceAssessment, assessment_to_dict,
     validate_assessment,
 )
+from tosaudit.matching import LexiconIndex
 from tosaudit.pipeline import (
     apply_review_to_results, export_review_from_results,
 )
@@ -378,10 +379,16 @@ CLARITY_PLANTS = (
 )
 
 
+def _vague_report(doc):
+    """clarity's report of doc, from views of an index of the vague terms."""
+    index = LexiconIndex()
+    clarity.index_terms(index, clarity.load_vague_lexicon())
+    return clarity.scan_vague_terms(doc, map(index.scan, doc.sentences))
+
+
 def _scan_count(tokens):
     doc = textprep.build_document("fixture", " ".join(tokens) + ".")
-    lexicon = clarity.load_vague_lexicon()
-    return clarity.scan_vague_terms(doc, lexicon).vague_count
+    return _vague_report(doc).vague_count
 
 
 def test_criterion_6_clarity_scanner():
@@ -402,7 +409,7 @@ def test_criterion_6_clarity_scanner():
     # Longest-match on the nesting fixture: exactly three matches.
     doc = textprep.build_document(
         "fixture", "We may share certain information with third parties.")
-    nesting = clarity.scan_vague_terms(doc, clarity.load_vague_lexicon())
+    nesting = _vague_report(doc)
     if nesting.vague_count != 3:
         mismatches.append(
             f"nesting fixture counted {nesting.vague_count}, expected 3")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tosaudit import clarity, textprep
+from tosaudit import clarity, specificity, textprep
 from tosaudit.errors import LexiconError
 from tosaudit.matching import LexiconIndex
 
@@ -19,13 +19,13 @@ def index(lexicon):
     return index
 
 
-def scan_doc(doc, lexicon, index):
+def scan_doc(doc, index):
     views = [index.scan(sentence) for sentence in doc.sentences]
-    return clarity.scan_vague_terms(doc, lexicon, views)
+    return clarity.scan_vague_terms(doc, views)
 
 
-def scan(text, lexicon, index):
-    return scan_doc(textprep.build_document("demo", text), lexicon, index)
+def scan(text, index):
+    return scan_doc(textprep.build_document("demo", text), index)
 
 
 class TestLexiconLoading:
@@ -106,9 +106,9 @@ class TestLexiconLoading:
 
 
 class TestScan:
-    def test_nesting_sentence_yields_three_matches(self, lexicon, index):
+    def test_nesting_sentence_yields_three_matches(self, index):
         report = scan("We may share certain information with third parties.",
-                      lexicon, index)
+                      index)
         assert report.vague_count == 3
         assert report.per_term_counts == {
             "may": 1, "certain information": 1, "third parties": 1}
@@ -116,18 +116,18 @@ class TestScan:
         assert report.density_pct == pytest.approx(37.5)
         assert report.unique_terms == 3
 
-    def test_variant_attributed_to_canonical(self, lexicon, index):
-        report = scan("We could contact vendors.", lexicon, index)
+    def test_variant_attributed_to_canonical(self, index):
+        report = scan("We could contact vendors.", index)
         assert report.per_term_counts == {"may": 1, "third parties": 1}
 
-    def test_singular_vendor_maps_to_hyphenated_term(self, lexicon, index):
-        report = scan("A vendor handles payments.", lexicon, index)
+    def test_singular_vendor_maps_to_hyphenated_term(self, index):
+        report = scan("A vendor handles payments.", index)
         assert report.per_term_counts == {"third-party": 1}
 
-    def test_match_spans_are_absolute(self, lexicon, index):
+    def test_match_spans_are_absolute(self, index):
         text = "First sentence is plain.\n\nWe may act from time to time."
         doc = textprep.build_document("demo", text)
-        report = scan_doc(doc, lexicon, index)
+        report = scan_doc(doc, index)
         for sentence_index, (start, end), canonical in report.matches:
             surface = doc.text[start:end]
             assert surface.lower().split()[0] in (
@@ -136,30 +136,38 @@ class TestScan:
         assert "may" in spans
         assert "time to time" in spans
 
-    def test_counts_accumulate_across_sentences(self, lexicon, index):
-        report = scan("We may act. We may rest. Some stay.", lexicon, index)
+    def test_counts_accumulate_across_sentences(self, index):
+        report = scan("We may act. We may rest. Some stay.", index)
         assert report.per_term_counts["may"] == 2
         assert report.per_term_counts["some"] == 1
         assert report.vague_count == 3
         assert report.unique_terms == 2
 
-    def test_no_matches(self, lexicon, index):
-        report = scan("The walrus naps.", lexicon, index)
+    def test_no_matches(self, index):
+        report = scan("The walrus naps.", index)
         assert report.vague_count == 0
         assert report.density_pct == 0.0
         assert report.matches == []
 
-    def test_empty_document(self, lexicon, index):
+    def test_empty_document(self, index):
         doc = textprep.build_document("demo", "")
-        report = scan_doc(doc, lexicon, index)
+        report = scan_doc(doc, index)
         assert report.vague_count == 0
         assert report.word_count == 0
         assert report.density_pct == 0.0
 
-    def test_matcher_built_on_demand(self, lexicon):
-        doc = textprep.build_document("demo", "We may act.")
-        report = clarity.scan_vague_terms(doc, lexicon)
-        assert report.vague_count == 1
+    def test_views_from_the_shared_index(self, index):
+        # analyze's index also holds the specificity lexicons; their
+        # hits in a view change no vague-term match.
+        shared = LexiconIndex()
+        clarity.index_terms(shared, clarity.load_vague_lexicon())
+        specificity.index_lexicons(
+            shared, specificity.load_specificity_lexicons())
+        doc = textprep.build_document(
+            "demo", "We may share your email address with third parties "
+            "and keep it as long as necessary.")
+        assert scan_doc(doc, shared) == scan_doc(doc, index)
+        assert scan_doc(doc, shared).vague_count == 3
 
 
 class TestDensity:

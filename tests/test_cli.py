@@ -830,6 +830,9 @@ FAIL_CLOSED_CASES = {
     "manifest_entries_not_list": (
         _manifest_edit(lambda manifest: {**manifest, "entries": {"a": 1}}),
         2, "entries that are a list of objects"),
+    "manifest_schema_version_99": (
+        _manifest_edit(lambda manifest: {**manifest, "schema_version": 99}),
+        2, "manifest needs integer schema_version 1"),
     "manifest_payload_path_not_string": (
         _manifest_edit(lambda manifest: {**manifest, "entries": [
             {**manifest["entries"][0], "payload_path": 5}]}),
@@ -1908,17 +1911,22 @@ class TestReadme:
         for path in _command_paths(cli._parser("tosaudit")):
             assert set(path) <= used, path
 
-    def test_library_example_runs(self, tmp_path):
-        """README's library quick start runs in a fresh interpreter on
-        a fixture document saved as terms.txt."""
+    def test_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        """README's library quick start runs on a fixture document saved
+        as terms.txt, here, so a file it leaves open fails it, and its
+        one scan per sentence gives what analyze_entry gives."""
         text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        block, = re.findall(r"```python\n(.*?)```", text, re.S)
+        section = text.split("## Quick start (library)\n", 1)[1]
+        block, = re.findall(r"\A\s*```python\n(.*?)```", section, re.S)
         (tmp_path / "terms.txt").write_text(
             fixture_docs.DOCS["reddit"][1], encoding="utf-8")
-        completed = subprocess.run(
-            [sys.executable, "-c", block], cwd=tmp_path,
-            capture_output=True, text=True, env=_env_with_src(), timeout=60)
-        assert completed.returncode == 0, completed.stderr
+        monkeypatch.chdir(tmp_path)
+        names = {}
+        exec(compile(block, "README.md", "exec"), names)
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        record = names["record"]
+        assert names["report"]._asdict() == record["clarity"]
+        assert names["findings"] == record["specificity"]["findings"]
 
     @pytest.mark.parametrize("command", _command_paths(cli._parser("tosaudit")),
                              ids=lambda command: "-".join(command) or "top")

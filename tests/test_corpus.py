@@ -72,6 +72,10 @@ class TestManifestSerialization:
         assert manifest.entries[0].extra == {"etag": "abc123"}
         assert manifest_to_dict(manifest) == data
 
+    def test_no_schema_version_is_version_1(self):
+        assert manifest_to_dict(manifest_from_dict({"entries": []})) == {
+            "schema_version": 1, "created_at": "", "entries": []}
+
     def test_missing_entry_field_raises(self):
         data = {"entries": [{"platform": "demo"}]}
         with pytest.raises(CorpusError, match="manifest entry missing field"):
@@ -81,11 +85,15 @@ class TestManifestSerialization:
         ({"entries": {"demo": {}}}, "entries that are a list of objects"),
         ({"entries": ["demo"]}, "entries that are a list of objects"),
         ({"schema_version": "one", "entries": []}, "integer schema_version"),
+        ({"schema_version": True, "entries": []}, "integer schema_version"),
+        ({"schema_version": 0, "entries": []}, "integer schema_version"),
+        ({"schema_version": 2, "entries": []}, "integer schema_version"),
         ({"entries": [{"platform": "demo", "source_url": "u",
                        "retrieved_at": "t", "content_digest": "d",
                        "payload_path": 5, "media_kind": "plain_text"}]},
          "missing field 'payload_path' as a string"),
     ], ids=["entries_object", "entry_string", "schema_version_string",
+            "schema_version_true", "schema_version_0", "schema_version_2",
             "field_not_string"])
     def test_wrong_shape_raises(self, data, message):
         with pytest.raises(CorpusError, match=message):

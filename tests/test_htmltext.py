@@ -288,12 +288,21 @@ _PIECES = st.one_of(
     st.builds("<{}{}/>".format, st.sampled_from(_TAGS),
               st.sampled_from(_CLASSES)),
     st.builds("</{}>".format, st.sampled_from(_TAGS)),
+    # An element open around a block one, then an empty element of its
+    # name and an end tag: that end tag closes the open element, and the
+    # block with it, not the empty one.
+    st.builds("<{0}><{1}><{0}/></{0}>t".format, st.sampled_from(_ELEMENT_TAGS),
+              st.sampled_from(["div", "p", "section"])),
+    # Comments, marked sections, declarations and processing instructions
+    # that end, and ones that do not.
     st.sampled_from(["t", "u v", " ", "\n", "a&amp;b", "&lt;p&gt;",
                      "<!--c-->", "<!DOCTYPE html>", "<", "</", "&",
                      "</SCRIPT >", "</script x>", "</style\n>", "<a/b>",
                      "<p =x>", "</ x>", "</>", "<![CDATA[x]]>", "<![if x]>",
                      "<![x", "<?pi>", "-->", "<!-- c", "\xa0", "a < b",
-                     "<3", "<a ", '<p a="', "<a\x00b>", "</i>", "</font>"]),
+                     "<3", "<a ", '<p a="', "<a\x00b>", "</i>", "</font>",
+                     "<![CDATA[x", "<![if x", "<![endif]", "<!--", "<!x",
+                     "<!DOCTYPE html", "<?pi"]),
 )
 _SELECTORS = st.lists(
     st.sampled_from(["div", ".a", ".b", "#x", "p.a", "span#x", "section",

@@ -24,10 +24,18 @@ from hypothesis import given, settings, strategies as st
 import fixture_docs
 from conftest import GENERATED_SENTENCES
 from tosaudit import clarity, readability, specificity, textprep
+from tosaudit.matching import LexiconIndex
 
-VAGUE = clarity.load_vague_lexicon()
 SPEC = specificity.load_specificity_lexicons()
 GROUPS = readability.load_reader_groups()
+# One index of both lexicons, as analyze scans each sentence once.
+INDEX = LexiconIndex()
+clarity.index_terms(INDEX, clarity.load_vague_lexicon())
+specificity.index_lexicons(INDEX, SPEC)
+
+
+def views_of(doc):
+    return [INDEX.scan(sentence) for sentence in doc.sentences]
 
 
 def document_text(platform):
@@ -41,13 +49,15 @@ def document_text(platform):
 def measures(platform, text):
     doc = textprep.build_document(platform, text)
     profile = readability.compute_readability_profile(doc.stats)
+    views = views_of(doc)
     block = specificity.score_findings(
-        specificity.analyze_document(doc, SPEC), doc.stats.sentence_count)
+        specificity.analyze_document(doc, SPEC, views),
+        doc.stats.sentence_count)
     return {
         "doc": doc,
         "profile": profile,
         "bands": readability.profile_bands(profile),
-        "clarity": clarity.scan_vague_terms(doc, VAGUE),
+        "clarity": clarity.scan_vague_terms(doc, views),
         "counts": block["auto"]["counts"],
         "coverage": block["coverage"],
         "minutes": [readability.estimate_reading_time(
@@ -147,9 +157,10 @@ FILLER = ("Blue river stones rest quietly beneath tall green hills. "
 
 def findings_and_counts(platform, text):
     doc = textprep.build_document(platform, text)
-    findings = specificity.analyze_document(doc, SPEC)
+    views = views_of(doc)
+    findings = specificity.analyze_document(doc, SPEC, views)
     counts = specificity.aggregate_counts(findings, use_review=False)
-    return findings, counts, clarity.scan_vague_terms(doc, VAGUE).vague_count
+    return findings, counts, clarity.scan_vague_terms(doc, views).vague_count
 
 
 def test_filler_matches_nothing():

@@ -24,6 +24,7 @@ from tosaudit import (
 )
 from tosaudit.errors import ReviewError, TosAuditError
 from tosaudit.inputs import canonical_json
+from tosaudit.matching import LexiconIndex
 from tosaudit.pipeline import (
     apply_review_to_results, export_review_from_results,
     analyze_entry, load_results, results_payload, run_pipeline, save_results,
@@ -118,6 +119,39 @@ class TestFullRun:
         adult = fluency["adult_oral"]
         assert adult["minutes_low"] == pytest.approx(wc / 183)
         assert adult["minutes_high"] == pytest.approx(wc / 183)
+
+
+class TestOneScan:
+    """pipeline is the one module that scans sentences: one scan of each
+    serves both clarity and specificity."""
+
+    def test_analyze_scans_each_sentence_once(self, fixture_corpus,
+                                              monkeypatch):
+        scanned = []
+        scan = LexiconIndex.scan
+
+        def counted(index, sentence):
+            scanned.append(sentence)
+            return scan(index, sentence)
+
+        # The fixture corpus is too small for a pool, so every scan runs
+        # in this process.
+        monkeypatch.setattr(LexiconIndex, "scan", counted)
+        records, failures = run_decoded(fixture_corpus)
+        assert failures == []
+        assert len(scanned) == sum(
+            r["doc_stats"]["sentence_count"] for r in records)
+
+    def test_detectors_import_no_matcher(self):
+        probe = ("import sys\n"
+                 "import tosaudit.clarity, tosaudit.specificity\n"
+                 "print('tosaudit.matching' in sys.modules)\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": os.path.dirname(
+                os.path.dirname(pipeline.__file__))})
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "False\n"
 
 
 class TestFailureModes:

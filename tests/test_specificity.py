@@ -41,6 +41,11 @@ def doc_of(text, platform="demo"):
     return textprep.build_document(platform, text)
 
 
+def findings_of(doc, lex):
+    """analyze_document's findings, from views of the shipped index."""
+    return analyze_document(doc, lex, [INDEX.scan(s) for s in doc.sentences])
+
+
 def finding_to_dict(f):
     """Finding f as the dict whose JSON a results or review file holds."""
     return {
@@ -243,7 +248,7 @@ class TestAnalyzeDocument:
             "We collect your email address. We work with Google. "
             "We retain logs for 30 days. We share hashes for fraud "
             "detection.")
-        findings = analyze_document(doc, lex)
+        findings = findings_of(doc, lex)
         detectors = {f.detector for f in findings}
         assert detectors == set(specificity.DETECTORS)
         assert all(f.platform == "demo" for f in findings)
@@ -251,7 +256,7 @@ class TestAnalyzeDocument:
     def test_one_sharing_finding_per_sentence(self, lex):
         doc = doc_of(
             "We share data for fraud detection and also for spam detection.")
-        findings = [f for f in analyze_document(doc, lex)
+        findings = [f for f in findings_of(doc, lex)
                     if f.detector == "sharing"]
         assert len(findings) == 1
 
@@ -460,7 +465,7 @@ class TestReviewRoundTrip:
             "We share one for fraud detection. We share two for content "
             "moderation. We keep data as long as necessary.")
         lex = load_specificity_lexicons()
-        return analyze_document(doc, lex)
+        return findings_of(doc, lex)
 
     def test_export_header_and_order(self, tmp_path):
         findings = self.build_findings()
@@ -485,7 +490,7 @@ class TestReviewRoundTrip:
     def test_export_can_include_dt_en(self, tmp_path):
         doc = doc_of("We collect your email address from Google.")
         lex = load_specificity_lexicons()
-        findings = analyze_document(doc, lex)
+        findings = findings_of(doc, lex)
         path = tmp_path / "review.jsonl"
         assert export_review(findings, str(path)) == 0
         assert export_review(findings, str(path), include_dt_en=True) == 2
@@ -633,6 +638,32 @@ class TestLexiconLoading:
         (tmp_path / name).write_text(json.dumps(edit(shipped)))
         with pytest.raises(LexiconError, match=message):
             load_specificity_lexicons(str(tmp_path))
+
+    def edited_lexicons(self, tmp_path, name, edit):
+        """The shipped lexicons, but for one file edited, and their index."""
+        shipped = json.loads((Path(specificity.__file__).parent / "data"
+                              / name).read_text(encoding="utf-8"))
+        (tmp_path / name).write_text(json.dumps(edit(shipped)))
+        lex = load_specificity_lexicons(str(tmp_path))
+        index = LexiconIndex()
+        index_lexicons(index, lex)
+        return lex, index
+
+    def test_data_type_phrase_is_stripped(self, tmp_path):
+        lex, index = self.edited_lexicons(
+            tmp_path, "data_types.json",
+            lambda d: {"categories": {"contact": ["  email  "]}})
+        assert lex.data_types == {"contact": ("email",)}
+        s = sentence_of("We collect your email.")
+        assert labels_of(detect_data_types(index.scan(s), lex)) == ["email"]
+
+    def test_generic_descriptor_is_stripped(self, tmp_path):
+        lex, index = self.edited_lexicons(
+            tmp_path, "entities.json",
+            lambda d: {**d, "generic_descriptors": [
+                "  business partners llc  "]})
+        s = sentence_of("We work with Business Partners LLC daily.")
+        assert detect_entities(index.scan(s), lex) == []
 
     def test_duplicate_entry_rejected(self, tmp_path):
         (tmp_path / "data_types.json").write_text(json.dumps(
